@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all qroulette modules."""
+"""Exception hierarchy shared by all qroulette modules, and the one efficiency check."""
 
 
 class QRouletteError(Exception):
@@ -26,3 +26,11 @@ class IntegrationError(NumericalError):
 
 class TruncationError(NumericalError):
     """A truncated basis or distribution cannot hold the requested mass."""
+
+
+def check_eta(eta) -> float:
+    """Return eta as a float; ValidationError unless 0 < eta <= 1."""
+    value = float(eta)
+    if not 0.0 < value <= 1.0:
+        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
+    return value

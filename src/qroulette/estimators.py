@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_eta
 from .numerics import _hermite_scaled
 
 __all__ = [
@@ -52,8 +52,7 @@ def richter_kernel(n: int, m: int, x: float, phi: float) -> complex:
 
 def intensity_estimator(x, eta: float = 1.0):
     """Unbiased field-intensity estimate from a quadrature outcome: 2 x^2 - 1/(2 eta)."""
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
+    check_eta(eta)
     x = np.asarray(x, dtype=float)
     out = 2.0 * x * x - 0.5 / eta
     return float(out) if out.ndim == 0 else out
@@ -65,8 +64,7 @@ def heterodyne_estimator(alpha_re: float, alpha_im: float, eta: float = 1.0):
     Outcomes below the support floor after smearing are kept as-is;
     unbiasedness requires retaining the negative excursions.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
+    check_eta(eta)
     re = np.asarray(alpha_re, dtype=float)
     im = np.asarray(alpha_im, dtype=float)
     out = re * re + im * im - 1.0 / eta

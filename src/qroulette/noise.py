@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ValidationError
+from .errors import ValidationError, check_eta
 
 __all__ = [
     "NoiseReport",
@@ -31,8 +31,9 @@ __all__ = [
 
 
 def _check_inputs(mean_n: float, mean_nsq: float, eta: float) -> None:
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
+    check_eta(eta)
+    if not (math.isfinite(mean_n) and math.isfinite(mean_nsq)):
+        raise ValidationError(f"photon moments must be finite (got {mean_n}, {mean_nsq})")
     if mean_n < 0.0:
         raise ValidationError(f"mean photon number must be >= 0 (got {mean_n})")
     if mean_nsq - mean_n * mean_n < -1e-9 * max(1.0, mean_nsq):
@@ -87,8 +88,7 @@ def delta_rh(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
 def threshold_n(eta: float = 1.0) -> float:
     """Photon number above which heterodyne beats the roulette for Fock states:
     (1 + sqrt(1 + 4/eta^2)) / 2; strictly decreasing in eta."""
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
+    check_eta(eta)
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 / (eta * eta)))
 
 
@@ -102,10 +102,9 @@ def squeezed_delta_rh(total_n: float, beta: float, eta: float = 1.0) -> float:
     same state's photon moments.  Zero contours are unaffected by the positive
     scale, so both are kept as documented rather than reconciled.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
-    if total_n < 0.0:
-        raise ValidationError(f"total mean photon number must be >= 0 (got {total_n})")
+    check_eta(eta)
+    if not 0.0 <= total_n < math.inf:
+        raise ValidationError(f"total mean photon number must be finite and >= 0 (got {total_n})")
     if not 0.0 <= beta <= 1.0:
         raise ValidationError(f"squeezing fraction beta must lie in [0, 1] (got {beta})")
     bn = beta * total_n
@@ -202,12 +201,11 @@ def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[Zero
     (at N = 1/eta) is root-found in N and included explicitly whenever it
     falls inside (0, n_max].
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
+    check_eta(eta)
     if n_points < 1:
         raise ValidationError(f"n_points must be >= 1 (got {n_points})")
-    if n_max <= 0.0:
-        raise ValidationError(f"n_max must be positive (got {n_max})")
+    if not 0.0 < n_max < math.inf:
+        raise ValidationError(f"n_max must be positive and finite (got {n_max})")
     points = [_root_beta(float(n), eta) for n in np.linspace(n_max / n_points, n_max, n_points)]
     if squeezed_delta_rh(n_max, 0.0, eta) > 0.0:
         intercept = float(
@@ -224,8 +222,7 @@ def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[Zero
 
 def zero_contour_n(eta: float, beta: float, n_hi: float = 1e4) -> float:
     """Total mean photon number on the zero contour at a fixed beta."""
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
+    check_eta(eta)
     if squeezed_delta_rh(n_hi, beta, eta) <= 0.0:
         raise ValidationError(f"no contour crossing below N = {n_hi}")
     return float(

@@ -1,24 +1,25 @@
 """Outcome probability densities of the three detection schemes.
 
-Nonunit quantum efficiency eta enters as:
-  * roulette (random-phase homodyne): Gaussian smearing of the quadrature
-    outcome with variance (1 - eta)/(4 eta), evaluated in closed form
-    through the equivalent Bernoulli-thinned state;
-  * heterodyne: an added complex Gaussian with per-quadrature variance
-    (1/eta - 1)/2 on top of unit-efficiency draws;
-  * direct detection: Bernoulli thinning of the photon number.
+Nonunit quantum efficiency eta enters in one place: thin, measure at unit
+efficiency, rescale.  The number distribution is Bernoulli-thinned once per
+(state, eta), shared through a cache, and then
+  * roulette: p_eta(x) = sqrt(eta) p_thinned(sqrt(eta) x), Gaussian smearing
+    of the quadrature with variance (1 - eta)/(4 eta);
+  * heterodyne: p_eta(I) = eta p_thinned(eta I + 1) with p_thinned the Husimi
+    radial law, a complex Gaussian of per-quadrature variance (1/eta - 1)/2;
+  * direct detection: the thinned distribution itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import stats as _scipy_stats
 from scipy.special import gammaln
 
-from .errors import ValidationError
+from .errors import ValidationError, check_eta
 from .estimators import intensity_estimator
 from .numerics import gauss_legendre_grid, oscillator_mixture
 from .states import PhotonStatistics, moments
@@ -37,12 +38,8 @@ __all__ = [
 
 SCHEMES = ("roulette", "heterodyne", "direct")
 
-
-def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
-    return eta
+# cells of one block of the thinning sum: a few MB of temporaries at any n_max
+_THIN_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class DetectorConfig:
             raise ValidationError(
                 f"scheme must be one of {SCHEMES} (got '{self.scheme}')"
             )
-        _check_eta(self.eta)
+        check_eta(self.eta)
 
     @property
     def smearing_variance(self) -> float:
@@ -67,23 +64,50 @@ class DetectorConfig:
 
 def thinned_distribution(rho: np.ndarray, eta: float) -> np.ndarray:
     """Bernoulli thinning of a number distribution: each photon survives
-    independently with probability eta."""
-    eta = _check_eta(eta)
+    independently with probability eta,
+    out[m] = sum_{n >= m} rho[n] C(n, m) eta^m (1 - eta)^(n - m).
+
+    The binomial weights are summed in the log domain over the nonzero rho[n]
+    only, one block of output rows m at a time.
+    """
+    eta = check_eta(eta)
     rho = np.asarray(rho, dtype=float)
     if eta == 1.0:
         return rho.copy()
+    log_fact = gammaln(np.arange(len(rho)) + 1.0)
+    log_eta, log_loss = math.log(eta), math.log1p(-eta)
+    n = np.flatnonzero(rho)
     out = np.zeros_like(rho)
-    for n in range(len(rho)):
-        if rho[n] == 0.0:
-            continue
-        out[: n + 1] += rho[n] * _scipy_stats.binom.pmf(np.arange(n + 1), n, eta)
+    rows = max(1, _THIN_BLOCK_CELLS // max(1, len(n)))
+    for start in range(0, len(rho), rows):
+        cols = n[np.searchsorted(n, start) :]
+        m = np.arange(start, min(start + rows, len(rho)))[:, None]
+        k = cols[None, :] - m
+        log_pmf = np.where(
+            k >= 0,
+            log_fact[cols] - log_fact[m] - log_fact[np.maximum(k, 0)] + m * log_eta + k * log_loss,
+            -np.inf,
+        )
+        out[start : start + len(m)] = np.exp(log_pmf) @ rho[cols]
     return out
+
+
+@lru_cache(maxsize=64)
+def _thinned_law(rho_bytes: bytes, eta: float) -> np.ndarray:
+    weights = thinned_distribution(np.frombuffer(rho_bytes), eta)
+    weights.setflags(write=False)
+    return weights
+
+
+def _thinned(stats: PhotonStatistics, eta: float) -> np.ndarray:
+    """Read-only thinned weights, computed once per (state content, eta)."""
+    return stats.rho if eta == 1.0 else _thinned_law(stats.rho.tobytes(), eta)
 
 
 def direct_detection_pmf(stats: PhotonStatistics, eta: float) -> np.ndarray:
     """Probability mass over detected counts m for direct photodetection,
     p(m) = sum_{n >= m} rho_nn C(n, m) eta^m (1 - eta)^(n - m)."""
-    return thinned_distribution(stats.rho, eta)
+    return _thinned(stats, check_eta(eta)).copy()
 
 
 def roulette_density_x(stats: PhotonStatistics, x, eta: float = 1.0):
@@ -94,13 +118,9 @@ def roulette_density_x(stats: PhotonStatistics, x, eta: float = 1.0):
     variance (1 - eta)/(4 eta), computed exactly via the thinned state:
     p_eta(x) = sqrt(eta) * p_thinned(sqrt(eta) x).
     """
-    eta = _check_eta(eta)
-    if eta == 1.0:
-        return oscillator_mixture(stats.rho, x)
-    weights = thinned_distribution(stats.rho, eta)
+    eta = check_eta(eta)
     root = math.sqrt(eta)
-    scaled = oscillator_mixture(weights, root * np.asarray(x, dtype=float))
-    out = root * scaled
+    out = root * oscillator_mixture(_thinned(stats, eta), root * np.asarray(x, dtype=float))
     return float(out) if np.isscalar(x) else out
 
 
@@ -112,7 +132,7 @@ def roulette_density_y(stats: PhotonStatistics, y, eta: float = 1.0):
     otherwise).  The integrable inverse-square-root factor at the boundary
     is genuine and never clipped.
     """
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
     floor = -0.5 / eta
     scalar = np.isscalar(y)
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -145,50 +165,21 @@ def _poisson_mixture(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _smeared_intensity_mixture(rho: np.ndarray, u: np.ndarray, eta: float) -> np.ndarray:
-    """Density of u = |alpha|^2 after efficiency-eta heterodyne smearing.
-
-    For a number state n the law is eta (1-eta)^n L_n(-u eta^2/(1-eta)) e^{-eta u};
-    the damped Laguerre recurrence below keeps every intermediate bounded by
-    the corresponding Fock density, so the sum is overflow-free at any order.
-    """
-    z = u * eta * eta / (1.0 - eta)
-    damp = 1.0 - eta
-    s_prev = np.exp(-eta * u)
-    acc = rho[0] * s_prev
-    if len(rho) > 1:
-        s_cur = (1.0 + z) * damp * s_prev
-        acc = acc + rho[1] * s_cur
-        for k in range(1, len(rho) - 1):
-            s_prev, s_cur = (
-                s_cur,
-                ((2.0 * k + 1.0 + z) * damp * s_cur - k * damp * damp * s_prev) / (k + 1.0),
-            )
-            if rho[k + 1] != 0.0:
-                acc = acc + rho[k + 1] * s_cur
-    return eta * acc
-
-
 def heterodyne_density_I(stats: PhotonStatistics, intensity, eta: float = 1.0):
     """Outcome density of the heterodyne intensity estimator I = |alpha|^2 - 1/eta.
 
     At eta = 1 it is the radial marginal of the coherent-state (Husimi) law,
     p(I) = sum_n rho_nn e^{-(I+1)} (I+1)^n / n! on I >= -1; below unit
-    efficiency the unit-efficiency amplitude acquires an isotropic complex
-    Gaussian with per-quadrature variance (1/eta - 1)/2 and the support
-    floor moves to -1/eta.
+    efficiency it is that law of the thinned state at eta I + 1, times eta,
+    on I >= -1/eta.
     """
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
     scalar = np.isscalar(intensity)
     intensity = np.atleast_1d(np.asarray(intensity, dtype=float))
     u = intensity + 1.0 / eta
     out = np.zeros_like(u)
     ok = u >= 0.0
-    if ok.any():
-        if eta == 1.0:
-            out[ok] = _poisson_mixture(stats.rho, u[ok])
-        else:
-            out[ok] = _smeared_intensity_mixture(stats.rho, u[ok], eta)
+    out[ok] = eta * _poisson_mixture(_thinned(stats, eta), eta * u[ok])
     return float(out[0]) if scalar else out
 
 
@@ -198,7 +189,7 @@ def roulette_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: in
     Integrated in the smooth quadrature parameterisation y = 2 x^2 - 1/(2 eta),
     which removes the inverse-square-root boundary factor of the y density.
     """
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
     n_top = stats.n_max
     x_lim = (math.sqrt((2.0 * n_top + 1.0) / 2.0) + 10.0) / math.sqrt(eta)
     panels = max(64, 2 * (n_top + 16))
@@ -210,15 +201,12 @@ def roulette_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: in
 
 def heterodyne_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: int = 1) -> float:
     """Moment integral(I^order p_eta(I) dI) of the heterodyne intensity outcome."""
-    eta = _check_eta(eta)
+    eta = check_eta(eta)
     mean, _, var = moments(stats)
     upper = mean + 1.0 / eta + 4.0 * stats.n_max + 45.0 / eta + 10.0 * math.sqrt(var + 1.0) + 50.0
     panels = max(64, int(upper) + 2 * stats.n_max)
     u_nodes, weights = gauss_legendre_grid(0.0, upper, panels)
-    if eta == 1.0:
-        dens = _poisson_mixture(stats.rho, u_nodes)
-    else:
-        dens = _smeared_intensity_mixture(stats.rho, u_nodes, eta)
     outcome = u_nodes - 1.0 / eta
+    dens = heterodyne_density_I(stats, outcome, eta)
     est = outcome**order if order else np.ones_like(u_nodes)
     return float(np.sum(weights * dens * est))

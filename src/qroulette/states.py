@@ -25,6 +25,8 @@ __all__ = [
 
 HARD_CAP = 4096
 DEFAULT_TAIL = 1e-12
+# rounding slack on both edges of the accepted mass band [1 - tail_bound, 1]
+MASS_SLACK = 1e-13
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ class PhotonStatistics:
         if np.any(rho < 0.0) or not np.all(np.isfinite(rho)):
             raise ValidationError("PhotonStatistics: rho entries must be finite and >= 0")
         total = rho.sum()
-        if not (1.0 - self.tail_bound - 1e-13 <= total <= 1.0 + 1e-13):
+        if not (1.0 - self.tail_bound - MASS_SLACK <= total <= 1.0 + MASS_SLACK):
             raise ValidationError(
                 f"PhotonStatistics: mass {total:.15g} outside [1 - {self.tail_bound:g}, 1]"
             )
@@ -166,8 +168,13 @@ def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
         return np.array([1.0])
     n_hi = int(mean_photons + 30.0 * math.sqrt(mean_photons + 1.0) + 30.0)
     n_hi = min(n_hi, HARD_CAP + 512)
-    pmf = _scipy_stats.poisson.pmf(np.arange(n_hi + 1), mean_photons)
-    return _trim(pmf, tail_bound)
+    raw = _scipy_stats.poisson.pmf(np.arange(n_hi + 1), mean_photons)
+    pmf = _trim(raw, tail_bound)
+    # for bright states the rounded mass can leave the band PhotonStatistics
+    # accepts; rescale only those, so every law inside it stays bit-identical
+    if not 1.0 - tail_bound - MASS_SLACK <= pmf.sum() <= 1.0 + MASS_SLACK:
+        pmf /= raw.sum()
+    return pmf
 
 
 def _thermal_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:

@@ -51,6 +51,37 @@ class TestVarianceFormulas:
             heterodyne_variance(1.0, 2.0, 0.0)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (roulette_variance, (1.0, 2.0, 0.5)),
+            (direct_variance, (1.0, 2.0, 0.5)),
+            (heterodyne_variance, (1.0, 2.0, 0.5)),
+            (lambda *a: added_noise("roulette", *a), (1.0, 2.0, 0.5)),
+            (lambda *a: added_noise("heterodyne", *a), (1.0, 2.0, 0.5)),
+            (delta_rh, (1.0, 2.0, 0.5)),
+            (noise_report, (1.0, 2.0, 0.5)),
+            (threshold_n, (0.5,)),
+            (squeezed_delta_rh, (2.0, 0.5, 0.5)),
+            (lambda eta, n_max: zero_line(eta, 8, n_max), (0.5, 4.0)),
+            (zero_contour_n, (0.5, 0.5, 1e4)),
+        ],
+        ids=[
+            "roulette_variance", "direct_variance", "heterodyne_variance",
+            "added_noise_roulette", "added_noise_heterodyne", "delta_rh", "noise_report",
+            "threshold_n", "squeezed_delta_rh", "zero_line", "zero_contour_n",
+        ],
+    )
+    def test_rejected_in_every_float_argument(self, fn, args, bad):
+        fn(*args)
+        for position in range(len(args)):
+            poisoned = args[:position] + (bad,) + args[position + 1 :]
+            with pytest.raises(ValidationError):
+                fn(*poisoned)
+
+
 class TestAddedNoise:
     def test_examples(self):
         assert added_noise("heterodyne", 0.0, 0.0, 1.0) == pytest.approx(1.0)

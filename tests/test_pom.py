@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
-from scipy.special import i0e
+from scipy.special import eval_laguerre, i0e
 
 from conftest import DENSITY_ETAS, MATRIX_STATES
+from qroulette import pom
 from qroulette.errors import ValidationError
 from qroulette.numerics import integrate
 from qroulette.pom import (
@@ -16,6 +17,7 @@ from qroulette.pom import (
     roulette_density_x,
     roulette_density_y,
     roulette_outcome_moment,
+    thinned_distribution,
 )
 from qroulette.noise import heterodyne_variance, roulette_variance
 from qroulette.states import StateSpec, moments, photon_distribution
@@ -139,6 +141,74 @@ class TestHeterodyneDensity:
             assert heterodyne_density_I(FOCK1, intensity, eta) == pytest.approx(
                 expected, abs=1e-9
             )
+
+
+class TestHeterodyneFockClosedForm:
+    @pytest.mark.parametrize("eta", [0.75, 0.25, 0.1])
+    def test_laguerre_law(self, eta):
+        # p(I) = eta (1-eta)^n L_n(-u eta^2/(1-eta)) e^{-eta u}, u = I + 1/eta:
+        # the Fock law of the added complex Gaussian, independent of thinning
+        intensities = np.linspace(-1.0 / eta, 30.0, 41)
+        u = intensities + 1.0 / eta
+        for n in range(11):
+            stats = photon_distribution(StateSpec.fock(n))
+            expected = (
+                eta
+                * (1.0 - eta) ** n
+                * eval_laguerre(n, -u * eta * eta / (1.0 - eta))
+                * np.exp(-eta * u)
+            )
+            assert heterodyne_density_I(stats, intensities, eta) == pytest.approx(
+                expected, rel=1e-12, abs=1e-300
+            ), n
+
+
+class TestThinning:
+    @staticmethod
+    def loop_reference(rho, eta):
+        out = np.zeros_like(rho)
+        for n in range(len(rho)):
+            if rho[n] != 0.0:
+                out[: n + 1] += rho[n] * scipy_stats.binom.pmf(np.arange(n + 1), n, eta)
+        return out
+
+    @pytest.mark.parametrize(
+        "spec",
+        [StateSpec.coherent(4.0), StateSpec.squeezed(2.0, 0.5), StateSpec.fock(270),
+         StateSpec.coherent(100.0), StateSpec.thermal(10.0)],
+        ids=lambda spec: spec.describe(),
+    )
+    @pytest.mark.parametrize("eta", [0.75, 0.5, 0.1, 1e-6])
+    def test_matches_loop_reference(self, spec, eta):
+        # the log-binomial sum loses about eps * ln(n_max!) relative to the
+        # loop over the binomial pmf, 2.5e-13 at n_max = 270; thermal N=10
+        # (n_max 338) spans two row blocks
+        rho = photon_distribution(spec).rho
+        assert thinned_distribution(rho, eta) == pytest.approx(
+            self.loop_reference(rho, eta), rel=1e-12, abs=1e-14
+        )
+
+    def test_roulette_normalisation_thins_once(self, monkeypatch):
+        calls = []
+
+        def counting(rho, eta):
+            calls.append(eta)
+            return thinned_distribution(rho, eta)
+
+        pom._thinned_law.cache_clear()
+        monkeypatch.setattr(pom, "thinned_distribution", counting)
+        stats = photon_distribution(StateSpec.squeezed(2.0, 0.5))
+        for eta in (0.5, 0.1):
+            total = integrate(lambda x: roulette_density_x(stats, x, eta), -np.inf, np.inf, 1e-9)
+            assert total == pytest.approx(1.0, abs=1e-7)
+        assert calls == [0.5, 0.1]
+
+    def test_shared_law_is_read_only_and_pmf_is_fresh(self):
+        stats = photon_distribution(StateSpec.coherent(4.0))
+        assert not pom._thinned(stats, 0.5).flags.writeable
+        pmf = direct_detection_pmf(stats, 0.5)
+        pmf[:] = 0.0
+        assert direct_detection_pmf(stats, 0.5).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDirectDetection:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from qroulette.errors import TruncationError, ValidationError
 from qroulette.states import (
@@ -57,6 +58,21 @@ class TestDistributions:
             total = stats.rho.sum()
             assert 1.0 - 1e-12 <= total <= 1.0 + 1e-13
             assert np.all(stats.rho >= 0.0)
+
+    @pytest.mark.parametrize("n_bar", [900.0, 1545.0, 2500.0, 3500.0])
+    def test_bright_coherent_mass(self, n_bar):
+        # the rounded Poisson pmf leaves the accepted mass band (above it at
+        # 900, 2500 and 3500; below it at 1545)
+        stats = photon_distribution(StateSpec.coherent(n_bar))
+        assert 1.0 - 1e-12 <= stats.rho.sum() <= 1.0 + 1e-13
+        assert moments(stats)[0] == pytest.approx(n_bar, rel=1e-12)
+
+    def test_coherent_within_slack_is_the_raw_poisson_pmf(self):
+        # N = 10 sums to 1 + 1.8e-15: valid as computed, so it is left unscaled
+        stats = photon_distribution(StateSpec.coherent(10.0))
+        raw = scipy_stats.poisson.pmf(np.arange(len(stats.rho)), 10.0)
+        assert raw.sum() > 1.0
+        assert np.array_equal(stats.rho, raw)
 
     def test_hard_cap_failure(self):
         with pytest.raises(TruncationError):
