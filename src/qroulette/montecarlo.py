@@ -4,11 +4,15 @@ Draws are produced in fixed-size chunks, each with its own random stream
 derived deterministically from (seed, scheme, chunk index).  Workers only
 decide which process evaluates which chunk, so a given configuration is
 bit-reproducible for any worker count.
+
+Efficiency eta enters only through the exact laws of `pom`: each scheme draws
+from one cached thinned photon-number law or roulette table per (state, eta).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,10 +20,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .estimators import heterodyne_estimator, intensity_estimator
+from .estimators import intensity_estimator
 from .noise import NoiseReport, noise_report
-from .numerics import build_inverse_cdf, oscillator_density
-from .pom import SCHEMES, DetectorConfig
+from .numerics import DensityTable, build_inverse_cdf
+from .pom import SCHEMES, DetectorConfig, direct_detection_pmf, roulette_density_x
 from .states import StateSpec, exact_moments, photon_distribution
 
 __all__ = [
@@ -97,17 +101,20 @@ class SampleSummary:
 
 
 @lru_cache(maxsize=64)
-def _sampling_rho(spec: StateSpec) -> np.ndarray:
-    rho = photon_distribution(spec).rho
-    rho = rho / rho.sum()
-    rho.setflags(write=False)
-    return rho
+def _photon_law(spec: StateSpec, eta: float) -> np.ndarray:
+    """Normalised thinned photon-number law of the state, read-only."""
+    weights = direct_detection_pmf(photon_distribution(spec), eta)
+    weights /= weights.sum()
+    weights.setflags(write=False)
+    return weights
 
 
-@lru_cache(maxsize=256)
-def _quadrature_table(n: int):
-    limit = math.sqrt((2.0 * n + 1.0) / 2.0) + 8.0
-    return build_inverse_cdf(lambda x: oscillator_density(n, x), (-limit, limit), tol=1e-6)
+@lru_cache(maxsize=64)
+def _roulette_table(spec: StateSpec, eta: float) -> DensityTable:
+    """Inverse-CDF table of the roulette quadrature density at efficiency eta."""
+    stats = photon_distribution(spec)
+    limit = (math.sqrt((2.0 * stats.n_max + 1.0) / 2.0) + 8.0) / math.sqrt(eta)
+    return build_inverse_cdf(lambda x: roulette_density_x(stats, x, eta), (-limit, limit), 1e-6)
 
 
 def _chunk_outcomes(
@@ -117,31 +124,14 @@ def _chunk_outcomes(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_SCHEME_INDEX[scheme], chunk_index))
     )
-    rho = _sampling_rho(spec)
-    ns = rng.choice(len(rho), size=size, p=rho)
-
     if scheme == "roulette":
-        u = rng.random(size)
-        x = np.empty(size)
-        for n in np.unique(ns):
-            table = _quadrature_table(int(n))
-            mask = ns == n
-            x[mask] = np.interp(u[mask], table.cdf, table.grid)
-        if eta < 1.0:
-            x = x + rng.normal(0.0, math.sqrt((1.0 - eta) / (4.0 * eta)), size)
-        return intensity_estimator(x, eta)
+        return intensity_estimator(_roulette_table(spec, eta).sample(rng.random(size)), eta)
 
+    law = _photon_law(spec, eta)
+    m = rng.choice(len(law), size=size, p=law)
     if scheme == "heterodyne":
-        # |alpha|^2 for a number state n is Gamma(n + 1, 1) (Husimi radial law)
-        u = rng.gamma(ns + 1.0)
-        if eta < 1.0:
-            sigma = math.sqrt((1.0 / eta - 1.0) / 2.0)
-            gx = rng.normal(0.0, sigma, size)
-            gy = rng.normal(0.0, sigma, size)
-            return heterodyne_estimator(np.sqrt(u) + gx, gy, eta)
-        return heterodyne_estimator(np.sqrt(u), np.zeros(size), eta)
-
-    m = rng.binomial(ns, eta)
+        # |alpha|^2 for a number state m is Gamma(m + 1, 1) (Husimi radial law)
+        return (rng.gamma(m + 1.0) - 1.0) / eta
     return m / eta
 
 
@@ -184,6 +174,11 @@ def _summarize(outcomes: np.ndarray, config: ExperimentConfig) -> SampleSummary:
     )
 
 
+def _pool_size(workers: int, n_chunks: int) -> int:
+    """Processes worth starting: no more than requested, cores, or chunks."""
+    return min(workers, os.cpu_count() or 1, n_chunks)
+
+
 def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
     """All outcomes of a run, in the fixed chunk order."""
     scheme, eta = config.detector.scheme, config.detector.eta
@@ -194,10 +189,11 @@ def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
         (config.state, scheme, eta, config.seed, index, size)
         for index, size in enumerate(sizes)
     ]
-    if config.workers == 1 or len(args) == 1:
+    processes = _pool_size(config.workers, len(args))
+    if processes == 1:
         chunks = [_chunk_outcomes(*a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(args))) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_chunk_outcomes, *zip(*args)))
     return np.concatenate(chunks)
 
@@ -216,20 +212,20 @@ def _check_scheme(config: ExperimentConfig, scheme: str) -> ExperimentConfig:
 
 
 def sample_roulette(config: ExperimentConfig) -> SampleSummary:
-    """Random-phase homodyne intensity sampling: n ~ rho_nn, x ~ |<x|n>|^2 via the
-    cached inverse-CDF table, Gaussian smearing below unit efficiency, then the
-    unbiased estimator 2 x^2 - 1/(2 eta)."""
+    """Random-phase homodyne intensity sampling: x from one cached inverse-CDF
+    table of the quadrature density at efficiency eta, then the unbiased
+    estimator 2 x^2 - 1/(2 eta)."""
     return run_sampling(_check_scheme(config, "roulette"))
 
 
 def sample_heterodyne(config: ExperimentConfig) -> SampleSummary:
-    """Heterodyne intensity sampling via the Husimi radial law plus complex
-    Gaussian smearing below unit efficiency."""
+    """Heterodyne intensity sampling: m from the thinned photon-number law,
+    |alpha|^2 ~ Gamma(m + 1) (Husimi radial law), outcome (|alpha|^2 - 1)/eta."""
     return run_sampling(_check_scheme(config, "heterodyne"))
 
 
 def sample_direct(config: ExperimentConfig) -> SampleSummary:
-    """Direct photodetection: Bernoulli thinning m ~ Binomial(n, eta), outcome m/eta."""
+    """Direct photodetection: m from the thinned photon-number law, outcome m/eta."""
     return run_sampling(_check_scheme(config, "direct"))
 
 

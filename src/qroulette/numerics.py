@@ -242,65 +242,68 @@ def build_inverse_cdf(density, domain: tuple[float, float], tol: float = 1e-6) -
         raise ValidationError(f"build_inverse_cdf: tol must be positive (got {tol})")
 
     width_total = hi - lo
-    edges = np.linspace(lo, hi, 65)
-    pending = np.column_stack([edges[:-1], edges[1:]])
-    accepted = []  # rows (a, m, b, mass_left, mass_right)
-    total_panels = 64
-    max_panels = 500_000
-    rounds = 0
+    # an oscillatory density aliased on coarse panels fails only the mass check
+    for initial in (64, 512, 4096, 32768):
+        edges = np.linspace(lo, hi, initial + 1)
+        pending = np.column_stack([edges[:-1], edges[1:]])
+        accepted = []  # rows (a, m, b, mass_left, mass_right)
+        total_panels = initial
+        max_panels = 500_000
+        rounds = 0
 
-    while pending.size:
-        rounds += 1
-        if rounds > 60 or total_panels > max_panels:
-            raise IntegrationError(
-                "build_inverse_cdf: refinement budget exhausted before reaching tolerance"
-            )
-        a = pending[:, 0]
-        b = pending[:, 1]
-        w = b - a
-        # five Simpson nodes per panel, evaluated in one vector call
-        nodes = a[:, None] + w[:, None] * np.array([0.0, 0.25, 0.5, 0.75, 1.0])[None, :]
-        vals = np.asarray(density(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        if np.any(vals < -1e-9):
-            raise ValidationError("build_inverse_cdf: density is negative on the domain")
-        vals = np.maximum(vals, 0.0)
-        f0, f1, f2, f3, f4 = vals.T
-        simp = w / 6.0 * (f0 + 4.0 * f2 + f4)
-        simp2_left = w / 12.0 * (f0 + 4.0 * f1 + f2)
-        simp2_right = w / 12.0 * (f2 + 4.0 * f3 + f4)
-        simp2 = simp2_left + simp2_right
-        trap = w / 2.0 * (f0 + f4)
-        quad_ok = np.abs(simp2 - simp) <= 15.0 * 0.2 * tol * np.maximum(w / width_total, 1e-9)
-        interp_ok = np.abs(simp - trap) <= 0.5 * tol
-        done = (quad_ok & interp_ok) | (w < 1e-12 * width_total)
-        if done.any():
-            accepted.append(
-                np.column_stack(
-                    [a[done], 0.5 * (a + b)[done], b[done], simp2_left[done], simp2_right[done]]
+        while pending.size:
+            rounds += 1
+            if rounds > 60 or total_panels > max_panels:
+                raise IntegrationError(
+                    "build_inverse_cdf: refinement budget exhausted before reaching tolerance"
                 )
-            )
-        if (~done).any():
-            a_s, b_s = a[~done], b[~done]
-            m_s = 0.5 * (a_s + b_s)
-            pending = np.vstack(
-                [np.column_stack([a_s, m_s]), np.column_stack([m_s, b_s])]
-            )
-            total_panels += len(a_s)
-        else:
-            pending = np.empty((0, 2))
+            a, b = pending.T
+            w = b - a
+            # five Simpson nodes per panel, evaluated in one vector call
+            nodes = a[:, None] + w[:, None] * np.array([0.0, 0.25, 0.5, 0.75, 1.0])[None, :]
+            vals = np.asarray(density(nodes.ravel()), dtype=float).reshape(nodes.shape)
+            if np.any(vals < -1e-9):
+                raise ValidationError("build_inverse_cdf: density is negative on the domain")
+            vals = np.maximum(vals, 0.0)
+            f0, f1, f2, f3, f4 = vals.T
+            simp = w / 6.0 * (f0 + 4.0 * f2 + f4)
+            simp2_left = w / 12.0 * (f0 + 4.0 * f1 + f2)
+            simp2_right = w / 12.0 * (f2 + 4.0 * f3 + f4)
+            simp2 = simp2_left + simp2_right
+            trap = w / 2.0 * (f0 + f4)
+            quad_ok = np.abs(simp2 - simp) <= 15.0 * 0.2 * tol * np.maximum(w / width_total, 1e-9)
+            interp_ok = np.abs(simp - trap) <= 0.5 * tol
+            done = (quad_ok & interp_ok) | (w < 1e-12 * width_total)
+            if done.any():
+                accepted.append(
+                    np.column_stack(
+                        [a[done], 0.5 * (a + b)[done], b[done], simp2_left[done], simp2_right[done]]
+                    )
+                )
+            if (~done).any():
+                a_s, b_s = a[~done], b[~done]
+                m_s = 0.5 * (a_s + b_s)
+                pending = np.vstack(
+                    [np.column_stack([a_s, m_s]), np.column_stack([m_s, b_s])]
+                )
+                total_panels += len(a_s)
+            else:
+                pending = np.empty((0, 2))
 
-    rows = np.vstack(accepted)
-    rows = rows[np.argsort(rows[:, 0])]
-    grid = np.empty(2 * len(rows) + 1)
-    grid[0] = rows[0, 0]
-    grid[1::2] = rows[:, 1]
-    grid[2::2] = rows[:, 2]
-    masses = np.empty(2 * len(rows))
-    masses[0::2] = rows[:, 3]
-    masses[1::2] = rows[:, 4]
-    cdf = np.concatenate([[0.0], np.cumsum(masses)])
-    total = cdf[-1]
-    if abs(total - 1.0) > max(10.0 * tol, 1e-9):
+        rows = np.vstack(accepted)
+        rows = rows[np.argsort(rows[:, 0])]
+        grid = np.empty(2 * len(rows) + 1)
+        grid[0] = rows[0, 0]
+        grid[1::2] = rows[:, 1]
+        grid[2::2] = rows[:, 2]
+        masses = np.empty(2 * len(rows))
+        masses[0::2] = rows[:, 3]
+        masses[1::2] = rows[:, 4]
+        cdf = np.concatenate([[0.0], np.cumsum(masses)])
+        total = cdf[-1]
+        if abs(total - 1.0) <= max(10.0 * tol, 1e-9):
+            break
+    else:
         raise ValidationError(
             f"build_inverse_cdf: density mass on domain is {total:.12g}, not 1 within tolerance"
         )

@@ -200,13 +200,13 @@ def roulette_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: in
 
 
 def heterodyne_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: int = 1) -> float:
-    """Moment integral(I^order p_eta(I) dI) of the heterodyne intensity outcome."""
+    """Moment integral(I^order p_eta(I) dI) of the heterodyne intensity outcome,
+    integrated over v = eta I + 1, the unit-efficiency |alpha|^2 of the thinned state."""
     eta = check_eta(eta)
     mean, _, var = moments(stats)
-    upper = mean + 1.0 / eta + 4.0 * stats.n_max + 45.0 / eta + 10.0 * math.sqrt(var + 1.0) + 50.0
+    upper = mean + 4.0 * stats.n_max + 10.0 * math.sqrt(var + 1.0) + 96.0
     panels = max(64, int(upper) + 2 * stats.n_max)
-    u_nodes, weights = gauss_legendre_grid(0.0, upper, panels)
-    outcome = u_nodes - 1.0 / eta
-    dens = heterodyne_density_I(stats, outcome, eta)
-    est = outcome**order if order else np.ones_like(u_nodes)
+    v_nodes, weights = gauss_legendre_grid(0.0, upper, panels)
+    dens = _poisson_mixture(_thinned(stats, eta), v_nodes)
+    est = ((v_nodes - 1.0) / eta) ** order if order else np.ones_like(v_nodes)
     return float(np.sum(weights * dens * est))

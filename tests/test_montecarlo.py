@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from qroulette import montecarlo
 from qroulette.errors import ValidationError
 from qroulette.montecarlo import (
     ExperimentConfig,
@@ -14,8 +16,8 @@ from qroulette.montecarlo import (
     sample_roulette,
 )
 from qroulette.noise import direct_variance, heterodyne_variance, roulette_variance
-from qroulette.numerics import gauss_legendre_grid
-from qroulette.pom import DetectorConfig, roulette_density_x
+from qroulette.numerics import build_inverse_cdf, gauss_legendre_grid
+from qroulette.pom import DetectorConfig, heterodyne_density_I, roulette_density_x
 from qroulette.states import StateSpec, exact_moments, photon_distribution
 
 SEED = 424242
@@ -55,6 +57,28 @@ class TestRoulette:
     def test_scheme_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             sample_roulette(config(StateSpec.vacuum(), "direct", 1.0))
+
+    @pytest.mark.parametrize(
+        "n, eta", [(270, 0.5), (606, 0.5), (610, 0.5), (958, 0.5), (300, 0.99)]
+    )
+    def test_bright_fock_below_unit_efficiency(self, n, eta):
+        # tables of these laws alias when refined from 64 panels
+        summary = sample_roulette(config(StateSpec.fock(n), "roulette", eta, n=1 << 17))
+        assert_run(summary, float(n), roulette_variance(n, float(n) ** 2, eta))
+
+    def test_one_table_per_state_and_efficiency(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_inverse_cdf(*args, **kwargs)
+
+        montecarlo._roulette_table.cache_clear()
+        monkeypatch.setattr(montecarlo, "build_inverse_cdf", counting)
+        cfg = config(StateSpec.coherent(4.0), "roulette", 0.5, n=3 * montecarlo.CHUNK_SIZE)
+        summary = sample_roulette(cfg)
+        assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
+        assert len(calls) == 1
 
 
 class TestHeterodyne:
@@ -157,6 +181,56 @@ class TestSummary:
         chi2 = float(np.sum((pooled_obs - pooled_exp) ** 2 / pooled_exp))
         dof = len(pooled_obs) - 1
         assert chi2 < scipy_stats.chi2.ppf(0.999, dof), (chi2, dof)
+
+
+def pooled_chi2(observed, expected):
+    # pool cells until every expected count is at least 5
+    pooled_obs, pooled_exp = [], []
+    acc_o = acc_e = 0.0
+    for o, e in zip(observed, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            pooled_obs.append(acc_o)
+            pooled_exp.append(acc_e)
+            acc_o = acc_e = 0.0
+    pooled_obs[-1] += acc_o
+    pooled_exp[-1] += acc_e
+    pooled_obs = np.asarray(pooled_obs)
+    pooled_exp = np.asarray(pooled_exp) * (sum(pooled_obs) / sum(pooled_exp))
+    return float(np.sum((pooled_obs - pooled_exp) ** 2 / pooled_exp)), len(pooled_obs) - 1
+
+
+class TestHeterodyneHistogram:
+    def test_chi_squared_against_density_half_efficiency(self):
+        spec = StateSpec.coherent(1.0)
+        summary = run_sampling(config(spec, "heterodyne", 0.5, n=2 * 10**5))
+        stats_obj = photon_distribution(spec)
+        centers = np.asarray(summary.bin_centers)
+        counts = np.asarray(summary.bin_counts, dtype=float)
+        width = centers[1] - centers[0]
+        edges = np.concatenate([centers - width / 2, [centers[-1] + width / 2]])
+        probs = np.empty(len(counts))
+        for i in range(len(counts)):
+            nodes, gl_weights = gauss_legendre_grid(edges[i], edges[i + 1], 4, 20)
+            probs[i] = float(np.sum(gl_weights * heterodyne_density_I(stats_obj, nodes, 0.5)))
+        expected = summary.n_samples * np.append(probs, max(1.0 - probs.sum(), 0.0))
+        observed = np.append(counts, summary.n_samples - counts.sum())
+        chi2, dof = pooled_chi2(observed, expected)
+        assert chi2 < scipy_stats.chi2.ppf(0.999, dof), (chi2, dof)
+
+
+class TestPoolSize:
+    def test_never_more_than_requested_cores_or_chunks(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert montecarlo._pool_size(1, 100) == 1
+        assert montecarlo._pool_size(4, 100) == 4
+        assert montecarlo._pool_size(4, 3) == 3
+        assert montecarlo._pool_size(10**6, 7630) == 8
+
+    def test_unknown_core_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._pool_size(16, 100) == 1
 
 
 class TestRunComparison:

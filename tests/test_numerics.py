@@ -139,6 +139,14 @@ class TestInverseCdf:
         stderr = math.sqrt(0.875 / 100_000)  # Var(x^2) = 7/8 for n = 2
         assert abs(second - 1.25) <= 5 * stderr
 
+    @pytest.mark.parametrize("n", [270, 607, 617])
+    def test_aliasing_orders_keep_exact_second_moment(self, n):
+        # refined from 64 panels these orders alias and lose the mass check
+        table = self.table(n)
+        grid, cdf = table.grid, table.cdf
+        second = np.sum(np.diff(cdf) * (grid[1:] ** 2 + grid[1:] * grid[:-1] + grid[:-1] ** 2) / 3)
+        assert second == pytest.approx((2 * n + 1) / 4, rel=1e-5)
+
     def test_unnormalized_density_rejected(self):
         with pytest.raises(ValidationError):
             build_inverse_cdf(lambda x: 2.0 * oscillator_density(0, x), (-9.0, 9.0), 1e-6)

@@ -8,7 +8,7 @@ from scipy.special import eval_laguerre, i0e
 from conftest import DENSITY_ETAS, MATRIX_STATES
 from qroulette import pom
 from qroulette.errors import ValidationError
-from qroulette.numerics import integrate
+from qroulette.numerics import gauss_legendre_grid, integrate
 from qroulette.pom import (
     DetectorConfig,
     direct_detection_pmf,
@@ -300,3 +300,19 @@ class TestMomentIdentities:
             assert variance == pytest.approx(
                 heterodyne_variance(mean, mean_sq, eta), abs=1e-6
             ), label
+
+    def test_heterodyne_grid_does_not_grow_as_eta_falls(self, monkeypatch):
+        sizes = []
+
+        def recording(lower, upper, panels, *args):
+            sizes.append(panels)
+            return gauss_legendre_grid(lower, upper, panels, *args)
+
+        monkeypatch.setattr(pom, "gauss_legendre_grid", recording)
+        stats = photon_distribution(StateSpec.coherent(4.0))
+        mean, mean_sq, _ = moments(stats)
+        for eta in (1.0, 0.01):
+            second = heterodyne_outcome_moment(stats, eta, 2)
+            expected = mean_sq + (2.0 / eta - 1.0) * mean + 1.0 / eta**2
+            assert second == pytest.approx(expected, rel=1e-10)
+        assert sizes[0] == sizes[1]
