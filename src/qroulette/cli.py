@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_eta
 from .montecarlo import ExperimentConfig, run_sampling
 from .naimark import (
     build_extension,
@@ -97,12 +97,7 @@ def parse_state(text: str) -> StateSpec:
     elif kind == "custom":
         if "weights" not in fields:
             raise ValidationError("state kind 'custom' requires the field 'weights'")
-        raw = fields.pop("weights")
-        try:
-            weights = [float(w) for w in raw.split(",") if w != ""]
-        except ValueError:
-            raise ValidationError(f"state field 'weights' is not a comma list of numbers ('{raw}')")
-        spec = StateSpec.custom(weights)
+        spec = StateSpec.custom(_float_list(fields.pop("weights"), "state field 'weights'"))
     else:
         raise ValidationError(f"state field 'kind' has unknown value '{kind}'")
     if fields:
@@ -110,14 +105,12 @@ def parse_state(text: str) -> StateSpec:
     return spec
 
 
-def _parse_eta(raw) -> float:
+def _float_list(raw, name: str) -> list[float]:
+    """Numbers of a comma list; ValidationError naming the field otherwise."""
     try:
-        eta = float(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"field 'eta' is not a number (got '{raw}')")
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"field 'eta' must lie in (0, 1] (got {eta})")
-    return eta
+        return [float(z) for z in str(raw).split(",") if z != ""]
+    except ValueError:
+        raise ValidationError(f"{name} is not a comma list of numbers ('{raw}')") from None
 
 
 def _json_text(payload) -> str:
@@ -144,7 +137,7 @@ def _resolve_output_dir(flag_value) -> Path:
 
 def _run_noise(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     spec = parse_state(params["state"])
-    eta = _parse_eta(params["eta"])
+    eta = check_eta(params["eta"])
     mean_n, mean_nsq = exact_moments(spec)
     report = noise_report(mean_n, mean_nsq, eta)
     if report.delta_rh < -1e-12:
@@ -165,10 +158,7 @@ def _run_noise(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
 
 
 def _run_threshold(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
-    etas = []
-    for token in str(params["etas"]).split(","):
-        if token != "":
-            etas.append(_parse_eta(token))
+    etas = [check_eta(token) for token in str(params["etas"]).split(",") if token != ""]
     if not etas:
         raise ValidationError("field 'etas' must name at least one efficiency")
     n_points = int(params["n_points"])
@@ -193,13 +183,9 @@ def _run_threshold(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
 
 
 def _run_simulate(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
-    spec = parse_state(params["state"])
-    scheme = params["scheme"]
-    if scheme not in SCHEMES:
-        raise ValidationError(f"field 'scheme' must be one of {SCHEMES} (got '{scheme}')")
     config = ExperimentConfig(
-        state=spec,
-        detector=DetectorConfig(scheme=scheme, eta=_parse_eta(params["eta"])),
+        state=parse_state(params["state"]),
+        detector=DetectorConfig(scheme=params["scheme"], eta=check_eta(params["eta"])),
         n_samples=int(params["n_samples"]),
         seed=int(params["seed"]),
         workers=int(params["workers"]),
@@ -213,7 +199,7 @@ def _run_simulate(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
         writer.writerow([f"{center:.17g}", str(count)])
     outputs.append(_write(out_dir / "histogram.csv", buffer.getvalue()))
     text = (
-        f"{scheme} eta={config.detector.eta:g} n={summary.n_samples}: "
+        f"{summary.scheme} eta={summary.eta:g} n={summary.n_samples}: "
         f"mean={summary.mean:.6g} variance={summary.sample_variance:.6g} "
         f"(stderr {summary.standard_error:.3g})\n"
     )
@@ -254,7 +240,7 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
         }
         text = "\n".join(f"{key} = {value}" for key, value in payload.items()) + "\n"
     else:
-        amplitudes = [float(z) for z in str(params["amplitudes"]).split(",") if z != ""]
+        amplitudes = _float_list(params["amplitudes"], "field 'amplitudes'")
         deviations = semiclassical_check(
             alpha=complex(float(params["alpha_re"]), float(params["alpha_im"])),
             phi=float(params["phi"]),
@@ -361,43 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# top-level options and the subcommand tag: how to run, not what to run
+_NOT_PARAMS = ("manifest", "output_dir", "command")
+
+
 def _params_from_args(args: argparse.Namespace) -> dict:
-    if args.command == "noise":
-        return {"state": args.state, "eta": args.eta, "json": args.json}
-    if args.command == "threshold":
-        return {
-            "etas": args.etas,
-            "n_points": args.n_points,
-            "n_max": args.n_max,
-            "output": args.output,
-        }
-    if args.command == "simulate":
-        return {
-            "state": args.state,
-            "scheme": args.scheme,
-            "eta": args.eta,
-            "n_samples": args.n_samples,
-            "seed": args.seed,
-            "workers": args.workers,
-        }
-    params = {
-        "mode": args.mode,
-        "trials": args.trials,
-        "seed": args.seed,
-        "max_dim": args.max_dim,
-        "max_m": args.max_m,
-        "corrupt": args.corrupt,
-        "alpha_re": args.alpha_re,
-        "alpha_im": args.alpha_im,
-        "phi": args.phi,
-        "amplitudes": args.amplitudes,
-        "json": args.json,
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key not in _NOT_PARAMS and value is not None
     }
-    if args.system_trunc is not None:
-        params["system_trunc"] = args.system_trunc
-    if args.probe_trunc is not None:
-        params["probe_trunc"] = args.probe_trunc
-    return params
 
 
 def main(argv=None) -> int:

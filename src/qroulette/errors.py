@@ -29,8 +29,11 @@ class TruncationError(NumericalError):
 
 
 def check_eta(eta) -> float:
-    """Return eta as a float; ValidationError unless 0 < eta <= 1."""
-    value = float(eta)
+    """Return eta as a float; ValidationError unless it is a number in (0, 1]."""
+    try:
+        value = float(eta)
+    except (TypeError, ValueError):
+        raise ValidationError(f"quantum efficiency 'eta' is not a number (got {eta!r})") from None
     if not 0.0 < value <= 1.0:
-        raise ValidationError(f"quantum efficiency eta must lie in (0, 1] (got {eta})")
+        raise ValidationError(f"quantum efficiency 'eta' must lie in (0, 1] (got {eta})")
     return value

@@ -5,8 +5,10 @@ derived deterministically from (seed, scheme, chunk index).  Workers only
 decide which process evaluates which chunk, so a given configuration is
 bit-reproducible for any worker count.
 
-Efficiency eta enters only through the exact laws of `pom`: each scheme draws
-from one cached thinned photon-number law or roulette table per (state, eta).
+Efficiency eta enters only through the exact laws of `pom`.  Each run resolves
+its sampling law once, before any worker starts: the roulette table of the
+state at eta, or the thinned photon-number law that `pom` caches per
+(state, eta).  Every chunk draws from that one law, so no worker builds one.
 """
 
 from __future__ import annotations
@@ -101,15 +103,6 @@ class SampleSummary:
 
 
 @lru_cache(maxsize=64)
-def _photon_law(spec: StateSpec, eta: float) -> np.ndarray:
-    """Normalised thinned photon-number law of the state, read-only."""
-    weights = direct_detection_pmf(photon_distribution(spec), eta)
-    weights /= weights.sum()
-    weights.setflags(write=False)
-    return weights
-
-
-@lru_cache(maxsize=64)
 def _roulette_table(spec: StateSpec, eta: float) -> DensityTable:
     """Inverse-CDF table of the roulette quadrature density at efficiency eta."""
     stats = photon_distribution(spec)
@@ -118,16 +111,18 @@ def _roulette_table(spec: StateSpec, eta: float) -> DensityTable:
 
 
 def _chunk_outcomes(
-    spec: StateSpec, scheme: str, eta: float, seed: int, chunk_index: int, size: int
+    law, scheme: str, eta: float, seed: int, chunk_index: int, size: int
 ) -> np.ndarray:
-    """Outcomes for one chunk; a pure function of its arguments."""
+    """Outcomes for one chunk; a pure function of its arguments.
+
+    law is the run's roulette table, or its thinned photon-number pmf.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_SCHEME_INDEX[scheme], chunk_index))
     )
     if scheme == "roulette":
-        return intensity_estimator(_roulette_table(spec, eta).sample(rng.random(size)), eta)
+        return intensity_estimator(law.sample(rng.random(size)), eta)
 
-    law = _photon_law(spec, eta)
     m = rng.choice(len(law), size=size, p=law)
     if scheme == "heterodyne":
         # |alpha|^2 for a number state m is Gamma(m + 1, 1) (Husimi radial law)
@@ -182,13 +177,14 @@ def _pool_size(workers: int, n_chunks: int) -> int:
 def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
     """All outcomes of a run, in the fixed chunk order."""
     scheme, eta = config.detector.scheme, config.detector.eta
+    if scheme == "roulette":
+        law = _roulette_table(config.state, eta)
+    else:
+        law = direct_detection_pmf(photon_distribution(config.state), eta)
     sizes = [CHUNK_SIZE] * (config.n_samples // CHUNK_SIZE)
     if config.n_samples % CHUNK_SIZE:
         sizes.append(config.n_samples % CHUNK_SIZE)
-    args = [
-        (config.state, scheme, eta, config.seed, index, size)
-        for index, size in enumerate(sizes)
-    ]
+    args = [(law, scheme, eta, config.seed, index, size) for index, size in enumerate(sizes)]
     processes = _pool_size(config.workers, len(args))
     if processes == 1:
         chunks = [_chunk_outcomes(*a) for a in args]

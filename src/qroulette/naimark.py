@@ -177,6 +177,10 @@ def random_roulette_spec(
     rng: np.random.Generator, max_dim: int = 8, max_observables: int = 4
 ) -> RouletteSpec:
     """Random valid spec: Haar-random eigenbases partitioned into projectors."""
+    if max_dim < 2:
+        raise ValidationError(f"field 'max_dim' must be >= 2 (got {max_dim})")
+    if max_observables < 1:
+        raise ValidationError(f"field 'max_observables' must be >= 1 (got {max_observables})")
     dim = int(rng.integers(2, max_dim + 1))
     n_obs = int(rng.integers(1, max_observables + 1))
     weights = rng.dirichlet(np.ones(n_obs))

@@ -237,6 +237,8 @@ def photon_distribution(spec: StateSpec, tail_bound: float = DEFAULT_TAIL) -> Ph
     if not 0.0 < tail_bound <= 1e-6:
         raise ValidationError(f"tail_bound must lie in (0, 1e-6] (got {tail_bound})")
     if spec.kind == "fock":
+        if spec.fock_n > HARD_CAP:
+            raise TruncationError(f"Fock state needs n_max={spec.fock_n} > {HARD_CAP}")
         rho = np.zeros(spec.fock_n + 1)
         rho[spec.fock_n] = 1.0
         return PhotonStatistics(rho=rho, tail_bound=tail_bound)

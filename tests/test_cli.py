@@ -101,6 +101,10 @@ class TestNoiseCommand:
         assert run_cli("noise", "--state", "kind=fock n=1", "--eta", "1.5") == 1
         assert "'eta'" in capsys.readouterr().err
 
+    def test_eta_not_a_number_exit_code(self, capsys):
+        assert run_cli("noise", "--state", "kind=fock n=1", "--eta", "abc") == 1
+        assert "'eta'" in capsys.readouterr().err
+
 
 class TestThresholdCommand:
     def test_default_curves(self, tmp_path, capsys):
@@ -221,6 +225,37 @@ class TestSimulateCommand:
                 tmp_path / "replay" / name
             ).read_bytes()
 
+    def test_manifest_params_are_the_command_options(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, "m") == 0
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["params"] == {
+            "state": "kind=fock n=1",
+            "scheme": "direct",
+            "eta": "0.5",
+            "n_samples": 150000,
+            "seed": 42,
+            "workers": 1,
+        }
+
+    def test_fock_above_hard_cap_is_a_numerical_failure(self, tmp_path, capsys):
+        code = run_cli(
+            "--output-dir",
+            str(tmp_path),
+            "simulate",
+            "--state",
+            "kind=fock n=4097",
+            "--scheme",
+            "direct",
+            "--eta",
+            "1",
+            "--n-samples",
+            "10",
+            "--seed",
+            "1",
+        )
+        assert code == 2
+        assert "4097" in capsys.readouterr().err
+
     def test_environment_default_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("QROULETTE_OUTPUT_DIR", str(tmp_path / "from_env"))
         code = run_cli(
@@ -286,6 +321,18 @@ class TestNaimarkCommand:
         )
         assert code == 2
         assert "truncation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("discrete-random", "--max-dim", "1"), "max_dim"),
+            (("discrete-random", "--max-m", "0"), "max_observables"),
+            (("semiclassical", "--amplitudes", "a,b"), "amplitudes"),
+        ],
+    )
+    def test_bad_inputs_name_the_field(self, argv, field, capsys):
+        assert run_cli("naimark", *argv) == 1
+        assert f"'{field}'" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -75,6 +75,10 @@ class TestIntensityEstimator:
         with pytest.raises(ValidationError):
             intensity_estimator(0.0, 0.0)
 
+    def test_eta_not_a_number(self):
+        with pytest.raises(ValidationError, match="'eta'"):
+            intensity_estimator(0.1, None)
+
     @pytest.mark.parametrize("eta", [1.0, 0.5])
     def test_unbiasedness_closure_on_fock_states(self, eta):
         # quadrature average of the estimator over the smeared density

@@ -80,6 +80,41 @@ class TestRoulette:
         assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
         assert len(calls) == 1
 
+    def test_workers_never_build_a_table(self, monkeypatch):
+        # an in-process pool whose "workers" start every chunk with an empty
+        # table cache, as fresh processes would
+        class FreshCachePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    montecarlo._roulette_table.cache_clear()
+                    yield fn(*args)
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_inverse_cdf(*args, **kwargs)
+
+        montecarlo._roulette_table.cache_clear()
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FreshCachePool)
+        monkeypatch.setattr(montecarlo, "build_inverse_cdf", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        cfg = config(
+            StateSpec.coherent(4.0), "roulette", 0.5, n=3 * montecarlo.CHUNK_SIZE, workers=3
+        )
+        summary = sample_roulette(cfg)
+        assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
+        assert len(calls) == 1
+
 
 class TestHeterodyne:
     def test_vacuum(self):

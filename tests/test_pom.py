@@ -41,6 +41,10 @@ class TestDetectorConfig:
         with pytest.raises(ValidationError):
             DetectorConfig("roulette", 1.2)
 
+    def test_eta_not_a_number(self):
+        with pytest.raises(ValidationError, match="'eta'"):
+            DetectorConfig("direct", "abc")
+
 
 class TestRouletteDensityX:
     def test_vacuum_closed_form(self):

@@ -8,6 +8,7 @@ from scipy import stats as scipy_stats
 
 from qroulette.errors import TruncationError, ValidationError
 from qroulette.states import (
+    HARD_CAP,
     StateSpec,
     exact_moments,
     moments,
@@ -77,6 +78,11 @@ class TestDistributions:
     def test_hard_cap_failure(self):
         with pytest.raises(TruncationError):
             photon_distribution(StateSpec.thermal(5000.0))
+
+    def test_fock_hard_cap(self):
+        assert photon_distribution(StateSpec.fock(HARD_CAP)).n_max == HARD_CAP
+        with pytest.raises(TruncationError):
+            photon_distribution(StateSpec.fock(HARD_CAP + 1))
 
     def test_custom_weights(self):
         stats = photon_distribution(StateSpec.custom([0.25, 0.5, 0.25]))
