@@ -52,6 +52,23 @@ MANIFEST_NAME = "manifest.json"
 DEFAULT_ETAS = "1.0,0.75,0.5,0.25,0.1"
 
 
+class _ManifestFields(dict):
+    """A JSON object read from a manifest: a missing field is a ValidationError."""
+
+    def __missing__(self, key):
+        raise ValidationError(f"manifest lacks the field '{key}'")
+
+
+def _read_manifest(path: str) -> _ManifestFields:
+    try:
+        manifest = json.loads(Path(path).read_text(encoding="ascii"), object_hook=_ManifestFields)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read manifest '{path}': {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest["params"], dict):
+        raise ValidationError(f"manifest '{path}' is not an object with a 'params' object")
+    return manifest
+
+
 class _CliParser(argparse.ArgumentParser):
     """argparse variant that raises instead of exiting, so parse problems map
     onto the documented exit code 1."""
@@ -214,7 +231,7 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
         if trials < 1:
             raise ValidationError(f"field 'trials' must be >= 1 (got {trials})")
         rng = np.random.default_rng(int(params["seed"]))
-        worst = {"orthogonality": 0.0, "completeness": 0.0, "partial_trace": 0.0}
+        reports = []
         for _ in range(trials):
             spec = random_roulette_spec(
                 rng, max_dim=int(params["max_dim"]), max_observables=int(params["max_m"])
@@ -224,20 +241,8 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
                 fam[0][0, 0, 0] += 1e-3
                 spec = type(spec)(weights=spec.weights, families=tuple(fam))
             projectors, probe = build_extension(spec)
-            report = verify_extension(spec, projectors, probe)
-            worst["orthogonality"] = max(
-                worst["orthogonality"], report.max_orthogonality_residual
-            )
-            worst["completeness"] = max(worst["completeness"], report.max_completeness_residual)
-            worst["partial_trace"] = max(
-                worst["partial_trace"], report.max_partial_trace_residual
-            )
-        payload = {
-            "trials": trials,
-            "max_orthogonality_residual": worst["orthogonality"],
-            "max_completeness_residual": worst["completeness"],
-            "max_partial_trace_residual": worst["partial_trace"],
-        }
+            reports.append(verify_extension(spec, projectors, probe).to_dict())
+        payload = {"trials": trials} | {key: max(r[key] for r in reports) for key in reports[0]}
         text = "\n".join(f"{key} = {value}" for key, value in payload.items()) + "\n"
     else:
         amplitudes = _float_list(params["amplitudes"], "field 'amplitudes'")
@@ -364,9 +369,9 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         if args.manifest:
-            manifest = json.loads(Path(args.manifest).read_text(encoding="ascii"))
+            manifest = _read_manifest(args.manifest)
             command = manifest["command"]
-            if command not in _RUNNERS:
+            if not isinstance(command, str) or command not in _RUNNERS:
                 raise ValidationError(f"manifest names unknown command '{command}'")
             out_dir = (
                 Path(args.output_dir) if args.output_dir else Path(manifest["output_dir"])

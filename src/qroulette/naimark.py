@@ -9,10 +9,10 @@ and its semiclassical limit cover the continuous-phase case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import pdtrc
 
 from .errors import TruncationError, ValidationError
 
@@ -89,11 +89,7 @@ class RouletteSpec:
                 raise ValidationError(
                     f"family {k}: completeness residual {complete:.3e} > {tol:g}"
                 )
-            ortho = max(
-                np.max(np.abs(fam[i] @ fam[j] - (fam[j] if i == j else 0.0)))
-                for i in range(len(fam))
-                for j in range(len(fam))
-            )
+            ortho = _orthogonality_residual(fam)
             if ortho > tol:
                 raise ValidationError(
                     f"family {k}: orthogonality residual {ortho:.3e} > {tol:g}"
@@ -109,11 +105,17 @@ class ExtensionReport:
     max_partial_trace_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "max_orthogonality_residual": self.max_orthogonality_residual,
-            "max_completeness_residual": self.max_completeness_residual,
-            "max_partial_trace_residual": self.max_partial_trace_residual,
-        }
+        return asdict(self)
+
+
+def _orthogonality_residual(projectors: np.ndarray) -> float:
+    """max |P_i P_j - delta_ij P_j| over every ordered pair of projectors."""
+    residuals = [
+        float(np.max(np.abs(p_i @ p_j - (p_j if i == j else 0.0))))
+        for i, p_i in enumerate(projectors)
+        for j, p_j in enumerate(projectors)
+    ]
+    return max(residuals, default=0.0)
 
 
 def mixed_pom(spec: RouletteSpec) -> np.ndarray:
@@ -157,11 +159,7 @@ def verify_extension(
     if projectors.shape != (spec.n_outcomes, ext_dim, ext_dim) or probe.shape != (n_obs,):
         raise ValidationError("verify_extension: dimension mismatch with the spec")
 
-    ortho = 0.0
-    for i in range(len(projectors)):
-        for j in range(len(projectors)):
-            target = projectors[j] if i == j else 0.0
-            ortho = max(ortho, float(np.max(np.abs(projectors[i] @ projectors[j] - target))))
+    ortho = _orthogonality_residual(projectors)
     complete = float(np.max(np.abs(projectors.sum(axis=0) - np.eye(ext_dim))))
 
     weight_op = np.kron(np.eye(dim), np.outer(probe, probe.conj()))
@@ -235,7 +233,8 @@ def _coherent_vector(z: complex, trunc: int) -> np.ndarray:
 
 
 def _coherent_tail(z_abs: float, trunc: int) -> float:
-    return float(_scipy_stats.poisson.sf(trunc - 1, z_abs * z_abs))
+    """Poisson mass at n >= trunc of the coherent state |z|, all of it when trunc < 1."""
+    return 1.0 if trunc < 1 else float(pdtrc(trunc - 1, z_abs * z_abs))
 
 
 def default_truncation(z_abs: float, tail: float = 1e-11) -> int:

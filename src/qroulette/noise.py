@@ -7,7 +7,7 @@ first two photon-number moments, plus the quantum efficiency eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -133,18 +133,7 @@ class NoiseReport:
     threshold_n: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean_n": self.mean_n,
-            "mean_nsq": self.mean_nsq,
-            "eta": self.eta,
-            "roulette_var": self.roulette_var,
-            "direct_var": self.direct_var,
-            "heterodyne_var": self.heterodyne_var,
-            "added_roulette": self.added_roulette,
-            "added_heterodyne": self.added_heterodyne,
-            "delta_rh": self.delta_rh,
-            "threshold_n": self.threshold_n,
-        }
+        return asdict(self)
 
 
 def noise_report(mean_n: float, mean_nsq: float, eta: float = 1.0) -> NoiseReport:

@@ -76,12 +76,11 @@ def _count_factor(count: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _weighted_hermite_sq(t: np.ndarray, n_top: int, weights=None) -> np.ndarray:
-    """Evaluate weight-absorbed squared Hermite functions.
+def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Evaluate a mixture of weight-absorbed squared Hermite functions.
 
-    With ``g_k(t)^2 = H_k(t)^2 exp(-t^2) / (2^k k!)``, returns either
-    ``g_{n_top}(t)^2`` (weights None) or ``sum_k weights[k] g_k(t)^2``.
-    Uses the normalised recurrence
+    With ``g_k(t)^2 = H_k(t)^2 exp(-t^2) / (2^k k!)``, returns
+    ``sum_k weights[k] g_k(t)^2``.  Uses the normalised recurrence
 
         g_{k+1} = t sqrt(2/(k+1)) g_k - sqrt(k/(k+1)) g_{k-1},
 
@@ -93,15 +92,11 @@ def _weighted_hermite_sq(t: np.ndarray, n_top: int, weights=None) -> np.ndarray:
     count = np.ceil(np.maximum(0.0, (-ln0 - 600.0) / _RESCALE_LN)).astype(np.int64)
     factor = _count_factor(count)
     mant_prev = np.exp(ln0 + count * _RESCALE_LN)  # g_0 mantissa
-    acc = None
-    if weights is not None:
-        acc = weights[0] * np.square(mant_prev * factor)
-    if n_top == 0 and weights is None:
-        return np.square(mant_prev * factor)
+    acc = weights[0] * np.square(mant_prev * factor)
     mant_cur = math.sqrt(2.0) * t * mant_prev  # g_1 mantissa
-    if weights is not None and n_top >= 1 and weights[1] != 0.0:
+    if len(weights) > 1 and weights[1] != 0.0:
         acc = acc + weights[1] * np.square(mant_cur * factor)
-    for k in range(1, n_top):
+    for k in range(1, len(weights) - 1):
         mant_prev, mant_cur = (
             mant_cur,
             t * math.sqrt(2.0 / (k + 1)) * mant_cur
@@ -113,11 +108,9 @@ def _weighted_hermite_sq(t: np.ndarray, n_top: int, weights=None) -> np.ndarray:
             mant_prev = np.where(big, mant_prev * _RESCALE, mant_prev)
             count = count - big
             factor = _count_factor(count)
-        if weights is not None and weights[k + 1] != 0.0:
+        if weights[k + 1] != 0.0:
             acc = acc + weights[k + 1] * np.square(mant_cur * factor)
-    if weights is not None:
-        return acc
-    return np.square(mant_cur * factor)
+    return acc
 
 
 def oscillator_density(n: int, x):
@@ -129,10 +122,9 @@ def oscillator_density(n: int, x):
     """
     if n < 0 or n != int(n):
         raise ValidationError(f"oscillator_density: order must be a nonnegative integer (got {n})")
-    scalar = np.isscalar(x)
-    t = math.sqrt(2.0) * np.asarray(x, dtype=float)
-    out = _SQRT_2_OVER_PI * _weighted_hermite_sq(t, int(n))
-    return float(out) if scalar else out
+    weights = np.zeros(int(n) + 1)
+    weights[-1] = 1.0
+    return oscillator_mixture(weights, x)
 
 
 def oscillator_mixture(weights, x):
@@ -141,7 +133,7 @@ def oscillator_mixture(weights, x):
     weights = np.asarray(weights, dtype=float)
     scalar = np.isscalar(x)
     t = math.sqrt(2.0) * np.asarray(x, dtype=float)
-    out = _SQRT_2_OVER_PI * _weighted_hermite_sq(t, len(weights) - 1, weights)
+    out = _SQRT_2_OVER_PI * _weighted_hermite_sq(t, weights)
     return float(out) if scalar else out
 
 

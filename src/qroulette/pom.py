@@ -150,15 +150,22 @@ def roulette_density_y(stats: PhotonStatistics, y, eta: float = 1.0):
 
 
 def _poisson_mixture(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_n rho_n e^{-u} u^n / n! evaluated in the log domain, chunked in u."""
+    """sum_n rho_n e^{-u} u^n / n! evaluated in the log domain, chunked in u.
+
+    Every block is computed in place in one buffer allocated per call, so a
+    long u touches the same pages block after block.
+    """
     n = np.arange(len(rho), dtype=float)
     lgn = gammaln(n + 1.0)
     out = np.empty_like(u)
+    buf = np.empty(len(n) * min(len(u), 512))
     for start in range(0, len(u), 512):
         block = u[start : start + 512]
-        safe = np.where(block > 0.0, block, 1.0)
-        expo = -block[None, :] + n[:, None] * np.log(safe)[None, :] - lgn[:, None]
-        out[start : start + 512] = rho @ np.exp(expo)
+        expo = buf[: len(n) * len(block)].reshape(len(n), len(block))
+        np.multiply.outer(n, np.log(np.where(block > 0.0, block, 1.0)), out=expo)
+        expo -= block
+        expo -= lgn[:, None]
+        out[start : start + 512] = rho @ np.exp(expo, out=expo)
     zero = u == 0.0
     if zero.any():
         out[zero] = rho[0]

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import gammaln, xlogy
 
 from .errors import TruncationError, ValidationError
 
@@ -168,7 +168,9 @@ def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
         return np.array([1.0])
     n_hi = int(mean_photons + 30.0 * math.sqrt(mean_photons + 1.0) + 30.0)
     n_hi = min(n_hi, HARD_CAP + 512)
-    raw = _scipy_stats.poisson.pmf(np.arange(n_hi + 1), mean_photons)
+    n = np.arange(n_hi + 1)
+    # the Poisson pmf in the log domain, exactly as scipy.stats.poisson.pmf computes it
+    raw = np.exp(xlogy(n, mean_photons) - gammaln(n + 1) - mean_photons)
     pmf = _trim(raw, tail_bound)
     # for bright states the rounded mass can leave the band PhotonStatistics
     # accepts; rescale only those, so every law inside it stays bit-identical

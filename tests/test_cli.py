@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qroulette
 from qroulette.cli import main, parse_state
 from qroulette.errors import ValidationError
 from qroulette.noise import zero_line
@@ -341,3 +346,75 @@ class TestTopLevel:
 
     def test_unknown_argument(self, capsys):
         assert run_cli("noise", "--state", "kind=fock n=0", "--eta", "1", "--bogus") == 1
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # a fresh interpreter, so no other test's imports can hide the dependency
+        src = str(Path(qroulette.__file__).parents[1])
+        probe = "import sys, qroulette.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.stdout.strip() == "False"
+
+
+class TestManifestReplayErrors:
+    def replay(self, path, capsys):
+        code = run_cli("--manifest", str(path))
+        return code, capsys.readouterr().err
+
+    def test_missing_file(self, tmp_path, capsys):
+        code, err = self.replay(tmp_path / "absent.json", capsys)
+        assert code == 1
+        assert err.startswith("error:") and "absent.json" in err
+
+    @pytest.mark.parametrize(
+        "text", ["not json", "[1, 2]", '{"command": "noise", "output_dir": ".", "params": [1]}']
+    )
+    def test_not_a_manifest(self, text, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(text, encoding="ascii")
+        code, err = self.replay(path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and str(path) in err
+
+    def test_command_not_a_name(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"command": ["noise"], "output_dir": ".", "params": {}}', encoding="ascii")
+        code, err = self.replay(path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "unknown command" in err
+
+    @pytest.mark.parametrize(
+        "manifest, field",
+        [
+            ({"command": "noise"}, "params"),
+            ({"command": "noise", "params": {"state": "kind=fock n=0", "eta": "1"}}, "output_dir"),
+            ({"command": "noise", "output_dir": ".", "params": {"eta": "1"}}, "state"),
+            (
+                {
+                    "command": "simulate",
+                    "output_dir": ".",
+                    "params": {
+                        "state": "kind=fock n=0",
+                        "scheme": "direct",
+                        "eta": "1",
+                        "seed": 1,
+                        "workers": 1,
+                    },
+                },
+                "n_samples",
+            ),
+        ],
+    )
+    def test_missing_field(self, manifest, field, tmp_path, capsys):
+        if "output_dir" in manifest:
+            manifest = dict(manifest, output_dir=str(tmp_path))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="ascii")
+        code, err = self.replay(path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and f"'{field}'" in err

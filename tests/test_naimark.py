@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qroulette import naimark
 from qroulette.errors import TruncationError, ValidationError
 from qroulette.naimark import (
     RouletteSpec,
@@ -165,6 +167,12 @@ class TestSemiclassical:
         from scipy.stats import poisson
 
         assert poisson.sf(trunc - 1, 64.0) < 1e-10
+
+    def test_coherent_tail_is_the_poisson_survival(self):
+        for z_abs in np.linspace(0.0, 30.0, 301):
+            for trunc in (-2, 0, 1, 2, 16, 40, 100, 300, 1000):
+                expected = float(scipy_stats.poisson.sf(trunc - 1, z_abs * z_abs))
+                assert naimark._coherent_tail(z_abs, trunc) == expected, (z_abs, trunc)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValidationError):

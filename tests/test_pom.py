@@ -147,6 +147,20 @@ class TestHeterodyneDensity:
             )
 
 
+class TestPoissonMixture:
+    @pytest.mark.parametrize("length", [1, 512, 513, 1100])
+    @pytest.mark.parametrize("label, spec", MATRIX_STATES)
+    def test_blocks_match_direct_sum(self, length, label, spec):
+        # 513 and 1100 end in a shorter block written into the reused buffer
+        rho = photon_distribution(spec).rho
+        n = np.arange(len(rho))
+        for u in (np.linspace(0.0, 40.0, length), np.full(length, 7.3)):
+            expected = np.array([rho @ scipy_stats.poisson.pmf(n, v) for v in u])
+            np.testing.assert_allclose(
+                pom._poisson_mixture(rho, u), expected, rtol=1e-14, atol=0.0, err_msg=label
+            )
+
+
 class TestHeterodyneFockClosedForm:
     @pytest.mark.parametrize("eta", [0.75, 0.25, 0.1])
     def test_laguerre_law(self, eta):
