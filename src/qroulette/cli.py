@@ -27,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -108,7 +109,7 @@ def parse_state(text: str) -> StateSpec:
         spec = StateSpec.squeezed(take_float("N"), take_float("beta"))
     elif kind == "fock":
         value = take_float("n")
-        if value != int(value):
+        if not value.is_integer():
             raise ValidationError(f"state field 'n' must be an integer (got {value})")
         spec = StateSpec.fock(int(value))
     elif kind == "custom":
@@ -123,11 +124,29 @@ def parse_state(text: str) -> StateSpec:
 
 
 def _float_list(raw, name: str) -> list[float]:
-    """Numbers of a comma list; ValidationError naming the field otherwise."""
+    """Finite numbers of a comma list; ValidationError naming the field otherwise."""
     try:
-        return [float(z) for z in str(raw).split(",") if z != ""]
+        values = [float(z) for z in str(raw).split(",") if z != ""]
     except ValueError:
-        raise ValidationError(f"{name} is not a comma list of numbers ('{raw}')") from None
+        values = [math.nan]
+    if not all(math.isfinite(z) for z in values):
+        raise ValidationError(f"{name} is not a comma list of finite numbers ('{raw}')")
+    return values
+
+
+def _number(params: dict, name: str, kind=float):
+    """params[name] as an int, or as a finite float; ValidationError naming the field otherwise."""
+    raw = params[name]
+    try:
+        value = kind(raw)
+        # no nan or inf, and no fraction silently dropped by int()
+        ok = math.isfinite(value) and (not isinstance(raw, float) or raw == value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValidationError(f"field '{name}' must be {noun} (got {raw!r})")
+    return value
 
 
 def _json_text(payload) -> str:
@@ -178,8 +197,8 @@ def _run_threshold(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     etas = [check_eta(token) for token in str(params["etas"]).split(",") if token != ""]
     if not etas:
         raise ValidationError("field 'etas' must name at least one efficiency")
-    n_points = int(params["n_points"])
-    n_max = float(params["n_max"])
+    n_points = _number(params, "n_points", int)
+    n_max = _number(params, "n_max")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["eta", "N", "beta", "converged"])
@@ -203,9 +222,9 @@ def _run_simulate(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     config = ExperimentConfig(
         state=parse_state(params["state"]),
         detector=DetectorConfig(scheme=params["scheme"], eta=check_eta(params["eta"])),
-        n_samples=int(params["n_samples"]),
-        seed=int(params["seed"]),
-        workers=int(params["workers"]),
+        n_samples=_number(params, "n_samples", int),
+        seed=_number(params, "seed", int),
+        workers=_number(params, "workers", int),
     )
     summary = run_sampling(config)
     outputs = [_write(out_dir / "summary.json", _json_text(summary.to_dict()))]
@@ -227,14 +246,16 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     mode = params["mode"]
     outputs: list[Path] = []
     if mode == "discrete-random":
-        trials = int(params["trials"])
+        trials = _number(params, "trials", int)
         if trials < 1:
             raise ValidationError(f"field 'trials' must be >= 1 (got {trials})")
-        rng = np.random.default_rng(int(params["seed"]))
+        rng = np.random.default_rng(_number(params, "seed", int))
         reports = []
         for _ in range(trials):
             spec = random_roulette_spec(
-                rng, max_dim=int(params["max_dim"]), max_observables=int(params["max_m"])
+                rng,
+                max_dim=_number(params, "max_dim", int),
+                max_observables=_number(params, "max_m", int),
             )
             if params.get("corrupt"):
                 fam = [f.copy() for f in spec.families]
@@ -246,17 +267,22 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
         text = "\n".join(f"{key} = {value}" for key, value in payload.items()) + "\n"
     else:
         amplitudes = _float_list(params["amplitudes"], "field 'amplitudes'")
+        alpha_re, alpha_im, phi = (_number(params, key) for key in ("alpha_re", "alpha_im", "phi"))
+        system_trunc, probe_trunc = (
+            None if params.get(key) is None else _number(params, key, int)
+            for key in ("system_trunc", "probe_trunc")
+        )
         deviations = semiclassical_check(
-            alpha=complex(float(params["alpha_re"]), float(params["alpha_im"])),
-            phi=float(params["phi"]),
+            alpha=complex(alpha_re, alpha_im),
+            phi=phi,
             probe_amplitudes=amplitudes,
-            system_trunc=params.get("system_trunc"),
-            probe_trunc=params.get("probe_trunc"),
+            system_trunc=system_trunc,
+            probe_trunc=probe_trunc,
         )
         payload = {
-            "alpha_re": float(params["alpha_re"]),
-            "alpha_im": float(params["alpha_im"]),
-            "phi": float(params["phi"]),
+            "alpha_re": alpha_re,
+            "alpha_im": alpha_im,
+            "phi": phi,
             "ladder": [[z, d] for z, d in zip(amplitudes, deviations)],
         }
         text = (

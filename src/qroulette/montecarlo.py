@@ -9,6 +9,16 @@ Efficiency eta enters only through the exact laws of `pom`.  Each run resolves
 its sampling law once, before any worker starts: the roulette table of the
 state at eta, or the thinned photon-number law that `pom` caches per
 (state, eta).  Every chunk draws from that one law, so no worker builds one.
+
+The histogram edges are fixed before any draw, by the exact outcome law:
+equal-width Freedman-Diaconis bins (Freedman & Diaconis, 1981) from the exact
+interquartile range, spanning the quantiles eps .. 1 - eps with
+eps = 0.1 / n_samples; direct-detection bins are whole steps of the 1/eta
+lattice.  Each chunk reduces its outcomes where they are drawn, to its count,
+mean, sum of squared deviations and bin counts, with out-of-range outcomes
+clipped into the end bins; the rows are merged in chunk order with the update
+of Chan, Golub & LeVeque (1979).  Memory per run is a few chunks of
+outcomes, whatever n_samples.
 """
 
 from __future__ import annotations
@@ -25,7 +35,13 @@ from .errors import ValidationError
 from .estimators import intensity_estimator
 from .noise import NoiseReport, noise_report
 from .numerics import DensityTable, build_inverse_cdf
-from .pom import SCHEMES, DetectorConfig, direct_detection_pmf, roulette_density_x
+from .pom import (
+    SCHEMES,
+    DetectorConfig,
+    _poisson_mixture,
+    direct_detection_pmf,
+    roulette_density_x,
+)
 from .states import StateSpec, exact_moments, photon_distribution
 
 __all__ = [
@@ -130,42 +146,103 @@ def _chunk_outcomes(
     return m / eta
 
 
-def _histogram(outcomes: np.ndarray) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Freedman-Diaconis binning clipped to MAX_HISTOGRAM_BINS bins."""
-    lo = float(outcomes.min())
-    hi = float(outcomes.max())
-    n = len(outcomes)
-    if hi == lo:
-        return (lo,), (n,)
-    q25, q75 = np.percentile(outcomes, [25.0, 75.0])
-    iqr = q75 - q25
-    if iqr > 0.0:
-        width = 2.0 * iqr / n ** (1.0 / 3.0)
-        bins = int(np.clip(math.ceil((hi - lo) / width), 1, MAX_HISTOGRAM_BINS))
+@lru_cache(maxsize=64)
+def _quantile_table(spec: StateSpec, scheme: str, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cdf, nodes): the outcome CDF of the law a run samples, at increasing nodes.
+
+    The nodes are |x| for the roulette (y = 2 x^2 - 1/(2 eta) grows with |x|),
+    v = eta I + 1 for heterodyne and the count m for direct detection.
+    """
+    if scheme == "roulette":
+        table = _roulette_table(spec, eta)
+        nodes = np.unique(np.abs(table.grid))
+        cdf = table.cdf_at(nodes) - table.cdf_at(-nodes)
     else:
-        bins = min(MAX_HISTOGRAM_BINS, 64)
-    counts, edges = np.histogram(outcomes, bins=bins, range=(lo, hi))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return tuple(float(c) for c in centers), tuple(int(c) for c in counts)
+        weights = direct_detection_pmf(photon_distribution(spec), eta)
+        if scheme == "heterodyne":
+            # DLMF 8.4.10: P(Gamma(m + 1) <= v) = 1 - sum_{k <= m} e^{-v} v^k / k!
+            top = len(weights) + 10.0 * math.sqrt(len(weights)) + 40.0
+            nodes = np.linspace(0.0, top, 2049)
+            cdf = 1.0 - _poisson_mixture(np.cumsum(weights[::-1])[::-1], nodes)
+        else:
+            nodes = np.arange(len(weights))
+            cdf = np.cumsum(weights)
+    cdf = np.maximum.accumulate(cdf)
+    for shared in (cdf, nodes):
+        shared.setflags(write=False)
+    return cdf, nodes
 
 
-def _summarize(outcomes: np.ndarray, config: ExperimentConfig) -> SampleSummary:
-    n = len(outcomes)
-    mean = float(np.mean(outcomes))
-    variance = float(np.var(outcomes, ddof=1)) if n > 1 else 0.0
-    centers, counts = _histogram(outcomes)
+def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, centres) of the run's equal-width bins, a pure function of
+    (state, scheme, eta, n_samples): Freedman-Diaconis width from the exact
+    interquartile range, spanning the quantiles eps .. 1 - eps."""
+    scheme, eta, n = config.detector.scheme, config.detector.eta, config.n_samples
+    cdf, nodes = _quantile_table(config.state, scheme, eta)
+    probs = np.array([0.1 / n, 0.25, 0.75, 1.0 - 0.1 / n])
+    if scheme == "direct":
+        # whole steps of the 1/eta lattice, edges at half-lattice points
+        m_lo, m_25, m_75, m_hi = nodes[np.minimum(np.searchsorted(cdf, probs), len(nodes) - 1)]
+        span = int(m_hi - m_lo) + 1
+        step = max(
+            1, round(2.0 * (m_75 - m_25) / n ** (1.0 / 3.0)), math.ceil(span / MAX_HISTOGRAM_BINS)
+        )
+        lo, width, bins = (m_lo - 0.5) / eta, step / eta, math.ceil(span / step)
+    else:
+        q = np.interp(probs, cdf, nodes)
+        lo, q_25, q_75, hi = (
+            intensity_estimator(q, eta) if scheme == "roulette" else (q - 1.0) / eta
+        )
+        width = max(2.0 * (q_75 - q_25) / n ** (1.0 / 3.0), (hi - lo) / MAX_HISTOGRAM_BINS)
+        bins = min(MAX_HISTOGRAM_BINS, max(1, math.ceil((hi - lo) / width)))
+    edges = np.linspace(lo, lo + bins * width, bins + 1)
+    return edges, lo + width * (np.arange(bins) + 0.5)
+
+
+def _chunk_reduction(
+    law, scheme: str, eta: float, seed: int, chunk_index: int, size: int, edges: np.ndarray
+) -> np.ndarray:
+    """One chunk reduced where it is drawn: (count, mean, M2, bin counts...).
+
+    Bin i of the equally spaced edges holds edges[i] <= x < edges[i + 1], up
+    to the rounding of (x - edges[0]) / width; outcomes beyond the edges count
+    in the end bins.
+    """
+    x = _chunk_outcomes(law, scheme, eta, seed, chunk_index, size)
+    mean = x.mean()
+    deviation = x - mean
+    bins = len(edges) - 1
+    x -= edges[0]
+    x *= bins / (edges[-1] - edges[0])
+    row = np.empty(3 + bins)
+    row[:3] = size, mean, np.sum(np.square(deviation, out=deviation))
+    row[3:] = np.bincount(np.clip(x, 0, bins - 1, out=x).astype(np.intp), minlength=bins)
+    return row
+
+
+def _summarize(rows: np.ndarray, config: ExperimentConfig) -> SampleSummary:
+    """Merge the chunk rows in chunk order (Chan, Golub & LeVeque, 1979)."""
+    n, mean, m2 = (float(v) for v in rows[0, :3])
+    for count, chunk_mean, chunk_m2 in rows[1:, :3].tolist():
+        total = n + count
+        delta = chunk_mean - mean
+        mean += delta * count / total
+        m2 += chunk_m2 + delta * delta * n * count / total
+        n = total
+    variance = m2 / (n - 1.0) if n > 1 else 0.0
+    _, centres = _histogram_bins(config)
     return SampleSummary(
         scheme=config.detector.scheme,
         eta=config.detector.eta,
         state=config.state.describe(),
-        n_samples=n,
+        n_samples=int(n),
         seed=config.seed,
         workers=config.workers,
         mean=mean,
         sample_variance=variance,
         standard_error=math.sqrt(variance / n),
-        bin_centers=centers,
-        bin_counts=counts,
+        bin_centers=tuple(centres.tolist()),
+        bin_counts=tuple(int(c) for c in rows[:, 3:].sum(axis=0)),
     )
 
 
@@ -175,23 +252,27 @@ def _pool_size(workers: int, n_chunks: int) -> int:
 
 
 def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
-    """All outcomes of a run, in the fixed chunk order."""
+    """The reduced chunks of a run, one row (count, mean, M2, bin counts...)
+    per chunk in the fixed chunk order."""
     scheme, eta = config.detector.scheme, config.detector.eta
     if scheme == "roulette":
         law = _roulette_table(config.state, eta)
     else:
         law = direct_detection_pmf(photon_distribution(config.state), eta)
+    edges, _ = _histogram_bins(config)
     sizes = [CHUNK_SIZE] * (config.n_samples // CHUNK_SIZE)
     if config.n_samples % CHUNK_SIZE:
         sizes.append(config.n_samples % CHUNK_SIZE)
-    args = [(law, scheme, eta, config.seed, index, size) for index, size in enumerate(sizes)]
+    args = [
+        (law, scheme, eta, config.seed, index, size, edges) for index, size in enumerate(sizes)
+    ]
     processes = _pool_size(config.workers, len(args))
     if processes == 1:
-        chunks = [_chunk_outcomes(*a) for a in args]
+        rows = [_chunk_reduction(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            chunks = list(pool.map(_chunk_outcomes, *zip(*args)))
-    return np.concatenate(chunks)
+            rows = list(pool.map(_chunk_reduction, *zip(*args)))
+    return np.vstack(rows)
 
 
 def run_sampling(config: ExperimentConfig) -> SampleSummary:

@@ -8,6 +8,7 @@ and its semiclassical limit cover the continuous-phase case.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 
@@ -262,8 +263,11 @@ def semiclassical_check(
     when a truncation would leave more than 1e-10 coherent tail mass.
     """
     amplitudes = [float(z) for z in probe_amplitudes]
-    if any(z < 0.0 for z in amplitudes):
-        raise ValidationError("probe amplitudes must be >= 0")
+    if not all(0.0 <= z < math.inf for z in amplitudes):
+        raise ValidationError("probe amplitudes must be finite and >= 0")
+    for name, value in (("alpha", alpha), ("phi", phi)):
+        if not cmath.isfinite(value):
+            raise ValidationError(f"'{name}' must be finite (got {value})")
     if system_trunc is None:
         system_trunc = default_truncation(abs(alpha))
     if probe_trunc is None:

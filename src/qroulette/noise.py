@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ValidationError, check_eta
+from .errors import NumericalError, ValidationError, check_eta
 
 __all__ = [
     "NoiseReport",
@@ -42,24 +42,39 @@ def _check_inputs(mean_n: float, mean_nsq: float, eta: float) -> None:
         )
 
 
+def _inverse_square(eta: float) -> float:
+    """1/eta^2, inf where eta^2 underflows to zero."""
+    square = eta * eta
+    return 1.0 / square if square > 0.0 else math.inf
+
+
+def _finite(figure: str, value: float, eta: float) -> float:
+    """value, or NumericalError naming the figure when its closed form overflows."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{figure} overflows at eta = {eta!r}")
+    return value
+
+
 def roulette_variance(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
     """Variance of the roulette intensity estimate at efficiency eta:
     <dn^2> + <n^2>/2 + <n>(2/eta - 3/2) + 1/(2 eta^2)."""
     _check_inputs(mean_n, mean_nsq, eta)
     var_n = mean_nsq - mean_n * mean_n
-    return var_n + 0.5 * mean_nsq + mean_n * (2.0 / eta - 1.5) + 0.5 / (eta * eta)
+    value = var_n + 0.5 * mean_nsq + mean_n * (2.0 / eta - 1.5) + 0.5 * _inverse_square(eta)
+    return _finite("roulette_var", value, eta)
 
 
 def direct_variance(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
     """Variance of the direct-detection estimate m/eta: <dn^2> + <n>(1/eta - 1)."""
     _check_inputs(mean_n, mean_nsq, eta)
-    return mean_nsq - mean_n * mean_n + mean_n * (1.0 / eta - 1.0)
+    return _finite("direct_var", mean_nsq - mean_n * mean_n + mean_n * (1.0 / eta - 1.0), eta)
 
 
 def heterodyne_variance(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
     """Variance of the heterodyne intensity estimate: <dn^2> + (2/eta - 1)<n> + 1/eta^2."""
     _check_inputs(mean_n, mean_nsq, eta)
-    return mean_nsq - mean_n * mean_n + (2.0 / eta - 1.0) * mean_n + 1.0 / (eta * eta)
+    value = mean_nsq - mean_n * mean_n + (2.0 / eta - 1.0) * mean_n + _inverse_square(eta)
+    return _finite("heterodyne_var", value, eta)
 
 
 def added_noise(scheme: str, mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
@@ -70,10 +85,14 @@ def added_noise(scheme: str, mean_n: float, mean_nsq: float, eta: float = 1.0) -
     """
     _check_inputs(mean_n, mean_nsq, eta)
     if scheme == "roulette":
-        return 0.5 * (mean_nsq + mean_n * (2.0 / eta - 1.0) + 1.0 / (eta * eta))
-    if scheme == "heterodyne":
-        return (mean_n + 1.0 / eta) / eta
-    raise ValidationError(f"added_noise: scheme must be roulette or heterodyne (got '{scheme}')")
+        value = 0.5 * (mean_nsq + mean_n * (2.0 / eta - 1.0) + _inverse_square(eta))
+    elif scheme == "heterodyne":
+        value = (mean_n + 1.0 / eta) / eta
+    else:
+        raise ValidationError(
+            f"added_noise: scheme must be roulette or heterodyne (got '{scheme}')"
+        )
+    return _finite(f"added_{scheme}", value, eta)
 
 
 def delta_rh(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
@@ -82,14 +101,14 @@ def delta_rh(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
     Negative means the roulette is the quieter intensity measurement.
     """
     _check_inputs(mean_n, mean_nsq, eta)
-    return 0.5 * (mean_nsq - mean_n - 1.0 / (eta * eta))
+    return _finite("delta_rh", 0.5 * (mean_nsq - mean_n - _inverse_square(eta)), eta)
 
 
 def threshold_n(eta: float = 1.0) -> float:
     """Photon number above which heterodyne beats the roulette for Fock states:
     (1 + sqrt(1 + 4/eta^2)) / 2; strictly decreasing in eta."""
     check_eta(eta)
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 / (eta * eta)))
+    return _finite("threshold_n", 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * _inverse_square(eta))), eta)
 
 
 def squeezed_delta_rh(total_n: float, beta: float, eta: float = 1.0) -> float:
@@ -108,13 +127,14 @@ def squeezed_delta_rh(total_n: float, beta: float, eta: float = 1.0) -> float:
     if not 0.0 <= beta <= 1.0:
         raise ValidationError(f"squeezing fraction beta must lie in [0, 1] (got {beta})")
     bn = beta * total_n
-    return (
+    value = (
         total_n * total_n
         + 2.0 * bn * (1.0 + bn)
         + (1.0 - beta) * total_n * (1.0 + 2.0 * bn + 2.0 * math.sqrt(bn * (1.0 + bn)))
         - total_n
-        - 1.0 / (eta * eta)
+        - _inverse_square(eta)
     )
+    return _finite("squeezed_delta_rh", value, eta)
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,19 @@ class TestNoiseCommand:
         assert run_cli("noise", "--state", "kind=fock n=1", "--eta", "abc") == 1
         assert "'eta'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "2.5"])
+    def test_fock_order_not_an_integer_exit_code(self, value, capsys):
+        assert run_cli("noise", "--state", f"kind=fock n={value}", "--eta", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'n'" in err
+
+    @pytest.mark.parametrize("eta", ["1e-200", "1e-160"])
+    def test_tiny_eta_is_a_numerical_failure(self, eta, capsys):
+        assert run_cli("noise", "--state", "kind=fock n=2", "--eta", eta) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure:") and "roulette_var" in err
+
 
 class TestThresholdCommand:
     def test_default_curves(self, tmp_path, capsys):
@@ -333,6 +346,11 @@ class TestNaimarkCommand:
             (("discrete-random", "--max-dim", "1"), "max_dim"),
             (("discrete-random", "--max-m", "0"), "max_observables"),
             (("semiclassical", "--amplitudes", "a,b"), "amplitudes"),
+            (("semiclassical", "--amplitudes", "nan"), "amplitudes"),
+            (("semiclassical", "--amplitudes", "2,inf"), "amplitudes"),
+            (("semiclassical", "--alpha-re", "nan"), "alpha_re"),
+            (("semiclassical", "--alpha-im", "inf"), "alpha_im"),
+            (("semiclassical", "--phi", "nan"), "phi"),
         ],
     )
     def test_bad_inputs_name_the_field(self, argv, field, capsys):
@@ -418,3 +436,71 @@ class TestManifestReplayErrors:
         code, err = self.replay(path, capsys)
         assert code == 1
         assert err.startswith("error:") and f"'{field}'" in err
+
+
+class TestManifestParamTypes:
+    BASE = {
+        "simulate": {
+            "state": "kind=fock n=1",
+            "scheme": "direct",
+            "eta": "0.5",
+            "n_samples": 1000,
+            "seed": 1,
+            "workers": 1,
+        },
+        "threshold": {"etas": "1.0", "n_points": 4, "n_max": 4.0, "output": "curves.csv"},
+        "discrete-random": {
+            "mode": "discrete-random",
+            "trials": 2,
+            "seed": 7,
+            "max_dim": 4,
+            "max_m": 2,
+        },
+        "semiclassical": {
+            "mode": "semiclassical",
+            "alpha_re": 1.0,
+            "alpha_im": 0.0,
+            "phi": 0.0,
+            "amplitudes": "2,4",
+            "probe_trunc": 200,
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "params, field, value",
+        [
+            ("simulate", "n_samples", "abc"),
+            ("simulate", "n_samples", 2.5),
+            ("simulate", "seed", "x1"),
+            ("simulate", "workers", None),
+            ("threshold", "n_points", "many"),
+            ("threshold", "n_max", "nan"),
+            ("discrete-random", "trials", "abc"),
+            ("discrete-random", "seed", [7]),
+            ("discrete-random", "max_dim", "four"),
+            ("discrete-random", "max_m", 1e400),
+            ("semiclassical", "phi", "abc"),
+            ("semiclassical", "alpha_re", "inf"),
+            ("semiclassical", "probe_trunc", "deep"),
+        ],
+    )
+    def test_bad_value_names_the_field(self, params, field, value, tmp_path, capsys):
+        command = "naimark" if params in ("discrete-random", "semiclassical") else params
+        manifest = {
+            "command": command,
+            "output_dir": str(tmp_path),
+            "params": dict(self.BASE[params], **{field: value}),
+        }
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="ascii")
+        assert run_cli("--manifest", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{field}'" in err
+
+    @pytest.mark.parametrize("params", sorted(BASE))
+    def test_good_values_run(self, params, tmp_path, capsys):
+        command = "naimark" if params in ("discrete-random", "semiclassical") else params
+        manifest = {"command": command, "output_dir": str(tmp_path), "params": self.BASE[params]}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="ascii")
+        assert run_cli("--manifest", str(path)) == 0

@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,12 @@ from qroulette.montecarlo import (
 )
 from qroulette.noise import direct_variance, heterodyne_variance, roulette_variance
 from qroulette.numerics import build_inverse_cdf, gauss_legendre_grid
-from qroulette.pom import DetectorConfig, heterodyne_density_I, roulette_density_x
+from qroulette.pom import (
+    DetectorConfig,
+    direct_detection_pmf,
+    heterodyne_density_I,
+    roulette_density_x,
+)
 from qroulette.states import StateSpec, exact_moments, photon_distribution
 
 SEED = 424242
@@ -307,3 +315,90 @@ class TestConfigValidation:
             ExperimentConfig(StateSpec.vacuum(), detector, 10, 1, workers=0)
         with pytest.raises(ValidationError):
             ExperimentConfig(StateSpec.vacuum(), detector, 10, -5)
+
+
+def run_law(cfg):
+    scheme, eta = cfg.detector.scheme, cfg.detector.eta
+    if scheme == "roulette":
+        return montecarlo._roulette_table(cfg.state, eta)
+    return direct_detection_pmf(photon_distribution(cfg.state), eta)
+
+
+class TestReduction:
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne", "direct"])
+    def test_merged_chunks_match_the_concatenated_outcomes(self, scheme):
+        n = 3 * montecarlo.CHUNK_SIZE + 12345
+        cfg = config(StateSpec.coherent(4.0), scheme, 0.5, n=n)
+        summary = run_sampling(cfg)
+        sizes = [montecarlo.CHUNK_SIZE] * 3 + [12345]
+        outcomes = np.concatenate(
+            [
+                montecarlo._chunk_outcomes(run_law(cfg), scheme, 0.5, SEED, index, size)
+                for index, size in enumerate(sizes)
+            ]
+        )
+        assert summary.n_samples == n
+        assert summary.mean == pytest.approx(np.mean(outcomes), rel=1e-12)
+        assert summary.sample_variance == pytest.approx(np.var(outcomes, ddof=1), rel=1e-12)
+        edges, _ = montecarlo._histogram_bins(cfg)
+        expected, _ = np.histogram(np.clip(outcomes, edges[0], edges[-1]), bins=edges)
+        assert summary.bin_counts == tuple(int(c) for c in expected)
+
+    def test_edges_are_fixed_before_any_draw(self):
+        one = run_sampling(config(StateSpec.thermal(1.0), "heterodyne", 0.5, n=10**5, seed=1))
+        two = run_sampling(config(StateSpec.thermal(1.0), "heterodyne", 0.5, n=10**5, seed=2))
+        assert one.mean != two.mean
+        assert one.bin_centers == two.bin_centers
+
+    @pytest.mark.parametrize(
+        "spec, eta",
+        [
+            (StateSpec.coherent(4.0), 0.5),
+            (StateSpec.thermal(1.0), 0.3),
+            (StateSpec.squeezed(2.0, 0.5), 0.25),
+            (StateSpec.fock(3), 0.7),
+            (StateSpec.coherent(100.0), 0.9),
+        ],
+    )
+    def test_direct_outcomes_lie_strictly_inside_bins(self, spec, eta):
+        cfg = config(spec, "direct", eta)
+        edges, centres = montecarlo._histogram_bins(cfg)
+        width = centres[1] - centres[0]
+        assert (width * eta) == pytest.approx(round(width * eta), abs=1e-9)
+        m = np.flatnonzero(direct_detection_pmf(photon_distribution(spec), eta))
+        outcomes = m / eta
+        inside = outcomes[(outcomes > edges[0]) & (outcomes < edges[-1])]
+        assert inside.size
+        gaps = np.abs(inside[:, None] - edges[None, :]).min(axis=1)
+        assert gaps.min() >= 0.5 / eta * (1.0 - 1e-9)
+
+    def test_point_mass_keeps_one_bin(self):
+        summary = sample_direct(config(StateSpec.fock(3), "direct", 1.0, n=10**5))
+        assert summary.bin_centers == (3.0,)
+        assert summary.bin_counts == (10**5,)
+
+    def test_direct_run_memory_is_bounded(self):
+        # a fresh interpreter, so that ru_maxrss counts this run alone
+        src = str(Path(montecarlo.__file__).parents[1])
+        probe = (
+            "import resource\n"
+            "from qroulette.montecarlo import CHUNK_SIZE, ExperimentConfig, run_sampling\n"
+            "from qroulette.pom import DetectorConfig\n"
+            "from qroulette.states import StateSpec\n"
+            "def run(n):\n"
+            "    detector = DetectorConfig('direct', 0.5)\n"
+            "    run_sampling(ExperimentConfig(StateSpec.coherent(4.0), detector, n, seed=1))\n"
+            "run(2 * CHUNK_SIZE)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "run(1 << 24)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        growth_mb = int(result.stdout) / 1024.0  # ru_maxrss is in KiB on Linux
+        assert growth_mb < 48.0, growth_mb

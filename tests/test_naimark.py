@@ -177,3 +177,18 @@ class TestSemiclassical:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValidationError):
             semiclassical_check(1.0, 0.0, [-1.0])
+
+    @pytest.mark.parametrize(
+        "alpha, phi, amplitudes",
+        [
+            (1.0, 0.0, [np.nan]),
+            (1.0, 0.0, [2.0, np.inf]),
+            (complex(np.nan, 0.0), 0.0, [2.0]),
+            (complex(0.0, np.inf), 0.0, [2.0]),
+            (1.0, np.nan, [2.0]),
+            (1.0, -np.inf, [2.0]),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, alpha, phi, amplitudes):
+        with pytest.raises(ValidationError):
+            semiclassical_check(alpha, phi, amplitudes)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroulette.errors import ValidationError
+from qroulette.errors import NumericalError, ValidationError
 from qroulette.noise import (
     added_noise,
     delta_rh,
@@ -80,6 +80,38 @@ class TestNonFiniteInputs:
             poisoned = args[:position] + (bad,) + args[position + 1 :]
             with pytest.raises(ValidationError):
                 fn(*poisoned)
+
+
+class TestTinyEfficiency:
+    # eta is accepted down to any positive float; a closed form that overflows
+    # there is a numerical failure naming its figure, never inf or a traceback
+    @pytest.mark.parametrize("eta", [1e-160, 1e-200, 5e-324])
+    @pytest.mark.parametrize(
+        "fn, args, figure",
+        [
+            (roulette_variance, (1.0, 2.0), "roulette_var"),
+            (heterodyne_variance, (1.0, 2.0), "heterodyne_var"),
+            (lambda *a: added_noise("roulette", *a), (1.0, 2.0), "added_roulette"),
+            (lambda *a: added_noise("heterodyne", *a), (1.0, 2.0), "added_heterodyne"),
+            (delta_rh, (1.0, 2.0), "delta_rh"),
+            (noise_report, (1.0, 2.0), "roulette_var"),
+            (threshold_n, (), "threshold_n"),
+            (squeezed_delta_rh, (2.0, 0.5), "squeezed_delta_rh"),
+        ],
+        ids=[
+            "roulette_variance", "heterodyne_variance", "added_noise_roulette",
+            "added_noise_heterodyne", "delta_rh", "noise_report", "threshold_n",
+            "squeezed_delta_rh",
+        ],
+    )
+    def test_overflow_is_a_numerical_error(self, fn, args, figure, eta):
+        with pytest.raises(NumericalError, match=figure):
+            fn(*args, eta)
+
+    def test_small_but_representable_eta_is_finite(self):
+        report = noise_report(1.0, 2.0, 1e-150)
+        assert all(math.isfinite(v) for v in report.to_dict().values())
+        assert direct_variance(1.0, 2.0, 1e-200) == pytest.approx(1e200)
 
 
 class TestAddedNoise:
