@@ -149,6 +149,14 @@ def _number(params: dict, name: str, kind=float):
     return value
 
 
+def _text(params: dict, name: str) -> str:
+    """params[name] as a string; ValidationError naming the field otherwise."""
+    raw = params[name]
+    if not isinstance(raw, str):
+        raise ValidationError(f"field '{name}' must be a string (got {raw!r})")
+    return raw
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -172,7 +180,7 @@ def _resolve_output_dir(flag_value) -> Path:
 
 
 def _run_noise(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
-    spec = parse_state(params["state"])
+    spec = parse_state(_text(params, "state"))
     eta = check_eta(params["eta"])
     mean_n, mean_nsq = exact_moments(spec)
     report = noise_report(mean_n, mean_nsq, eta)
@@ -189,7 +197,7 @@ def _run_noise(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     outputs = []
     if params.get("json"):
         payload = dict(report.to_dict(), state=spec.describe(), verdict=verdict)
-        outputs.append(_write(out_dir / params["json"], _json_text(payload)))
+        outputs.append(_write(out_dir / _text(params, "json"), _json_text(payload)))
     return "\n".join(lines) + "\n", outputs
 
 
@@ -214,14 +222,14 @@ def _run_threshold(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
                 ]
             )
             total += 1
-    path = _write(out_dir / params["output"], buffer.getvalue())
+    path = _write(out_dir / _text(params, "output"), buffer.getvalue())
     return f"wrote {total} contour points for {len(etas)} efficiencies to {path}\n", [path]
 
 
 def _run_simulate(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     config = ExperimentConfig(
-        state=parse_state(params["state"]),
-        detector=DetectorConfig(scheme=params["scheme"], eta=check_eta(params["eta"])),
+        state=parse_state(_text(params, "state")),
+        detector=DetectorConfig(scheme=_text(params, "scheme"), eta=check_eta(params["eta"])),
         n_samples=_number(params, "n_samples", int),
         seed=_number(params, "seed", int),
         workers=_number(params, "workers", int),
@@ -243,7 +251,9 @@ def _run_simulate(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
 
 
 def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
-    mode = params["mode"]
+    mode = _text(params, "mode")
+    if mode not in ("discrete-random", "semiclassical"):
+        raise ValidationError(f"field 'mode' has unknown value '{mode}'")
     outputs: list[Path] = []
     if mode == "discrete-random":
         trials = _number(params, "trials", int)
@@ -290,7 +300,7 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
             + "\n"
         )
     if params.get("json"):
-        outputs.append(_write(out_dir / params["json"], _json_text(payload)))
+        outputs.append(_write(out_dir / _text(params, "json"), _json_text(payload)))
     return text, outputs
 
 

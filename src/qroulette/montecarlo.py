@@ -9,6 +9,11 @@ Efficiency eta enters only through the exact laws of `pom`.  Each run resolves
 its sampling law once, before any worker starts: the roulette table of the
 state at eta, or the thinned photon-number law that `pom` caches per
 (state, eta).  Every chunk draws from that one law, so no worker builds one.
+A draw finds its table segment, or its photon number, through a guide table
+(`numerics.GuideTable`) in O(1) expected steps: the roulette is bitwise
+np.interp on the table, and a photon number bitwise Generator.choice on the
+pmf, from the same uniforms.  A run whose n_samples times the exact outcome
+variance overflows fails before any draw.
 
 The histogram edges are fixed before any draw, by the exact outcome law:
 equal-width Freedman-Diaconis bins (Freedman & Diaconis, 1981) from the exact
@@ -31,10 +36,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .estimators import intensity_estimator
-from .noise import NoiseReport, noise_report
-from .numerics import DensityTable, build_inverse_cdf
+from .noise import (
+    NoiseReport,
+    direct_variance,
+    heterodyne_variance,
+    noise_report,
+    roulette_variance,
+)
+from .numerics import DensityTable, GuideTable, build_inverse_cdf
 from .pom import (
     SCHEMES,
     DetectorConfig,
@@ -56,7 +67,14 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 17
 MAX_HISTOGRAM_BINS = 512
+# Generator.choice's tolerance on the sum of p
+_PMF_ATOL = math.sqrt(np.finfo(float).eps)
 _SCHEME_INDEX = {scheme: i for i, scheme in enumerate(SCHEMES)}
+_OUTCOME_VARIANCE = {
+    "roulette": roulette_variance,
+    "heterodyne": heterodyne_variance,
+    "direct": direct_variance,
+}
 
 
 @dataclass(frozen=True)
@@ -126,6 +144,17 @@ def _roulette_table(spec: StateSpec, eta: float) -> DensityTable:
     return build_inverse_cdf(lambda x: roulette_density_x(stats, x, eta), (-limit, limit), 1e-6)
 
 
+def _choice_cdf(pmf) -> np.ndarray:
+    """The cumulative table Generator.choice(len(pmf), p=pmf) draws from, after its
+    checks on p; a draw is the count of its entries <= a uniform variate."""
+    p = np.asarray(pmf, dtype=float)
+    if not (np.isfinite(p).all() and (p >= 0.0).all() and abs(p.sum() - 1.0) <= _PMF_ATOL):
+        raise NumericalError("the photon-number law is not a nonnegative pmf summing to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _chunk_outcomes(
     law, scheme: str, eta: float, seed: int, chunk_index: int, size: int
 ) -> np.ndarray:
@@ -139,7 +168,7 @@ def _chunk_outcomes(
     if scheme == "roulette":
         return intensity_estimator(law.sample(rng.random(size)), eta)
 
-    m = rng.choice(len(law), size=size, p=law)
+    m = GuideTable(_choice_cdf(law)).rank(rng.random(size))
     if scheme == "heterodyne":
         # |alpha|^2 for a number state m is Gamma(m + 1, 1) (Husimi radial law)
         return (rng.gamma(m + 1.0) - 1.0) / eta
@@ -251,9 +280,23 @@ def _pool_size(workers: int, n_chunks: int) -> int:
     return min(workers, os.cpu_count() or 1, n_chunks)
 
 
+def _check_spread(config: ExperimentConfig) -> None:
+    """NumericalError before any draw when n_samples times the exact outcome
+    variance overflows, as the chunks' sums of squared deviations then would."""
+    scheme, eta = config.detector.scheme, config.detector.eta
+    mean_n, mean_nsq = exact_moments(config.state)
+    try:
+        total = config.n_samples * _OUTCOME_VARIANCE[scheme](mean_n, mean_nsq, eta)
+    except NumericalError:  # the variance itself overflows
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"sample_variance overflows at eta = {eta!r}")
+
+
 def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
     """The reduced chunks of a run, one row (count, mean, M2, bin counts...)
     per chunk in the fixed chunk order."""
+    _check_spread(config)
     scheme, eta = config.detector.scheme, config.detector.eta
     if scheme == "roulette":
         law = _roulette_table(config.state, eta)

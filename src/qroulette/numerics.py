@@ -1,7 +1,7 @@
 """Special functions, adaptive quadrature, and inverse-CDF sampling tables.
 
-Everything here is a pure function of its inputs; DensityTable instances are
-immutable after construction and safe to share across workers.
+Everything here is a pure function of its inputs; GuideTable and DensityTable
+instances are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .errors import IntegrationError, ValidationError
 
 __all__ = [
     "DensityTable",
+    "GuideTable",
     "build_inverse_cdf",
     "gauss_legendre_grid",
     "hermite_h",
@@ -34,6 +35,13 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _RESCALE = 1e-150
 _RESCALE_LN = math.log(1e150)
 _MANT_HIGH = 1e140
+
+# guide cells per table node: a cell holds half a node on average
+_GUIDE_CELLS_PER_NODE = 2
+# nodes a point steps over in its guide cell before a binary search takes over
+_GUIDE_STEPS = 4
+# the left node of the segments beyond the table's ends: _FAR - u is nonzero and finite
+_FAR = float(np.finfo(float).max)
 
 
 def hermite_h(n: int, x: float) -> float:
@@ -180,13 +188,57 @@ def gauss_legendre_grid(lower: float, upper: float, panels: int, order: int = 12
     return nodes, weights
 
 
+class GuideTable:
+    """np.searchsorted(cdf, u, "right") for a fixed finite nondecreasing cdf, by
+    a guide table (Chen & Asau, 1974; Devroye, 1986, section III.2.4).
+
+    [0, 1] is cut into K = 2 len(cdf) equal cells.  A point u starts at the count
+    of nodes in cells before its own, which never passes the answer because cells
+    are a nondecreasing function of value, and steps over the nodes <= u left in
+    its cell.  That takes O(1) steps in expectation; the few points still
+    stepping after _GUIDE_STEPS steps, in cells holding many nodes, finish by
+    binary search.
+    """
+
+    def __init__(self, cdf):
+        cdf = np.asarray(cdf, dtype=float)
+        self._cells = _GUIDE_CELLS_PER_NODE * len(cdf)
+        # the node after each count; the sentinel stops a point at the last node
+        self._next = np.append(cdf, np.inf)
+        self._start = np.searchsorted(self._cell(cdf), np.arange(self._cells + 1))
+
+    def _cell(self, u: np.ndarray) -> np.ndarray:
+        scaled = u * self._cells
+        np.clip(scaled, 0.0, self._cells, out=scaled)
+        return scaled.astype(np.intp)
+
+    def rank(self, u) -> np.ndarray:
+        """Count of nodes <= u, for each finite point of u."""
+        u = np.asarray(u, dtype=float)
+        flat = u.reshape(-1)
+        count = self._start[self._cell(flat)]
+        todo = np.flatnonzero(self._next[count] <= flat)
+        for _ in range(_GUIDE_STEPS):
+            if not todo.size:
+                break
+            count[todo] += 1
+            todo = todo[self._next[count[todo]] <= flat[todo]]
+        if todo.size:
+            count[todo] = np.searchsorted(self._next[:-1], flat[todo], "right")
+        return count.reshape(u.shape)
+
+
 @dataclass(frozen=True)
 class DensityTable:
     """Tabulated CDF supporting inverse-transform draws.
 
-    grid    : strictly increasing abscissae
-    cdf     : nondecreasing cumulative values, cdf[0] ~ 0 and cdf[-1] ~ 1
+    grid    : strictly increasing finite abscissae
+    cdf     : nondecreasing finite cumulative values, cdf[0] ~ 0 and cdf[-1] ~ 1
     domain  : (lower, upper) support bounds used at construction
+
+    Draws find their segment through a GuideTable, built once here, and
+    interpolate with the segment slopes np.interp uses, so that sample(u) is
+    bitwise np.interp(u, cdf, grid) at O(1) expected cost per draw.
     """
 
     grid: np.ndarray
@@ -198,6 +250,8 @@ class DensityTable:
         cdf = np.asarray(self.cdf, dtype=float)
         if grid.ndim != 1 or grid.shape != cdf.shape or grid.size < 2:
             raise ValidationError("DensityTable: grid and cdf must be matching 1-d arrays")
+        if not (np.isfinite(grid).all() and np.isfinite(cdf).all()):
+            raise ValidationError("DensityTable: grid and cdf must be finite")
         if not np.all(np.diff(grid) > 0.0):
             raise ValidationError("DensityTable: grid must be strictly increasing")
         if np.any(np.diff(cdf) < 0.0):
@@ -208,10 +262,49 @@ class DensityTable:
         cdf.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "_guide", GuideTable(cdf))
+        # np.interp's slope d_grid / d_cdf of each segment.  A steep segment,
+        # whose quotient overflows, is masked to nan, so no operation warns.  With
+        # frexp exponents e the quotient lies below 2**(e_grid - e_cdf + 1); on
+        # the two borderline exponent gaps a quarter of it is exact and finite.
+        d_grid, d_cdf = np.diff(grid), np.diff(cdf)
+        gap = np.where(d_cdf > 0.0, np.frexp(d_grid)[1] - np.frexp(d_cdf)[1], 2048)
+        steep = gap > 1024
+        border = (gap == 1023) | (gap == 1024)
+        steep[border] = 0.25 * d_grid[border] / d_cdf[border] >= 2.0**1022
+        slopes = np.divide(d_grid, d_cdf, out=np.full(len(d_cdf), np.nan), where=~steep)
+        # no draw lands inside a zero-mass segment: its count includes both ends
+        object.__setattr__(self, "_steep", bool(np.any(steep & (d_cdf > 0.0))))
+        # by count k = j + 1 of nodes <= u: the segment's left node, its value
+        # and its negated slope; outside the nodes the slope is 0 and the value
+        # the end node's
+        object.__setattr__(self, "_base", np.concatenate(([_FAR], cdf[:-1], [_FAR])))
+        object.__setattr__(self, "_left", np.concatenate((grid[:1], grid)))
+        object.__setattr__(self, "_fall", np.concatenate(([-0.0], -slopes, [-0.0])))
+
+    def locate(self, u) -> np.ndarray:
+        """Segment j with cdf[j] <= u < cdf[j + 1]: np.searchsorted(cdf, u, "right") - 1."""
+        return self._guide.rank(u) - 1
 
     def sample(self, u):
-        """Map uniform variates in [0, 1] through the inverse CDF."""
-        return np.interp(u, self.cdf, self.grid)
+        """Map uniform variates in [0, 1] through the inverse CDF, bitwise as
+        np.interp(u, cdf, grid)."""
+        u = np.asarray(u, dtype=float)
+        flat = u.reshape(-1)
+        count = self._guide.rank(flat)
+        # (-slope) * (base - u) is slope * (u - base) to the bit, and -0.0 at a
+        # node, where adding it leaves the node's value as np.interp returns it
+        rise = self._base[count]
+        rise -= flat
+        rise *= self._fall[count]
+        out = self._left[count]
+        out += rise
+        if self._steep:
+            # np.interp's slope overflowed there: the node's value at the node, inf inside
+            odd = np.flatnonzero(np.isnan(out))
+            at_node = flat[odd] == self._base[count[odd]]
+            out[odd] = np.where(at_node, self._left[count[odd]], np.inf)
+        return out.reshape(u.shape)[()]
 
     def cdf_at(self, x):
         """Tabulated CDF evaluated by linear interpolation."""

@@ -504,3 +504,66 @@ class TestManifestParamTypes:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest), encoding="ascii")
         assert run_cli("--manifest", str(path)) == 0
+
+
+class TestSimulateTinyEta:
+    def simulate(self, tmp_path, scheme):
+        return run_cli(
+            "--output-dir",
+            str(tmp_path),
+            "simulate",
+            "--state",
+            "kind=coherent N=1",
+            "--scheme",
+            scheme,
+            "--eta",
+            "1e-200",
+            "--n-samples",
+            "1000",
+            "--seed",
+            "1",
+        )
+
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne"])
+    def test_overflowing_variance_is_a_numerical_failure(self, scheme, tmp_path, capsys):
+        assert self.simulate(tmp_path, scheme) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure:")
+        assert "sample_variance overflows at eta = 1e-200" in err
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_direct_detection_runs(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, "direct") == 0
+        payload = json.loads((tmp_path / "summary.json").read_text())
+        assert payload["sample_variance"] == 0.0
+
+
+class TestManifestStringParams:
+    BASE = dict(TestManifestParamTypes.BASE, noise={"state": "kind=fock n=1", "eta": "1"})
+
+    @pytest.mark.parametrize(
+        "params, field, value",
+        [
+            ("noise", "state", 5),
+            ("noise", "json", 5),
+            ("threshold", "output", 5),
+            ("simulate", "state", ["kind=fock n=1"]),
+            ("simulate", "scheme", 5),
+            ("discrete-random", "mode", 5),
+            ("semiclassical", "mode", "quantum"),
+            ("semiclassical", "json", {"name": "out.json"}),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, params, field, value, tmp_path, capsys):
+        command = "naimark" if params in ("discrete-random", "semiclassical") else params
+        manifest = {
+            "command": command,
+            "output_dir": str(tmp_path),
+            "params": dict(self.BASE[params], **{field: value}),
+        }
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="ascii")
+        assert run_cli("--manifest", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{field}'" in err

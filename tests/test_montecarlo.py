@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from qroulette import montecarlo
-from qroulette.errors import ValidationError
+from qroulette.errors import NumericalError, ValidationError
+from qroulette.estimators import intensity_estimator
 from qroulette.montecarlo import (
     ExperimentConfig,
     run_comparison,
@@ -27,6 +29,8 @@ from qroulette.pom import (
     roulette_density_x,
 )
 from qroulette.states import StateSpec, exact_moments, photon_distribution
+
+from conftest import MATRIX_STATES, MC_ETAS
 
 SEED = 424242
 
@@ -402,3 +406,56 @@ class TestReduction:
         )
         growth_mb = int(result.stdout) / 1024.0  # ru_maxrss is in KiB on Linux
         assert growth_mb < 48.0, growth_mb
+
+
+def reference_chunk_outcomes(law, scheme, eta, seed, chunk_index, size):
+    """One chunk drawn by np.interp and Generator.choice, the binary searches
+    the guide-table lookup replaces."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(
+            entropy=int(seed), spawn_key=(montecarlo._SCHEME_INDEX[scheme], chunk_index)
+        )
+    )
+    if scheme == "roulette":
+        return intensity_estimator(np.interp(rng.random(size), law.cdf, law.grid), eta)
+    m = rng.choice(len(law), size=size, p=law)
+    if scheme == "heterodyne":
+        return (rng.gamma(m + 1.0) - 1.0) / eta
+    return m / eta
+
+
+class TestGuideLookupDraws:
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne", "direct"])
+    def test_runs_match_interp_and_choice_bitwise(self, scheme, monkeypatch):
+        configs = [
+            config(spec, scheme, eta, n=2 * montecarlo.CHUNK_SIZE + 5, seed=11)
+            for _, spec in MATRIX_STATES
+            for eta in MC_ETAS
+        ]
+        actual = [json.dumps(run_sampling(cfg).to_dict()) for cfg in configs]
+        monkeypatch.setattr(montecarlo, "_chunk_outcomes", reference_chunk_outcomes)
+        assert [json.dumps(run_sampling(cfg).to_dict()) for cfg in configs] == actual
+
+    @pytest.mark.parametrize("scheme", ["heterodyne", "direct"])
+    @pytest.mark.parametrize(
+        "pmf", [[0.5, math.nan, 0.5], [1.5, -0.5], [0.5, 0.4], [math.inf, 0.0]]
+    )
+    def test_bad_pmf_is_a_numerical_failure(self, pmf, scheme):
+        with pytest.raises(NumericalError):
+            montecarlo._chunk_outcomes(np.array(pmf), scheme, 0.5, SEED, 0, 100)
+
+
+class TestTinyEfficiency:
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne"])
+    def test_overflowing_variance_fails_before_any_draw(self, scheme, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(montecarlo, "_chunk_reduction", no_draws)
+        with pytest.raises(NumericalError, match="sample_variance overflows at eta = 1e-200"):
+            run_sampling(config(StateSpec.coherent(1.0), scheme, 1e-200, n=1000))
+
+    def test_finite_product_still_runs(self):
+        # n_samples * (1/(2 eta^2) + ...) stays below the float range here
+        summary = run_sampling(config(StateSpec.coherent(1.0), "roulette", 1e-152, n=1000))
+        assert math.isfinite(summary.sample_variance)

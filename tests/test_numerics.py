@@ -3,12 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qroulette.errors import IntegrationError, ValidationError
 from qroulette.numerics import (
     DensityTable,
+    GuideTable,
     build_inverse_cdf,
     gauss_legendre_grid,
     hermite_h,
@@ -177,3 +178,102 @@ class TestDensityTable:
             DensityTable(grid=grid, cdf=good[::-1].copy(), domain=(0.0, 1.0))
         with pytest.raises(ValidationError):
             DensityTable(grid=grid, cdf=good * 0.5, domain=(0.0, 1.0))
+
+    def test_non_finite_values_rejected(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        cdf = np.linspace(0.0, 1.0, 11)
+        for bad_grid, bad_cdf in (
+            (grid, np.where(cdf == 0.5, np.nan, cdf)),
+            (np.where(grid == 1.0, np.inf, grid), cdf),
+        ):
+            with pytest.raises(ValidationError):
+                DensityTable(grid=bad_grid, cdf=bad_cdf, domain=(0.0, 1.0))
+
+
+# cdf steps near 0, where a step can be subnormal and its slope overflow
+TINY_STEPS = [0.0, 5e-324, 1e-320, 2.0**-1022, 1e-300, 1e-30]
+# grid steps that put d_grid / d_cdf on either side of the overflow threshold
+SMALL_GAPS = [2.0**-52, 2.0**-51, 2.0**-50, 2.0**-49, 1.7e-15]
+
+
+@st.composite
+def density_tables(draw):
+    """Nondecreasing cdfs from 0 to 1 with tied nodes, zero-mass steps,
+    subnormal steps and, optionally, many nodes in the last guide cell."""
+    head = np.cumsum(draw(st.lists(st.sampled_from(TINY_STEPS), max_size=5)))
+    body = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=40
+            )
+        )
+    )
+    assume(body.sum() > 0.0)
+    cdf = np.concatenate(([0.0], head, 0.5 * np.cumsum(body) / body.sum()))
+    crowd = draw(st.integers(0, 80))
+    n = len(cdf) + crowd + 1
+    # the crowd lies within the last of the 2 n guide cells
+    cdf = np.concatenate((cdf, 1.0 - np.linspace(0.2, 0.1, crowd) / n, [1.0]))
+    cdf = np.maximum.accumulate(cdf)
+    # small grid steps only by the head, where the grid is still below 2 in size
+    near = len(head) + 1
+    small = st.lists(
+        st.one_of(st.floats(1e-3, 1.0), st.sampled_from(SMALL_GAPS)), min_size=near, max_size=near
+    )
+    rest = len(cdf) - 1 - near
+    wide = st.lists(st.floats(1e-3, 10.0), min_size=rest, max_size=rest)
+    start = draw(st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1.0, 1.0)))
+    grid = np.concatenate(([start], start + np.cumsum(draw(small) + draw(wide))))
+    assume(np.all(np.diff(grid) > 0.0))
+    return DensityTable(grid=grid, cdf=cdf, domain=(grid[0], grid[-1]))
+
+
+class TestGuideLookup:
+    @staticmethod
+    def points(table, seed):
+        nodes = table.cdf
+        return np.concatenate(
+            (
+                [0.0, 1.0],
+                nodes,
+                np.nextafter(nodes, -np.inf),
+                np.nextafter(nodes, np.inf),
+                np.random.default_rng(seed).random(200),
+            )
+        )
+
+    @given(table=density_tables(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_searchsorted_and_interp_bitwise(self, table, seed):
+        u = self.points(table, seed)
+        expected = np.searchsorted(table.cdf, u, "right") - 1
+        np.testing.assert_array_equal(table.locate(u), expected)
+        assert table.sample(u).tobytes() == np.interp(u, table.cdf, table.grid).tobytes()
+        for scalar in (float(u[-1]), 0.0, 1.0, float(table.cdf[len(table.cdf) // 2])):
+            value = table.sample(scalar)
+            assert isinstance(value, np.float64)
+            assert value.tobytes() == np.interp(scalar, table.cdf, table.grid).tobytes()
+
+    def test_overflowing_slope_gives_interp_values(self):
+        # a subnormal cdf step under a unit grid step: np.interp's slope is inf
+        table = DensityTable(
+            grid=np.array([-1.0, 0.0, 1.0]), cdf=np.array([0.0, 5e-324, 1.0]), domain=(-1.0, 1.0)
+        )
+        u = np.array([0.0, 5e-324, 0.5, 1.0])
+        np.testing.assert_array_equal(table.sample(u), [-1.0, 0.0, 0.5, 1.0])
+        assert table.sample(np.nextafter(0.0, 1.0) / 2) == -1.0
+
+    @given(
+        pmf=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rank_is_the_draw_of_generator_choice(self, pmf, seed):
+        p = np.array(pmf)
+        assume(p.sum() > 0.0)
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        expected = np.random.default_rng(seed).choice(len(p), size=500, p=p)
+        rng = np.random.default_rng(seed)
+        np.testing.assert_array_equal(GuideTable(cdf).rank(rng.random(500)), expected)
