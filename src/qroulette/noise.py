@@ -1,7 +1,9 @@
 """Closed-form noise figures and the roulette-vs-heterodyne comparison.
 
 All quantities depend on the state only through (mean_n, mean_nsq), the
-first two photon-number moments, plus the quantum efficiency eta.
+first two photon-number moments, plus the quantum efficiency eta.  The zero
+contours are root finds; scipy.optimize is imported by them on first use, so
+the closed forms cost no import beyond numpy.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError, ValidationError, check_eta
 
@@ -194,6 +195,8 @@ def _root_beta(total_n: float, eta: float) -> ZeroLinePoint:
     if crossings.size == 0:
         return ZeroLinePoint(total_n, math.nan, False)
     lo, hi = scan[crossings[0]], scan[crossings[0] + 1]
+    from scipy.optimize import brentq
+
     try:
         beta = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     except RuntimeError:
@@ -217,6 +220,8 @@ def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[Zero
         raise ValidationError(f"n_max must be positive and finite (got {n_max})")
     points = [_root_beta(float(n), eta) for n in np.linspace(n_max / n_points, n_max, n_points)]
     if squeezed_delta_rh(n_max, 0.0, eta) > 0.0:
+        from scipy.optimize import brentq
+
         intercept = float(
             brentq(lambda n: squeezed_delta_rh(n, 0.0, eta), 0.0, n_max, xtol=1e-14, rtol=8.9e-16)
         )
@@ -234,6 +239,8 @@ def zero_contour_n(eta: float, beta: float, n_hi: float = 1e4) -> float:
     check_eta(eta)
     if squeezed_delta_rh(n_hi, beta, eta) <= 0.0:
         raise ValidationError(f"no contour crossing below N = {n_hi}")
+    from scipy.optimize import brentq
+
     return float(
         brentq(lambda n: squeezed_delta_rh(n, beta, eta), 0.0, n_hi, xtol=1e-14, rtol=8.9e-16)
     )

@@ -2,16 +2,25 @@
 
 Everything here is a pure function of its inputs; GuideTable and DensityTable
 instances are immutable after construction and safe to share across workers.
+
+scipy.integrate is imported by `integrate` on its first call, so a process
+that never integrates does not load it.  The oscillator mixture has two paths
+with the same bits: arrays run the rescaled Hermite recurrence as numpy
+operations, and a single point, as adaptive quadrature asks for it, runs the
+same operations in the same order on Python floats.  Each is one IEEE
+operation that numpy rounds elementwise as Python does; the start value keeps
+np.exp.  The point path skips the 8-10 numpy dispatches per order that
+dominate the cost of one point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate as _quadpack
 
 from .errors import IntegrationError, ValidationError
 
@@ -35,6 +44,8 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _RESCALE = 1e-150
 _RESCALE_LN = math.log(1e150)
 _MANT_HIGH = 1e140
+# 1e-150**count as a float for count 0, 1, 2, exact; zero beyond
+_COUNT_FACTORS = (1.0, _RESCALE, 1e-300)
 
 # guide cells per table node: a cell holds half a node on average
 _GUIDE_CELLS_PER_NODE = 2
@@ -76,11 +87,9 @@ def _hermite_scaled(n: int, x: float) -> tuple[float, float]:
 
 
 def _count_factor(count: np.ndarray) -> np.ndarray:
-    # 1e-150**count as a float, exact for the three representable cases
     factor = np.zeros(count.shape)
-    factor[count == 0] = 1.0
-    factor[count == 1] = 1e-150
-    factor[count == 2] = 1e-300
+    for c, value in enumerate(_COUNT_FACTORS):
+        factor[count == c] = value
     return factor
 
 
@@ -94,8 +103,13 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     every intermediate staying within representable range for orders well
     beyond 1e4.
+
+    A 0-d t runs on Python floats, bitwise as an array of one point.
     """
     t = np.asarray(t, dtype=float)
+    # a point whose square overflows takes the array path, warnings and all
+    if t.ndim == 0 and math.isfinite(float(t) * float(t)):
+        return _weighted_hermite_sq_scalar(float(t), weights)
     ln0 = -0.5 * t * t
     count = np.ceil(np.maximum(0.0, (-ln0 - 600.0) / _RESCALE_LN)).astype(np.int64)
     factor = _count_factor(count)
@@ -119,6 +133,39 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
         if weights[k + 1] != 0.0:
             acc = acc + weights[k + 1] * np.square(mant_cur * factor)
     return acc
+
+
+@lru_cache(maxsize=16)
+def _recurrence_coefficients(n_terms: int) -> tuple[tuple[float, float], ...]:
+    """(sqrt(2/(k+1)), sqrt(k/(k+1))) for k = 1 .. n_terms - 2, as the array path computes them."""
+    return tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(1, n_terms - 1))
+
+
+def _weighted_hermite_sq_scalar(t: float, weights: np.ndarray) -> np.float64:
+    """_weighted_hermite_sq at one point, bitwise equal to the array path:
+    the same IEEE operations in the same order, with g_0 from np.exp."""
+    ln0 = -0.5 * t * t
+    count = math.ceil(max(0.0, (-ln0 - 600.0) / _RESCALE_LN))
+    factor = _COUNT_FACTORS[count] if count < 3 else 0.0
+    w = weights.tolist()
+    mant_prev = float(np.exp(ln0 + count * _RESCALE_LN))
+    scaled = mant_prev * factor
+    acc = w[0] * (scaled * scaled)
+    mant_cur = math.sqrt(2.0) * t * mant_prev
+    if len(w) > 1 and w[1] != 0.0:
+        scaled = mant_cur * factor
+        acc = acc + w[1] * (scaled * scaled)
+    for (step, damp), weight in zip(_recurrence_coefficients(len(w)), w[2:]):
+        mant_prev, mant_cur = mant_cur, t * step * mant_cur - damp * mant_prev
+        if count > 0 and abs(mant_cur) > _MANT_HIGH:
+            mant_cur *= _RESCALE
+            mant_prev *= _RESCALE
+            count -= 1
+            factor = _COUNT_FACTORS[count] if count < 3 else 0.0
+        if weight != 0.0:
+            scaled = mant_cur * factor
+            acc = acc + weight * (scaled * scaled)
+    return np.float64(acc)
 
 
 def oscillator_density(n: int, x):
@@ -156,6 +203,8 @@ def integrate(f, lower: float, upper: float, tol: float = 1e-10) -> float:
     """
     if tol <= 0.0:
         raise ValidationError(f"integrate: tol must be positive (got {tol})")
+    from scipy import integrate as _quadpack  # on first use: most runs never integrate
+
     result = _quadpack.quad(
         f, lower, upper, epsabs=tol, epsrel=max(tol, 1e-12), limit=600, full_output=True
     )

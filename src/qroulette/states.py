@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, ndtri, pdtrc, xlogy
 
-from .errors import TruncationError, ValidationError
+from .errors import NumericalError, TruncationError, ValidationError
 
 __all__ = [
     "PhotonStatistics",
@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 HARD_CAP = 4096
+# the widest photon-number window a pmf is built on before it is trimmed
+WINDOW_CAP = HARD_CAP + 512
 DEFAULT_TAIL = 1e-12
 # rounding slack on both edges of the accepted mass band [1 - tail_bound, 1]
 MASS_SLACK = 1e-13
@@ -163,11 +165,21 @@ def _trim(pmf: np.ndarray, tail_bound: float) -> np.ndarray:
     return pmf[: min(max(strict, margin), HARD_CAP) + 1].copy()
 
 
+def _too_bright(needed: float, tail_bound: float) -> TruncationError:
+    """The error for a state whose tail beyond WINDOW_CAP alone exceeds tail_bound."""
+    return TruncationError(
+        f"distribution needs n_max of about {needed:.4g} > {HARD_CAP} for tail {tail_bound:g}"
+    )
+
+
 def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
     if mean_photons == 0.0:
         return np.array([1.0])
+    if pdtrc(WINDOW_CAP, mean_photons) > tail_bound:
+        # the Poisson quantile, by its normal approximation
+        raise _too_bright(mean_photons - ndtri(tail_bound) * math.sqrt(mean_photons), tail_bound)
     n_hi = int(mean_photons + 30.0 * math.sqrt(mean_photons + 1.0) + 30.0)
-    n_hi = min(n_hi, HARD_CAP + 512)
+    n_hi = min(n_hi, WINDOW_CAP)
     n = np.arange(n_hi + 1)
     # the Poisson pmf in the log domain, exactly as scipy.stats.poisson.pmf computes it
     raw = np.exp(xlogy(n, mean_photons) - gammaln(n + 1) - mean_photons)
@@ -182,10 +194,14 @@ def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
 def _thermal_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
     if mean_photons == 0.0:
         return np.array([1.0])
+    # geometric tail after n is q^(n+1), with log q = -log1p(1/N) even where q rounds to 1
+    needed = math.log(tail_bound) / -math.log1p(1.0 / mean_photons) - 1.0
+    if needed > WINDOW_CAP:
+        raise _too_bright(needed, tail_bound)
     q = mean_photons / (mean_photons + 1.0)
-    # geometric tail after n is q^(n+1); solve for the margin cut directly
+    # solve for the margin cut directly
     n_hi = int(math.ceil(math.log(0.01 * tail_bound) / math.log(q)))
-    n_hi = min(n_hi, HARD_CAP + 512)
+    n_hi = min(n_hi, WINDOW_CAP)
     pmf = (1.0 - q) * q ** np.arange(n_hi + 1)
     return _trim(pmf, tail_bound)
 
@@ -198,6 +214,10 @@ def _squeezed_pmf(mean_photons: float, beta: float, tail_bound: float) -> np.nda
     alpha = math.sqrt(n_coh)
     s = math.sqrt(n_sq)
     ch = math.sqrt(1.0 + n_sq)
+    if mean_photons > WINDOW_CAP:
+        # a mean beyond the widest window; the bulk's end, mean + z sd, without overflow
+        deviation = math.hypot(alpha * (ch + s), math.sqrt(2.0 * n_sq) * ch)
+        raise _too_bright(mean_photons - ndtri(tail_bound) * deviation, tail_bound)
     # number variance with both phases zero: amplitude along the
     # anti-squeezed quadrature, cross-checked by the moments tests
     var = n_coh * (ch + s) ** 2 + 2.0 * n_sq * (1.0 + n_sq)
@@ -210,14 +230,13 @@ def _squeezed_pmf(mean_photons: float, beta: float, tail_bound: float) -> np.nda
     # recurrence below; run it unnormalised from c_0 = 1 with occasional
     # rescaling until the geometric tail estimate clears the trim margin.
     drift = alpha * (ch - s)  # alpha * exp(-r)
-    cap = HARD_CAP + 512
-    c = np.zeros(min(cap, max(bulk_end, 64)) + 1)
+    c = np.zeros(min(WINDOW_CAP, max(bulk_end, 64)) + 1)
     c[0] = 1.0
     total = 1.0
     n = 0
-    while n < cap:
+    while n < WINDOW_CAP:
         if n + 1 >= len(c):
-            c = np.concatenate([c, np.zeros(min(cap + 1, 2 * len(c)) - len(c))])
+            c = np.concatenate([c, np.zeros(min(WINDOW_CAP + 1, 2 * len(c)) - len(c))])
         prev = c[n - 1] if n > 0 else 0.0
         nxt = (drift * c[n] + s * math.sqrt(n) * prev) / (ch * math.sqrt(n + 1))
         if abs(nxt) > 1e140:
@@ -268,26 +287,31 @@ def exact_moments(spec: StateSpec) -> tuple[float, float]:
     """Closed-form (mean, second moment) of the photon number for a spec.
 
     Used where truncation error must not blur exact crossovers (CLI verdicts,
-    threshold root finding).
+    threshold root finding).  A second moment that overflows, as it does for
+    N above about 1.3e154, raises NumericalError naming mean_nsq.
     """
     if spec.kind == "fock":
         n = float(spec.fock_n)
-        return n, n * n
-    if spec.kind == "coherent":
+        mean_nsq = n * n
+    elif spec.kind == "coherent":
         n = spec.mean_photons
-        return n, n * n + n
-    if spec.kind == "thermal":
+        mean_nsq = n * n + n
+    elif spec.kind == "thermal":
         n = spec.mean_photons
-        return n, 2.0 * n * n + n
-    if spec.kind == "squeezed":
+        mean_nsq = 2.0 * n * n + n
+    elif spec.kind == "squeezed":
         n = spec.mean_photons
         beta = spec.squeezing_fraction
         n_sq = beta * n
         n_coh = (1.0 - beta) * n
         e2r = 1.0 + 2.0 * n_sq + 2.0 * math.sqrt(n_sq * (1.0 + n_sq))
         var = n_coh * e2r + 2.0 * n_sq * (1.0 + n_sq)
-        return n, var + n * n
-    w = np.asarray(spec.weights, dtype=float)
-    w = w / w.sum()
-    k = np.arange(len(w), dtype=float)
-    return float(np.dot(k, w)), float(np.dot(k * k, w))
+        mean_nsq = var + n * n
+    else:
+        w = np.asarray(spec.weights, dtype=float)
+        w = w / w.sum()
+        k = np.arange(len(w), dtype=float)
+        return float(np.dot(k, w)), float(np.dot(k * k, w))
+    if not math.isfinite(mean_nsq):
+        raise NumericalError(f"mean_nsq overflows for {spec.describe()}")
+    return n, mean_nsq

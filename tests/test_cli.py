@@ -378,6 +378,26 @@ class TestTopLevel:
         )
         assert result.stdout.strip() == "False"
 
+    def test_cli_import_leaves_quadrature_and_root_finding_for_first_use(self):
+        # scipy.integrate and scipy.optimize load when integrate or a root finder runs
+        src = str(Path(qroulette.__file__).parents[1])
+        probe = (
+            "import math, sys, qroulette.cli, qroulette\n"
+            "before = [m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')]\n"
+            "same = qroulette.integrate is qroulette.numerics.integrate\n"
+            "value = qroulette.integrate(lambda x: math.exp(-x * x), -math.inf, math.inf)\n"
+            "print(before, same, abs(value - math.sqrt(math.pi)) < 1e-12,"
+            " 'scipy.integrate' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.stdout.strip() == "[False, False] True True True"
+
 
 class TestManifestReplayErrors:
     def replay(self, path, capsys):
@@ -567,3 +587,43 @@ class TestManifestStringParams:
         assert run_cli("--manifest", str(path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{field}'" in err
+
+
+class TestBrightStates:
+    @pytest.mark.parametrize(
+        "state",
+        [
+            "kind=coherent N=1e4",
+            "kind=thermal N=1e15",
+            "kind=thermal N=1e16",
+            "kind=squeezed N=1e16 beta=0.5",
+        ],
+    )
+    def test_too_bright_for_the_cap_is_a_numerical_failure(self, state, tmp_path, capsys):
+        argv = ["--state", state, "--scheme", "direct", "--eta", "0.5"]
+        code = run_cli(
+            "--output-dir", str(tmp_path), "simulate", *argv, "--n-samples", "100", "--seed", "1"
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: distribution needs n_max")
+        assert not (tmp_path / "summary.json").exists()
+
+
+class TestMomentOverflow:
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("noise", []),
+            ("simulate", ["--scheme", "roulette", "--n-samples", "100", "--seed", "1"]),
+        ],
+    )
+    def test_overflowing_second_moment_is_a_numerical_failure(
+        self, command, extra, tmp_path, capsys
+    ):
+        argv = [command, "--state", "kind=thermal N=1e300", "--eta", "0.5", *extra]
+        assert run_cli("--output-dir", str(tmp_path), *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: mean_nsq overflows")

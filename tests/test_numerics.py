@@ -10,12 +10,15 @@ from qroulette.errors import IntegrationError, ValidationError
 from qroulette.numerics import (
     DensityTable,
     GuideTable,
+    _weighted_hermite_sq,
     build_inverse_cdf,
     gauss_legendre_grid,
     hermite_h,
     integrate,
     oscillator_density,
+    oscillator_mixture,
 )
+from qroulette.states import HARD_CAP
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -84,6 +87,59 @@ class TestOscillatorDensity:
         nodes, weights = gauss_legendre_grid(-limit, limit, 2 * (n + 16), 10)
         total = float(np.sum(weights * oscillator_density(n, nodes)))
         assert total == pytest.approx(1.0, abs=1e-8)
+
+
+# |x| where the rescale count of the Hermite recurrence steps from 0 to 1, 2 and 3
+# (24.49, 30.75 and 35.93): the count is ceil((x^2 - 600) / ln 1e150)
+RESCALE_STEPS = [math.sqrt(600.0 + c * math.log(1e150)) for c in range(3)]
+
+
+def _one_hot(n):
+    weights = np.zeros(n + 1)
+    weights[n] = 1.0
+    return weights
+
+
+mixture_weights = st.one_of(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=300).map(np.array),
+    st.integers(0, HARD_CAP).map(_one_hot),
+)
+mixture_points = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-80.0, 80.0),
+    st.builds(
+        lambda step, shift, sign: sign * (step + shift),
+        st.sampled_from(RESCALE_STEPS),
+        st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6), st.floats(-0.5, 0.5)),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+
+
+class TestScalarMixturePath:
+    @given(weights=mixture_weights, points=st.lists(mixture_points, min_size=1, max_size=3))
+    @settings(max_examples=120, deadline=None)
+    def test_scalar_point_is_bitwise_the_array_path(self, weights, points):
+        for x in points:
+            scalar = oscillator_mixture(weights, float(x))
+            assert type(scalar) is float
+            array = oscillator_mixture(weights, np.array([x]))[0]
+            assert np.float64(scalar).tobytes() == array.tobytes(), x
+            zero_d = oscillator_mixture(weights, np.array(x))
+            assert isinstance(zero_d, np.float64) and zero_d.tobytes() == array.tobytes()
+
+    def test_zero_d_kernel_returns_float64(self):
+        value = _weighted_hermite_sq(np.array(0.3), np.array([0.5, 0.0, 0.5]))
+        assert type(value) is np.float64
+
+    def test_points_within_an_ulp_of_each_rescale_step(self):
+        for step in RESCALE_STEPS:
+            points = np.array([np.nextafter(step, 0.0), step, np.nextafter(step, 100.0)])
+            points = np.concatenate((points, -points))
+            for n in (0, 1, 40, 900, HARD_CAP):
+                array = oscillator_density(n, points)
+                scalar = [oscillator_density(n, float(x)) for x in points]
+                assert np.array(scalar).tobytes() == array.tobytes(), n
 
 
 class TestIntegrate:

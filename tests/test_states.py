@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from qroulette.errors import TruncationError, ValidationError
+from qroulette.errors import NumericalError, TruncationError, ValidationError
 from qroulette.states import (
     HARD_CAP,
     StateSpec,
@@ -102,6 +104,47 @@ class TestDistributions:
         assert stats.rho.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+BRIGHT_FAMILIES = {
+    "coherent": StateSpec.coherent,
+    "thermal": StateSpec.thermal,
+    "squeezed": lambda n: StateSpec.squeezed(n, 0.5),
+    "squeezed vacuum": lambda n: StateSpec.squeezed(n, 1.0),
+    "squeezed coherent": lambda n: StateSpec.squeezed(n, 0.0),
+}
+
+
+class TestBrightStates:
+    @pytest.mark.parametrize("family", sorted(BRIGHT_FAMILIES))
+    def test_decade_sweep_builds_or_names_the_n_max(self, family):
+        # N = 10^3, 10^3.5, ..., 10^300: a law inside the mass band, or a
+        # TruncationError naming the n_max needed; never another error or a warning
+        built = 0
+        for exponent in np.arange(3.0, 300.5, 0.5):
+            spec = BRIGHT_FAMILIES[family](10.0**exponent)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    stats = photon_distribution(spec)
+                except TruncationError as exc:
+                    assert "distribution needs n_max" in str(exc) and f"> {HARD_CAP}" in str(exc)
+                    continue
+            assert 1.0 - 1e-12 - 1e-13 <= stats.rho.sum() <= 1.0 + 1e-13
+            built += 1
+        assert built <= 2
+
+    @pytest.mark.parametrize(
+        "spec, needed",
+        [
+            (StateSpec.coherent(1e4), 1.07e4),
+            (StateSpec.thermal(1e15), 2.763e16),
+            (StateSpec.thermal(1e16), 2.763e17),
+        ],
+    )
+    def test_message_names_the_needed_n_max(self, spec, needed):
+        with pytest.raises(TruncationError, match=re.escape(f"about {needed:.4g} > {HARD_CAP}")):
+            photon_distribution(spec)
+
+
 class TestMoments:
     def test_fock_three(self):
         assert moments(photon_distribution(StateSpec.fock(3))) == (3.0, 9.0, 0.0)
@@ -150,6 +193,23 @@ class TestMoments:
             exact_mean, exact_sq = exact_moments(spec)
             assert mean == pytest.approx(exact_mean, abs=1e-9)
             assert mean_sq == pytest.approx(exact_sq, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StateSpec.coherent(1e155),
+            StateSpec.thermal(1e300),
+            StateSpec.squeezed(1e200, 1.0),
+            StateSpec.squeezed(1e300, 0.5),
+        ],
+    )
+    def test_overflowing_second_moment_is_a_numerical_error(self, spec):
+        with pytest.raises(NumericalError, match="mean_nsq overflows"):
+            exact_moments(spec)
+
+    def test_largest_finite_second_moments_pass(self):
+        assert exact_moments(StateSpec.coherent(1e154)) == (1e154, 1e154 * 1e154 + 1e154)
+        assert math.isfinite(exact_moments(StateSpec.thermal(9e153))[1])
 
 
 class TestValidation:
