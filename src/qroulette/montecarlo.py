@@ -8,12 +8,12 @@ bit-reproducible for any worker count.
 Efficiency eta enters only through the exact laws of `pom`.  Each run resolves
 its sampling law once, before any worker starts: the roulette table of the
 state at eta, or the thinned photon-number law that `pom` caches per
-(state, eta).  Every chunk draws from that one law, so no worker builds one.
-A draw finds its table segment, or its photon number, through a guide table
-(`numerics.GuideTable`) in O(1) expected steps: the roulette is bitwise
-np.interp on the table, and a photon number bitwise Generator.choice on the
-pmf, from the same uniforms.  A run whose n_samples times the exact outcome
-variance overflows fails before any draw.
+(state, eta).  Every chunk draws from that one law, sent once to each worker,
+so no worker builds one.  A draw finds its table segment, or its photon
+number, through a guide table (`numerics.GuideTable`) in O(1) expected steps:
+the roulette is bitwise np.interp on the table, and a photon number bitwise
+Generator.choice on the pmf, from the same uniforms.  A run whose n_samples
+times the exact outcome variance overflows fails before any draw.
 
 The histogram edges are fixed before any draw, by the exact outcome law:
 equal-width Freedman-Diaconis bins (Freedman & Diaconis, 1981) from the exact
@@ -32,7 +32,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -249,6 +249,13 @@ def _chunk_reduction(
     return row
 
 
+def _batch_reduction(
+    law, scheme: str, eta: float, seed: int, edges: np.ndarray, batch
+) -> list[np.ndarray]:
+    """The rows of a batch of (chunk index, size) pairs, one chunk at a time."""
+    return [_chunk_reduction(law, scheme, eta, seed, index, size, edges) for index, size in batch]
+
+
 def _summarize(rows: np.ndarray, config: ExperimentConfig) -> SampleSummary:
     """Merge the chunk rows in chunk order (Chan, Golub & LeVeque, 1979)."""
     n, mean, m2 = (float(v) for v in rows[0, :3])
@@ -306,16 +313,18 @@ def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
     sizes = [CHUNK_SIZE] * (config.n_samples // CHUNK_SIZE)
     if config.n_samples % CHUNK_SIZE:
         sizes.append(config.n_samples % CHUNK_SIZE)
-    args = [
-        (law, scheme, eta, config.seed, index, size, edges) for index, size in enumerate(sizes)
-    ]
-    processes = _pool_size(config.workers, len(args))
+    chunks = list(enumerate(sizes))
+    processes = _pool_size(config.workers, len(chunks))
+    reduce_batch = partial(_batch_reduction, law, scheme, eta, config.seed, edges)
     if processes == 1:
-        rows = [_chunk_reduction(*a) for a in args]
+        parts = [reduce_batch(chunks)]
     else:
+        # one task per process, a run of consecutive chunks: each worker
+        # receives the law once, and the rows come back in chunk order
+        bounds = [len(chunks) * i // processes for i in range(processes + 1)]
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            rows = list(pool.map(_chunk_reduction, *zip(*args)))
-    return np.vstack(rows)
+            parts = list(pool.map(reduce_batch, [chunks[a:b] for a, b in zip(bounds, bounds[1:])]))
+    return np.vstack([row for part in parts for row in part])
 
 
 def run_sampling(config: ExperimentConfig) -> SampleSummary:

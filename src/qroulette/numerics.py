@@ -10,7 +10,9 @@ operations, and a single point, as adaptive quadrature asks for it, runs the
 same operations in the same order on Python floats.  Each is one IEEE
 operation that numpy rounds elementwise as Python does; the start value keeps
 np.exp.  The point path skips the 8-10 numpy dispatches per order that
-dominate the cost of one point.
+dominate the cost of one point.  Both take every step from one coefficient
+table, after clamping the point to |t| <= 1e9, where every order's density is
+exactly 0.0: a far or infinite point gives 0.0 with no overflow.
 """
 
 from __future__ import annotations
@@ -44,8 +46,11 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _RESCALE = 1e-150
 _RESCALE_LN = math.log(1e150)
 _MANT_HIGH = 1e140
-# 1e-150**count as a float for count 0, 1, 2, exact; zero beyond
-_COUNT_FACTORS = (1.0, _RESCALE, 1e-300)
+# 1e-150**count as a float for count 0, 1, 2, exact; zero from 3 on
+_COUNT_FACTORS = (1.0, _RESCALE, 1e-300, 0.0)
+# points are clamped to |t| <= _T_FAR, where every order's term is 0.0, the
+# rescale count fits in int64 and the exponent of g_0 rounds far from overflow
+_T_FAR = 1e9
 
 # guide cells per table node: a cell holds half a node on average
 _GUIDE_CELLS_PER_NODE = 2
@@ -64,10 +69,8 @@ def hermite_h(n: int, x: float) -> float:
     """
     if n < 0:
         raise ValidationError(f"hermite_h: order must be >= 0 (got {n})")
-    if n == 0:
-        return 1.0
-    h_prev, h_cur = 1.0, 2.0 * x
-    for k in range(1, n):
+    h_prev, h_cur = 0.0, 1.0
+    for k in range(n):
         h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * k * h_prev
     return h_cur
 
@@ -86,20 +89,13 @@ def _hermite_scaled(n: int, x: float) -> tuple[float, float]:
     return h_cur, ln_scale
 
 
-def _count_factor(count: np.ndarray) -> np.ndarray:
-    factor = np.zeros(count.shape)
-    for c, value in enumerate(_COUNT_FACTORS):
-        factor[count == c] = value
-    return factor
-
-
 def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Evaluate a mixture of weight-absorbed squared Hermite functions.
 
     With ``g_k(t)^2 = H_k(t)^2 exp(-t^2) / (2^k k!)``, returns
     ``sum_k weights[k] g_k(t)^2``.  Uses the normalised recurrence
 
-        g_{k+1} = t sqrt(2/(k+1)) g_k - sqrt(k/(k+1)) g_{k-1},
+        g_{k+1} = t sqrt(2/(k+1)) g_k - sqrt(k/(k+1)) g_{k-1},   g_{-1} = 0,
 
     every intermediate staying within representable range for orders well
     beyond 1e4.
@@ -107,61 +103,51 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
     A 0-d t runs on Python floats, bitwise as an array of one point.
     """
     t = np.asarray(t, dtype=float)
-    # a point whose square overflows takes the array path, warnings and all
-    if t.ndim == 0 and math.isfinite(float(t) * float(t)):
+    if t.ndim == 0:
         return _weighted_hermite_sq_scalar(float(t), weights)
+    t = np.clip(t, -_T_FAR, _T_FAR)
     ln0 = -0.5 * t * t
     count = np.ceil(np.maximum(0.0, (-ln0 - 600.0) / _RESCALE_LN)).astype(np.int64)
-    factor = _count_factor(count)
-    mant_prev = np.exp(ln0 + count * _RESCALE_LN)  # g_0 mantissa
-    acc = weights[0] * np.square(mant_prev * factor)
-    mant_cur = math.sqrt(2.0) * t * mant_prev  # g_1 mantissa
-    if len(weights) > 1 and weights[1] != 0.0:
-        acc = acc + weights[1] * np.square(mant_cur * factor)
-    for k in range(1, len(weights) - 1):
-        mant_prev, mant_cur = (
-            mant_cur,
-            t * math.sqrt(2.0 / (k + 1)) * mant_cur
-            - math.sqrt(k / (k + 1)) * mant_prev,
-        )
+    factor = np.take(_COUNT_FACTORS, np.minimum(count, 3))
+    mant_prev, mant_cur = 0.0, np.exp(ln0 + count * _RESCALE_LN)  # g_-1, g_0 mantissas
+    acc = weights[0] * np.square(mant_cur * factor)
+    for (step, damp), weight in zip(_recurrence_coefficients(len(weights)), weights[1:].tolist()):
+        mant_prev, mant_cur = mant_cur, t * step * mant_cur - damp * mant_prev
         big = (np.abs(mant_cur) > _MANT_HIGH) & (count > 0)
         if big.any():
             mant_cur = np.where(big, mant_cur * _RESCALE, mant_cur)
             mant_prev = np.where(big, mant_prev * _RESCALE, mant_prev)
             count = count - big
-            factor = _count_factor(count)
-        if weights[k + 1] != 0.0:
-            acc = acc + weights[k + 1] * np.square(mant_cur * factor)
+            factor = np.take(_COUNT_FACTORS, np.minimum(count, 3))
+        if weight != 0.0:
+            acc = acc + weight * np.square(mant_cur * factor)
     return acc
 
 
 @lru_cache(maxsize=16)
 def _recurrence_coefficients(n_terms: int) -> tuple[tuple[float, float], ...]:
-    """(sqrt(2/(k+1)), sqrt(k/(k+1))) for k = 1 .. n_terms - 2, as the array path computes them."""
-    return tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(1, n_terms - 1))
+    """(sqrt(2/(k+1)), sqrt(k/(k+1))) for k = 0 .. n_terms - 2: the step to g_{k+1}."""
+    return tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(n_terms - 1))
 
 
 def _weighted_hermite_sq_scalar(t: float, weights: np.ndarray) -> np.float64:
     """_weighted_hermite_sq at one point, bitwise equal to the array path:
     the same IEEE operations in the same order, with g_0 from np.exp."""
+    t = min(max(t, -_T_FAR), _T_FAR)
     ln0 = -0.5 * t * t
     count = math.ceil(max(0.0, (-ln0 - 600.0) / _RESCALE_LN))
-    factor = _COUNT_FACTORS[count] if count < 3 else 0.0
+    factor = _COUNT_FACTORS[min(count, 3)]
     w = weights.tolist()
-    mant_prev = float(np.exp(ln0 + count * _RESCALE_LN))
-    scaled = mant_prev * factor
+    mant_prev, mant_cur = 0.0, float(np.exp(ln0 + count * _RESCALE_LN))
+    scaled = mant_cur * factor
     acc = w[0] * (scaled * scaled)
-    mant_cur = math.sqrt(2.0) * t * mant_prev
-    if len(w) > 1 and w[1] != 0.0:
-        scaled = mant_cur * factor
-        acc = acc + w[1] * (scaled * scaled)
-    for (step, damp), weight in zip(_recurrence_coefficients(len(w)), w[2:]):
+    for (step, damp), weight in zip(_recurrence_coefficients(len(w)), w[1:]):
         mant_prev, mant_cur = mant_cur, t * step * mant_cur - damp * mant_prev
         if count > 0 and abs(mant_cur) > _MANT_HIGH:
             mant_cur *= _RESCALE
             mant_prev *= _RESCALE
             count -= 1
-            factor = _COUNT_FACTORS[count] if count < 3 else 0.0
+            factor = _COUNT_FACTORS[min(count, 3)]
         if weight != 0.0:
             scaled = mant_cur * factor
             acc = acc + weight * (scaled * scaled)
@@ -312,16 +298,13 @@ class DensityTable:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "_guide", GuideTable(cdf))
-        # np.interp's slope d_grid / d_cdf of each segment.  A steep segment,
-        # whose quotient overflows, is masked to nan, so no operation warns.  With
-        # frexp exponents e the quotient lies below 2**(e_grid - e_cdf + 1); on
-        # the two borderline exponent gaps a quarter of it is exact and finite.
+        # np.interp's slope d_grid / d_cdf of each segment; a steep segment,
+        # whose quotient overflows or divides by zero, is nan
         d_grid, d_cdf = np.diff(grid), np.diff(cdf)
-        gap = np.where(d_cdf > 0.0, np.frexp(d_grid)[1] - np.frexp(d_cdf)[1], 2048)
-        steep = gap > 1024
-        border = (gap == 1023) | (gap == 1024)
-        steep[border] = 0.25 * d_grid[border] / d_cdf[border] >= 2.0**1022
-        slopes = np.divide(d_grid, d_cdf, out=np.full(len(d_cdf), np.nan), where=~steep)
+        with np.errstate(divide="ignore", over="ignore"):
+            slopes = d_grid / d_cdf
+        steep = ~np.isfinite(slopes)
+        slopes[steep] = np.nan
         # no draw lands inside a zero-mass segment: its count includes both ends
         object.__setattr__(self, "_steep", bool(np.any(steep & (d_cdf > 0.0))))
         # by count k = j + 1 of nodes <= u: the segment's left node, its value

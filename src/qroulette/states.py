@@ -248,6 +248,12 @@ def _squeezed_pmf(mean_photons: float, beta: float, tail_bound: float) -> np.nda
         n += 1
         if n >= bulk_end and (c[n] ** 2 + c[n - 1] ** 2) * guard <= total * tail_bound * 1e-4:
             break
+    else:
+        # the guard never held: the n_max needed, from the tail beyond the
+        # window taken as geometric with ratio tanh^2 r per two steps
+        beyond = (c[n] ** 2 + c[n - 1] ** 2) * ratio / (1.0 - ratio) / total
+        if beyond > tail_bound:
+            raise _too_bright(n + 2.0 * math.log(tail_bound / beyond) / math.log(ratio), tail_bound)
     pmf = c[: n + 1] ** 2
     pmf /= pmf.sum()
     return _trim(pmf, tail_bound)

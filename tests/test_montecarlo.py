@@ -173,6 +173,33 @@ class TestDeterminism:
         assert serial_summary.to_dict() == parallel_summary.to_dict()
         assert parallel_summary.workers == workers
 
+    def test_one_task_per_process(self, monkeypatch):
+        # an in-process pool that counts its tasks: each carries the run's law
+        tasks = []
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    tasks.append(args)
+                    yield fn(*args)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        n = 5 * montecarlo.CHUNK_SIZE + 7
+        parallel = run_sampling(config(StateSpec.coherent(1.0), "roulette", 0.5, n=n, workers=3))
+        assert len(tasks) == 3
+        serial = run_sampling(config(StateSpec.coherent(1.0), "roulette", 0.5, n=n))
+        assert serial.to_dict() == parallel.to_dict()
+
     def test_seed_changes_results(self):
         one = run_sampling(config(StateSpec.vacuum(), "roulette", 1.0, n=10**4, seed=1))
         two = run_sampling(config(StateSpec.vacuum(), "roulette", 1.0, n=10**4, seed=2))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -104,8 +105,12 @@ mixture_weights = st.one_of(
     st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=300).map(np.array),
     st.integers(0, HARD_CAP).map(_one_hot),
 )
+# points where every order's density is exactly 0.0: squares overflow from 1e155 on,
+# and from 1e11 on the rescale count of the recurrence overflows int64
+FAR_POINTS = [math.inf, -math.inf, 1e200, -1e200, 1e155, 1e11, 1e10]
 mixture_points = st.one_of(
     st.sampled_from([0.0, -0.0]),
+    st.sampled_from(FAR_POINTS),
     st.floats(-80.0, 80.0),
     st.builds(
         lambda step, shift, sign: sign * (step + shift),
@@ -140,6 +145,14 @@ class TestScalarMixturePath:
                 array = oscillator_density(n, points)
                 scalar = [oscillator_density(n, float(x)) for x in points]
                 assert np.array(scalar).tobytes() == array.tobytes(), n
+
+    @pytest.mark.parametrize("x", FAR_POINTS)
+    def test_far_points_are_exactly_zero_without_warnings(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0, 3, 40, HARD_CAP):
+                assert oscillator_density(n, x) == 0.0
+                assert oscillator_density(n, np.array([x, -x])).tolist() == [0.0, 0.0]
 
 
 class TestIntegrate:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestRouletteDensityX:
                 1e-11,
             )
             assert roulette_density_x(FOCK2, x, eta) == pytest.approx(direct_route, abs=1e-9)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, 1e200, -1e200, 1e155, 1e11, 1e10])
+    def test_far_points_are_zero_without_warnings(self, x, eta):
+        stats = photon_distribution(StateSpec.coherent(4.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert roulette_density_x(stats, x, eta) == 0.0
+            assert roulette_density_x(stats, np.array([x, -x]), eta).tolist() == [0.0, 0.0]
 
 
 class TestRouletteDensityY:

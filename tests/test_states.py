@@ -144,6 +144,14 @@ class TestBrightStates:
         with pytest.raises(TruncationError, match=re.escape(f"about {needed:.4g} > {HARD_CAP}")):
             photon_distribution(spec)
 
+    def test_squeezed_tail_beyond_the_window_names_the_needed_n_max(self):
+        # 2.1 % of this law lies beyond the widest window, and its tail falls
+        # below 1e-12 only after n = 32304 (a recurrence run to n = 80000)
+        with pytest.raises(TruncationError) as info:
+            photon_distribution(StateSpec.squeezed(1000.0, 0.5))
+        needed = float(re.search(r"about (\S+) >", str(info.value)).group(1))
+        assert 0.8 * 32304 <= needed <= 1.2 * 32304
+
 
 class TestMoments:
     def test_fock_three(self):
