@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -35,19 +36,25 @@ def richter_kernel(n: int, m: int, x: float, phi: float) -> complex:
             f"richter_kernel: total order {order} exceeds the supported maximum "
             f"{MAX_KERNEL_ORDER}"
         )
-    mant, ln_scale = _hermite_scaled(order, math.sqrt(2.0) * x)
+    for name, value in (("x", x), ("phi", phi)):
+        if not math.isfinite(value):
+            raise ValidationError(f"richter_kernel: '{name}' must be finite (got {value})")
+    # sqrt(2) x is inf beyond |x| = 1.27e308, where every order >= 1 overflows anyway
+    t = max(-sys.float_info.max, min(math.sqrt(2.0) * float(x), sys.float_info.max))
+    mant, ln_scale = _hermite_scaled(order, t)
     # binomial divisor in log form; C(n+m, m) overflows integers near order 60
     ln_binom = math.lgamma(order + 1) - math.lgamma(m + 1) - math.lgamma(n + 1)
     ln_den = 0.5 * order * math.log(2.0) + ln_binom
-    if mant == 0.0:
-        magnitude = 0.0
-    else:
-        magnitude = math.copysign(
-            math.exp(min(math.log(abs(mant)) + ln_scale - ln_den, 709.0)), mant
+    try:
+        magnitude = (
+            math.copysign(math.exp(math.log(abs(mant)) + ln_scale - ln_den), mant) if mant else 0.0
         )
+    except OverflowError:
+        raise NumericalError(f"richter_kernel: order {order} overflows at x = {x}") from None
     if n == m:
         return complex(magnitude, 0.0)
-    return magnitude * cmath.exp(1j * phi * (m - n))
+    # the phase reduced mod 2 pi first, so phi (m - n) cannot overflow
+    return magnitude * cmath.exp(1j * math.fmod(phi, 2.0 * math.pi) * (m - n))
 
 
 def intensity_estimator(x, eta: float = 1.0):

@@ -1,15 +1,16 @@
 """Closed-form noise figures and the roulette-vs-heterodyne comparison.
 
 All quantities depend on the state only through (mean_n, mean_nsq), the
-first two photon-number moments, plus the quantum efficiency eta.  The zero
-contours are root finds; scipy.optimize is imported by them on first use, so
-the closed forms cost no import beyond numpy.
+first two photon-number moments, plus the quantum efficiency eta.  Each zero
+contour point is one bracketed root find (scipy.optimize, imported on first
+use); the beta = 0 intercept is the coherent crossover N = 1/eta in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -183,35 +184,30 @@ class ZeroLinePoint:
 
 
 def _root_beta(total_n: float, eta: float) -> ZeroLinePoint:
-    def f(beta):
-        return squeezed_delta_rh(total_n, beta, eta)
-
-    scan = np.linspace(0.0, 1.0, 33)
-    values = np.array([f(b) for b in scan])
-    exact = np.flatnonzero(values == 0.0)
-    if exact.size:
-        return ZeroLinePoint(total_n, float(scan[exact[0]]), True)
-    crossings = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
-    if crossings.size == 0:
+    f = partial(squeezed_delta_rh, total_n, eta=eta)
+    # With s = beta N = sinh^2 r and u = e^{2r} the number variance is
+    # (N - s) u + 2 s (1 + s); du/ds >= 4 and u <= 2 + 4 s give it a slope
+    # >= 4 (N - s) >= 0, so the gap never falls as beta grows: [0, 1] is the bracket.
+    if f(0.0) > 0.0 or f(1.0) < 0.0:
         return ZeroLinePoint(total_n, math.nan, False)
-    lo, hi = scan[crossings[0]], scan[crossings[0] + 1]
     from scipy.optimize import brentq
 
     try:
-        beta = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        beta = brentq(f, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     except RuntimeError:
         return ZeroLinePoint(total_n, math.nan, False)
-    return ZeroLinePoint(total_n, float(beta), abs(f(beta)) <= 1e-10)
+    converged = abs(f(beta)) <= 1e-10
+    return ZeroLinePoint(total_n, float(beta) if converged else math.nan, converged)
 
 
 def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[ZeroLinePoint]:
     """Sample the squeezed-family contour where the roulette/heterodyne gap is zero.
 
-    For each sampled total mean photon number N the root beta in [0, 1] is
-    bisected to |gap| <= 1e-10 when a sign change exists; N values without a
-    root are kept as flagged, non-converged points.  The beta = 0 intercept
-    (at N = 1/eta) is root-found in N and included explicitly whenever it
-    falls inside (0, n_max].
+    For each sampled total mean photon number N the root beta is found to
+    |gap| <= 1e-10 in the one bracket [0, 1] when the gap changes sign there;
+    N values without a root are kept as flagged, non-converged points.  The
+    beta = 0 intercept, the coherent crossover N = 1/eta in closed form, is
+    included whenever it falls inside (0, n_max].
     """
     check_eta(eta)
     if n_points < 1:
@@ -219,17 +215,11 @@ def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[Zero
     if not 0.0 < n_max < math.inf:
         raise ValidationError(f"n_max must be positive and finite (got {n_max})")
     points = [_root_beta(float(n), eta) for n in np.linspace(n_max / n_points, n_max, n_points)]
-    if squeezed_delta_rh(n_max, 0.0, eta) > 0.0:
-        from scipy.optimize import brentq
-
-        intercept = float(
-            brentq(lambda n: squeezed_delta_rh(n, 0.0, eta), 0.0, n_max, xtol=1e-14, rtol=8.9e-16)
-        )
-        duplicate = any(
-            p.converged and p.beta == 0.0 and abs(p.total_n - intercept) < 1e-12 for p in points
-        )
-        if not duplicate:
-            points.append(ZeroLinePoint(intercept, 0.0, True))
+    intercept = 1.0 / eta
+    if squeezed_delta_rh(n_max, 0.0, eta) > 0.0 and not any(
+        p.converged and p.beta == 0.0 and abs(p.total_n - intercept) < 1e-12 for p in points
+    ):
+        points.append(ZeroLinePoint(intercept, 0.0, True))
     points.sort(key=lambda p: p.total_n)
     return points
 
@@ -239,6 +229,8 @@ def zero_contour_n(eta: float, beta: float, n_hi: float = 1e4) -> float:
     check_eta(eta)
     if squeezed_delta_rh(n_hi, beta, eta) <= 0.0:
         raise ValidationError(f"no contour crossing below N = {n_hi}")
+    if beta == 0.0:
+        return 1.0 / eta
     from scipy.optimize import brentq
 
     return float(

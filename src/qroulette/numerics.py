@@ -76,16 +76,16 @@ def hermite_h(n: int, x: float) -> float:
 
 
 def _hermite_scaled(n: int, x: float) -> tuple[float, float]:
-    """Return (mantissa, ln_scale) with H_n(x) = mantissa * exp(ln_scale)."""
-    if n == 0:
-        return 1.0, 0.0
-    h_prev, h_cur, ln_scale = 1.0, 2.0 * x, 0.0
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * k * h_prev
-        if abs(h_cur) > 1e250:
+    """Return (mantissa, ln_scale) with H_n(x) = mantissa * exp(ln_scale), x finite."""
+    h_prev, h_cur, ln_scale = 0.0, 1.0, 0.0
+    # rescaled before each step until |x h_k| and k |h_{k-1}| are <= 1e300: nothing overflows
+    limit = 1e300 / max(abs(x), n, 1.0)
+    for k in range(n):
+        while abs(h_cur) > limit:
             h_prev *= 1e-250
             h_cur *= 1e-250
             ln_scale += math.log(1e250)
+        h_prev, h_cur = h_cur, 2.0 * (x * h_cur) - 2.0 * k * h_prev
     return h_cur, ln_scale
 
 

@@ -1,17 +1,23 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qroulette
 from qroulette.cli import main, parse_state
 from qroulette.errors import ValidationError
-from qroulette.noise import zero_line
+from qroulette.noise import NoiseReport, zero_line
 from qroulette.states import StateSpec
 
 
@@ -56,6 +62,10 @@ class TestStateGrammar:
         with pytest.raises(ValidationError) as info:
             parse_state(text)
         assert f"'{field}'" in str(info.value)
+
+    def test_weights_summing_past_the_float_range_are_an_error_not_a_warning(self):
+        with pytest.raises(ValidationError, match="'weights' must sum to 1 .*got inf"):
+            parse_state("kind=custom weights=1e308,1e308")
 
 
 class TestNoiseCommand:
@@ -627,3 +637,147 @@ class TestMomentOverflow:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numerical failure: mean_nsq overflows")
+
+
+# inputs for the accepted-input sweep: number fields as text, including
+# non-finite, huge, subnormal and non-numeric values, and JSON values of the
+# wrong type for manifest params
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(0.0, 20.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "5e-324", "1e-200", "1e400", "0", "abc", ""]),
+)
+STATE_TEXT = st.one_of(
+    st.builds("kind=coherent N={}".format, NUMBER_TEXT),
+    st.builds("kind=thermal N={}".format, NUMBER_TEXT),
+    st.builds(
+        "kind=squeezed N={} beta={}".format,
+        NUMBER_TEXT,
+        st.one_of(st.floats(0.0, 1.0).map(repr), NUMBER_TEXT),
+    ),
+    st.builds("kind=fock n={}".format, st.one_of(NUMBER_TEXT, st.integers(-2, 5000).map(str))),
+    st.builds("kind=custom weights={}".format, st.lists(NUMBER_TEXT, max_size=4).map(",".join)),
+    st.sampled_from(
+        [
+            "",
+            "N=1",
+            "kind=warp N=1",
+            "kind=coherent",
+            "kind=coherent N=1 x=2",
+            "kind=custom weights=0.25,0.5,0.25",
+            "kind=custom weights=1e308,1e308",
+        ]
+    ),
+)
+ETA_TEXT = st.one_of(st.floats(0.0, 1.0, exclude_min=True).map(repr), NUMBER_TEXT)
+ETAS_TEXT = st.lists(ETA_TEXT, min_size=1, max_size=3).map(",".join)
+N_MAX_TEXT = st.one_of(st.floats(0.0, 50.0).map(repr), NUMBER_TEXT)
+WRONG_JSON = st.one_of(
+    # bounded, since in a size field a float that is a whole number is a size
+    st.floats(-1e3, 1e3),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-10, 10),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.just({"value": 1}),
+)
+# a size: values beyond 400 only cost proportionally more time
+N_POINTS = st.integers(-3, 400)
+
+
+def manifest_params(**fields):
+    """Params drawn field by field, with at most one field given a wrong JSON value."""
+    return st.tuples(
+        st.fixed_dictionaries(fields), st.sampled_from([None, *fields]), WRONG_JSON
+    ).map(lambda t: t[0] if t[1] is None else {**t[0], t[1]: t[2]})
+
+
+def _sweep_run(command, flags, params):
+    """Run one command through cli.main, from flags or (flags None) a manifest of params.
+
+    Returns the exit code, stdout, stderr and the threshold CSV rows, if written.
+    """
+    with tempfile.TemporaryDirectory() as out_dir:
+        if flags is None:
+            manifest = Path(out_dir) / "input.json"
+            manifest.write_text(
+                json.dumps({"command": command, "output_dir": out_dir, "params": params}),
+                encoding="ascii",
+            )
+            argv = ["--manifest", str(manifest)]
+        else:
+            argv = ["--output-dir", out_dir, command, *flags]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        curves = Path(out_dir) / "c.csv"
+        rows = list(csv.DictReader(io.StringIO(curves.read_text()))) if curves.exists() else []
+    return code, out.getvalue(), err.getvalue(), rows
+
+
+def _check_contract(code, err):
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error:"), err
+    elif code == 2:
+        assert err.startswith("numerical failure:"), err
+
+
+class TestAcceptedInputSweep:
+    """Every input gives exit 0 with finite figures, or an exit 1 or 2 that says why."""
+
+    def check_noise(self, flags, params):
+        code, out, err, _ = _sweep_run("noise", flags, params)
+        _check_contract(code, err)
+        if code == 0:
+            figures = {field.name for field in dataclasses.fields(NoiseReport)}
+            values = [line.split() for line in out.splitlines()]
+            found = {key: float(rest[0]) for key, *rest in values if key in figures}
+            assert found.keys() == figures
+            assert all(math.isfinite(value) for value in found.values()), found
+
+    def check_threshold(self, flags, params):
+        code, _, err, rows = _sweep_run("threshold", flags, params)
+        _check_contract(code, err)
+        if code == 0:
+            assert rows
+            for row in rows:
+                n, beta = float(row["N"]), float(row["beta"])
+                if row["converged"] == "true":
+                    assert math.isfinite(n) and 0.0 <= beta <= 1.0, row
+                else:
+                    assert row["converged"] == "false" and math.isnan(beta), row
+
+    @given(state=STATE_TEXT, eta=ETA_TEXT)
+    @settings(max_examples=150, deadline=None)
+    def test_noise_flags(self, state, eta):
+        self.check_noise([f"--state={state}", f"--eta={eta}"], None)
+
+    @given(params=manifest_params(state=STATE_TEXT, eta=ETA_TEXT))
+    @settings(max_examples=100, deadline=None)
+    def test_noise_manifest(self, params):
+        self.check_noise(None, params)
+
+    @given(etas=ETAS_TEXT, n_points=N_POINTS, n_max=N_MAX_TEXT)
+    @settings(max_examples=100, deadline=None)
+    def test_threshold_flags(self, etas, n_points, n_max):
+        flags = [f"--etas={etas}", f"--n-points={n_points}", f"--n-max={n_max}", "--output=c.csv"]
+        self.check_threshold(flags, None)
+
+    @given(
+        params=manifest_params(
+            etas=ETAS_TEXT,
+            n_points=st.one_of(
+                N_POINTS,
+                N_POINTS.map(float),
+                N_POINTS.map(str),
+                st.sampled_from(["abc", "2.5", "", None, [3], 2.5, math.nan, math.inf, True]),
+            ),
+            n_max=N_MAX_TEXT,
+            output=st.just("c.csv"),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_threshold_manifest(self, params):
+        self.check_threshold(None, params)

@@ -60,6 +60,53 @@ class TestRichterKernel:
         with pytest.raises(ValidationError):
             richter_kernel(-1, 0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "x, phi, name",
+        [
+            (math.inf, 0.0, "x"),
+            (-math.inf, 0.0, "x"),
+            (math.nan, 0.0, "x"),
+            (0.5, math.nan, "phi"),
+            (0.5, math.inf, "phi"),
+        ],
+    )
+    def test_non_finite_arguments_are_rejected(self, x, phi, name):
+        # n == m too, where the phase is unused
+        for n, m in ((2, 2), (0, 2)):
+            with pytest.raises(ValidationError, match=f"'{name}'"):
+                richter_kernel(n, m, x, phi)
+
+    @pytest.mark.parametrize(
+        "n, m, x",
+        [
+            (2, 2, 1e100),
+            (2, 2, 1e160),
+            (2, 2, -1e300),
+            (2, 2, 1.5e308),
+            (1, 1, np.float64(1e160)),
+            (0, 300, -3.5),
+        ],
+    )
+    def test_magnitude_beyond_float_range_is_a_numerical_error(self, n, m, x):
+        # e.g. about 2.7e400 at (2, 2, 1e100); neither NaN nor a value clipped at e^709
+        with pytest.raises(NumericalError, match="richter_kernel"):
+            richter_kernel(n, m, x, 0.0)
+
+    @pytest.mark.parametrize(
+        "n, m, x", [(0, 1, -8e307), (1, 1, 1e150), (2, 2, 3e76), (150, 150, 2.0), (0, 300, -0.7)]
+    )
+    def test_far_points_within_float_range(self, n, m, x):
+        mpmath.mp.dps = 50
+        order = n + m
+        exact = mpmath.hermite(order, math.sqrt(2) * mpmath.mpf(x)) / (
+            mpmath.mpf(2) ** (order / 2.0) * mpmath.binomial(order, m)
+        )
+        assert richter_kernel(n, m, x, 0.0).real == pytest.approx(float(exact), rel=1e-9)
+
+    def test_large_phase_is_reduced_before_it_multiplies(self):
+        value = richter_kernel(0, 2, 0.5, 1e308)
+        assert abs(value) == pytest.approx(abs(richter_kernel(0, 2, 0.5, 0.0)), rel=1e-15)
+
 
 class TestIntensityEstimator:
     def test_values(self):

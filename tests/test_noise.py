@@ -200,6 +200,18 @@ class TestSqueezedDeltaRH:
         for eta in (1.0, 0.5, 0.1):
             assert squeezed_delta_rh(0.0, 0.7, eta) == pytest.approx(-1.0 / eta**2)
 
+    @given(
+        total_n=st.floats(0.0, 1e8),
+        betas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+        eta=st.sampled_from([1.0, 0.75, 0.5, 0.25, 0.1, 1e-3]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_nondecreasing_in_beta(self, total_n, betas, eta):
+        # exactly so in real arithmetic; the slack is a few roundings of the largest term
+        lo, hi = betas
+        slack = 1e-15 * (4.0 * (1.0 + total_n) ** 2 + 1.0 / eta**2)
+        assert squeezed_delta_rh(total_n, lo, eta) <= squeezed_delta_rh(total_n, hi, eta) + slack
+
     @pytest.mark.parametrize("total_n", [0.5, 2.0, 6.0])
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 1.0])
     @pytest.mark.parametrize("eta", [1.0, 0.5])
@@ -224,6 +236,18 @@ class TestZeroLine:
         points = zero_line(0.25, n_points=64, n_max=6.0)
         at_axis = [p for p in points if p.beta == 0.0 and p.converged]
         assert at_axis[0].total_n == pytest.approx(4.0, abs=1e-10)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.1])
+    def test_intercept_is_exactly_the_coherent_crossover(self, eta):
+        points = zero_line(eta, n_points=160, n_max=12.0)
+        assert [p.total_n for p in points if p.beta == 0.0 and p.converged] == [1.0 / eta]
+        assert zero_contour_n(eta, 0.0) == 1.0 / eta
+
+    def test_flagged_points_carry_no_root(self):
+        # with the gap near 1/eta^2 = 1e6, brentq's best root may leave |gap| > 1e-10;
+        # such a point is flagged, and a flagged point has no beta
+        points = zero_line(1e-3, n_points=64, n_max=2000.0)
+        assert all(math.isnan(p.beta) for p in points if not p.converged)
 
     def test_converged_roots_are_tight(self):
         for eta in (1.0, 0.5):
