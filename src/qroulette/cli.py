@@ -44,7 +44,7 @@ from .naimark import (
     semiclassical_check,
     verify_extension,
 )
-from .noise import noise_report, zero_line
+from .noise import MAX_POINTS, noise_report, zero_line
 from .pom import SCHEMES, DetectorConfig
 from .states import StateSpec, exact_moments
 
@@ -357,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_thr = sub.add_parser("threshold", help="zero-contour CSV for the squeezed family")
     p_thr.add_argument("--etas", default=DEFAULT_ETAS, help="comma list of efficiencies")
-    p_thr.add_argument("--n-points", type=int, default=160, help="N samples per contour")
+    p_thr.add_argument(
+        "--n-points", type=int, default=160, help=f"N samples per contour, at most {MAX_POINTS}"
+    )
     p_thr.add_argument("--n-max", type=float, default=12.0, help="largest sampled N")
     p_thr.add_argument("--output", default="curves.csv", help="CSV file name")
 

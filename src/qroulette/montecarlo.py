@@ -6,24 +6,22 @@ decide which process evaluates which chunk, so a given configuration is
 bit-reproducible for any worker count.
 
 Efficiency eta enters only through the exact laws of `pom`.  Each run resolves
-its sampling law once, before any worker starts: the roulette table of the
-state at eta, or the thinned photon-number law that `pom` caches per
-(state, eta).  Every chunk draws from that one law, sent once to each worker,
-so no worker builds one.  A draw finds its table segment, or its photon
-number, through a guide table (`numerics.GuideTable`) in O(1) expected steps:
-the roulette is bitwise np.interp on the table, and a photon number bitwise
-Generator.choice on the pmf, from the same uniforms.  A run whose n_samples
+its sampling law once, before any worker starts: the table of the roulette's
+|x|, built from its exact CDF, or the thinned photon-number law.  A draw finds
+its table segment, or its photon number, through a guide table
+(`numerics.GuideTable`) in O(1) expected steps, bitwise np.interp on the table
+or Generator.choice on the pmf from the same uniforms.  A run whose n_samples
 times the exact outcome variance overflows fails before any draw.
 
-The histogram edges are fixed before any draw, by the exact outcome law:
-equal-width Freedman-Diaconis bins (Freedman & Diaconis, 1981) from the exact
-interquartile range, spanning the quantiles eps .. 1 - eps with
-eps = 0.1 / n_samples; direct-detection bins are whole steps of the 1/eta
-lattice.  Each chunk reduces its outcomes where they are drawn, to its count,
-mean, sum of squared deviations and bin counts, with out-of-range outcomes
-clipped into the end bins; the rows are merged in chunk order with the update
-of Chan, Golub & LeVeque (1979).  Memory per run is a few chunks of
-outcomes, whatever n_samples.
+The histogram edges are fixed before any draw by the exact outcome law:
+equal-width Freedman-Diaconis bins (Freedman & Diaconis, 1981) spanning the
+quantiles eps .. 1 - eps, eps = 0.1 / n_samples; direct-detection bins are
+whole steps of the 1/eta lattice.  Each chunk reduces its outcomes where they
+are drawn, to its count, mean, sum of squared deviations and bin counts (the
+end bins take the outcomes beyond them), and the rows are merged in chunk
+order (Chan, Golub & LeVeque, 1979).  So a process holds one chunk's outcomes
+at a time, but the run keeps every row, 3 + bins floats per chunk, until the
+merge: about 31 MB at 10^9 roulette or heterodyne draws.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -49,9 +47,10 @@ from .numerics import DensityTable, GuideTable, build_inverse_cdf
 from .pom import (
     SCHEMES,
     DetectorConfig,
-    _poisson_mixture,
+    direct_detection_cdf,
     direct_detection_pmf,
-    roulette_density_x,
+    heterodyne_cdf_v,
+    roulette_cdf_abs_x,
 )
 from .states import StateSpec, exact_moments, photon_distribution
 
@@ -66,6 +65,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 17
+# the draws of one run: the chunk rows count them in float64, exactly up to 2**53
+MAX_SAMPLES = 1 << 53
 MAX_HISTOGRAM_BINS = 512
 # Generator.choice's tolerance on the sum of p
 _PMF_ATOL = math.sqrt(np.finfo(float).eps)
@@ -88,8 +89,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValidationError(f"n_samples must be >= 1 (got {self.n_samples})")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ValidationError(f"n_samples must lie in [1, 2**53] (got {self.n_samples})")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1 (got {self.workers})")
         if not 0 <= int(self.seed) < 2**64:
@@ -117,31 +118,22 @@ class SampleSummary:
         return list(zip(self.bin_centers, self.bin_counts))
 
     def to_dict(self) -> dict:
-        """JSON-ready payload.
-
-        Deliberately omits `workers`: results are independent of the worker
-        count, so the serialised summary must be too (the manifest records
-        the execution parameters).
-        """
-        return {
-            "scheme": self.scheme,
-            "eta": self.eta,
-            "state": self.state,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "mean": self.mean,
-            "sample_variance": self.sample_variance,
-            "standard_error": self.standard_error,
-            "histogram": [[center, count] for center, count in self.histogram],
-        }
+        """JSON-ready payload, without `workers`: results do not depend on the
+        worker count, so the serialised summary must not either."""
+        payload = asdict(self)
+        del payload["workers"], payload["bin_centers"], payload["bin_counts"]
+        return payload | {"histogram": [[center, count] for center, count in self.histogram]}
 
 
 @lru_cache(maxsize=64)
 def _roulette_table(spec: StateSpec, eta: float) -> DensityTable:
-    """Inverse-CDF table of the roulette quadrature density at efficiency eta."""
+    """Inverse-CDF table of |x| at efficiency eta, from its exact CDF: the outcome
+    2 x^2 - 1/(2 eta) depends on |x| alone, so it serves draws and quantiles."""
     stats = photon_distribution(spec)
     limit = (math.sqrt((2.0 * stats.n_max + 1.0) / 2.0) + 8.0) / math.sqrt(eta)
-    return build_inverse_cdf(lambda x: roulette_density_x(stats, x, eta), (-limit, limit), 1e-6)
+    # seeded with two panels per order: a few per lobe of the density
+    cdf = partial(roulette_cdf_abs_x, stats, eta=eta)
+    return build_inverse_cdf(None, (0.0, limit), 1e-6, cdf=cdf, panels=2 * (stats.n_max + 1))
 
 
 def _choice_cdf(pmf) -> np.ndarray:
@@ -158,10 +150,8 @@ def _choice_cdf(pmf) -> np.ndarray:
 def _chunk_outcomes(
     law, scheme: str, eta: float, seed: int, chunk_index: int, size: int
 ) -> np.ndarray:
-    """Outcomes for one chunk; a pure function of its arguments.
-
-    law is the run's roulette table, or its thinned photon-number pmf.
-    """
+    """Outcomes for one chunk, a pure function of its arguments; law is the
+    run's roulette table, or its thinned photon-number pmf."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_SCHEME_INDEX[scheme], chunk_index))
     )
@@ -175,39 +165,25 @@ def _chunk_outcomes(
     return m / eta
 
 
-@lru_cache(maxsize=64)
-def _quantile_table(spec: StateSpec, scheme: str, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cdf, nodes): the outcome CDF of the law a run samples, at increasing nodes.
+def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, centres) of the run's equal-width bins."""
+    return _bins(config.state, config.detector.scheme, config.detector.eta, config.n_samples)
 
-    The nodes are |x| for the roulette (y = 2 x^2 - 1/(2 eta) grows with |x|),
-    v = eta I + 1 for heterodyne and the count m for direct detection.
-    """
+
+@lru_cache(maxsize=64)
+def _bins(spec: StateSpec, scheme: str, eta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Freedman-Diaconis bins from the exact interquartile range, spanning the
+    quantiles eps .. 1 - eps; cached for the summary and later runs."""
+    # the exact CDF of what a draw maps to its outcome: |x|, v = eta I + 1 or m
+    stats = photon_distribution(spec)
     if scheme == "roulette":
         table = _roulette_table(spec, eta)
-        nodes = np.unique(np.abs(table.grid))
-        cdf = table.cdf_at(nodes) - table.cdf_at(-nodes)
+        cdf, nodes = table.cdf, table.grid
+    elif scheme == "heterodyne":
+        nodes = np.linspace(0.0, len(stats.rho) + 10.0 * math.sqrt(len(stats.rho)) + 40.0, 2049)
+        cdf = np.maximum.accumulate(heterodyne_cdf_v(stats, nodes, eta))
     else:
-        weights = direct_detection_pmf(photon_distribution(spec), eta)
-        if scheme == "heterodyne":
-            # DLMF 8.4.10: P(Gamma(m + 1) <= v) = 1 - sum_{k <= m} e^{-v} v^k / k!
-            top = len(weights) + 10.0 * math.sqrt(len(weights)) + 40.0
-            nodes = np.linspace(0.0, top, 2049)
-            cdf = 1.0 - _poisson_mixture(np.cumsum(weights[::-1])[::-1], nodes)
-        else:
-            nodes = np.arange(len(weights))
-            cdf = np.cumsum(weights)
-    cdf = np.maximum.accumulate(cdf)
-    for shared in (cdf, nodes):
-        shared.setflags(write=False)
-    return cdf, nodes
-
-
-def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(edges, centres) of the run's equal-width bins, a pure function of
-    (state, scheme, eta, n_samples): Freedman-Diaconis width from the exact
-    interquartile range, spanning the quantiles eps .. 1 - eps."""
-    scheme, eta, n = config.detector.scheme, config.detector.eta, config.n_samples
-    cdf, nodes = _quantile_table(config.state, scheme, eta)
+        nodes, cdf = np.arange(len(stats.rho)), direct_detection_cdf(stats, eta)
     probs = np.array([0.1 / n, 0.25, 0.75, 1.0 - 0.1 / n])
     if scheme == "direct":
         # whole steps of the 1/eta lattice, edges at half-lattice points
@@ -225,18 +201,18 @@ def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         width = max(2.0 * (q_75 - q_25) / n ** (1.0 / 3.0), (hi - lo) / MAX_HISTOGRAM_BINS)
         bins = min(MAX_HISTOGRAM_BINS, max(1, math.ceil((hi - lo) / width)))
     edges = np.linspace(lo, lo + bins * width, bins + 1)
-    return edges, lo + width * (np.arange(bins) + 0.5)
+    centres = lo + width * (np.arange(bins) + 0.5)
+    for shared in (edges, centres):
+        shared.setflags(write=False)
+    return edges, centres
 
 
 def _chunk_reduction(
     law, scheme: str, eta: float, seed: int, chunk_index: int, size: int, edges: np.ndarray
 ) -> np.ndarray:
     """One chunk reduced where it is drawn: (count, mean, M2, bin counts...).
-
-    Bin i of the equally spaced edges holds edges[i] <= x < edges[i + 1], up
-    to the rounding of (x - edges[0]) / width; outcomes beyond the edges count
-    in the end bins.
-    """
+    Bin i holds edges[i] <= x < edges[i + 1], up to the rounding of
+    (x - edges[0]) / width; outcomes beyond the edges count in the end bins."""
     x = _chunk_outcomes(law, scheme, eta, seed, chunk_index, size)
     mean = x.mean()
     deviation = x - mean
@@ -250,10 +226,14 @@ def _chunk_reduction(
 
 
 def _batch_reduction(
-    law, scheme: str, eta: float, seed: int, edges: np.ndarray, batch
+    law, scheme: str, eta: float, seed: int, n: int, edges: np.ndarray, first: int, stop: int
 ) -> list[np.ndarray]:
-    """The rows of a batch of (chunk index, size) pairs, one chunk at a time."""
-    return [_chunk_reduction(law, scheme, eta, seed, index, size, edges) for index, size in batch]
+    """The rows of chunks first .. stop - 1 of a run of n draws, one chunk at a
+    time; every chunk holds CHUNK_SIZE draws but the last, which holds the rest."""
+    return [
+        _chunk_reduction(law, scheme, eta, seed, i, min(CHUNK_SIZE, n - i * CHUNK_SIZE), edges)
+        for i in range(first, stop)
+    ]
 
 
 def _summarize(rows: np.ndarray, config: ExperimentConfig) -> SampleSummary:
@@ -310,20 +290,18 @@ def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
     else:
         law = direct_detection_pmf(photon_distribution(config.state), eta)
     edges, _ = _histogram_bins(config)
-    sizes = [CHUNK_SIZE] * (config.n_samples // CHUNK_SIZE)
-    if config.n_samples % CHUNK_SIZE:
-        sizes.append(config.n_samples % CHUNK_SIZE)
-    chunks = list(enumerate(sizes))
-    processes = _pool_size(config.workers, len(chunks))
-    reduce_batch = partial(_batch_reduction, law, scheme, eta, config.seed, edges)
+    n, seed = config.n_samples, config.seed
+    n_chunks = -(-n // CHUNK_SIZE)
+    processes = _pool_size(config.workers, n_chunks)
+    # one task per process, a run of consecutive chunks: each worker receives
+    # the law once, and the rows come back in chunk order
+    bounds = [n_chunks * i // processes for i in range(processes + 1)]
+    reduce_batch = partial(_batch_reduction, law, scheme, eta, seed, n, edges)
     if processes == 1:
-        parts = [reduce_batch(chunks)]
+        parts = [reduce_batch(0, n_chunks)]
     else:
-        # one task per process, a run of consecutive chunks: each worker
-        # receives the law once, and the rows come back in chunk order
-        bounds = [len(chunks) * i // processes for i in range(processes + 1)]
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(reduce_batch, [chunks[a:b] for a, b in zip(bounds, bounds[1:])]))
+            parts = list(pool.map(reduce_batch, bounds[:-1], bounds[1:]))
     return np.vstack([row for part in parts for row in part])
 
 
@@ -341,9 +319,9 @@ def _check_scheme(config: ExperimentConfig, scheme: str) -> ExperimentConfig:
 
 
 def sample_roulette(config: ExperimentConfig) -> SampleSummary:
-    """Random-phase homodyne intensity sampling: x from one cached inverse-CDF
-    table of the quadrature density at efficiency eta, then the unbiased
-    estimator 2 x^2 - 1/(2 eta)."""
+    """Random-phase homodyne intensity sampling: |x| from the cached inverse-CDF
+    table of its exact law at efficiency eta, then the unbiased estimator
+    2 x^2 - 1/(2 eta)."""
     return run_sampling(_check_scheme(config, "roulette"))
 
 
@@ -363,15 +341,7 @@ def run_comparison(
 ) -> tuple[SampleSummary, SampleSummary, SampleSummary, NoiseReport]:
     """Run all three schemes on identical state/eta and attach the analytic report."""
     summaries = tuple(
-        run_sampling(
-            ExperimentConfig(
-                state=state,
-                detector=DetectorConfig(scheme=scheme, eta=eta),
-                n_samples=n_samples,
-                seed=seed,
-                workers=workers,
-            )
-        )
+        run_sampling(ExperimentConfig(state, DetectorConfig(scheme, eta), n_samples, seed, workers))
         for scheme in SCHEMES
     )
     mean_n, mean_nsq = exact_moments(state)

@@ -16,7 +16,11 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, check_eta
 
+# the points one zero contour may sample
+MAX_POINTS = 100_000
+
 __all__ = [
+    "MAX_POINTS",
     "NoiseReport",
     "ZeroLinePoint",
     "added_noise",
@@ -196,22 +200,22 @@ def _root_beta(total_n: float, eta: float) -> ZeroLinePoint:
         beta = brentq(f, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     except RuntimeError:
         return ZeroLinePoint(total_n, math.nan, False)
-    converged = abs(f(beta)) <= 1e-10
-    return ZeroLinePoint(total_n, float(beta) if converged else math.nan, converged)
+    return ZeroLinePoint(total_n, float(beta), True)
 
 
 def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[ZeroLinePoint]:
     """Sample the squeezed-family contour where the roulette/heterodyne gap is zero.
 
-    For each sampled total mean photon number N the root beta is found to
-    |gap| <= 1e-10 in the one bracket [0, 1] when the gap changes sign there;
-    N values without a root are kept as flagged, non-converged points.  The
-    beta = 0 intercept, the coherent crossover N = 1/eta in closed form, is
+    For each of the n_points sampled total mean photon numbers N (at most
+    MAX_POINTS) the root beta is found by brentq in the one bracket [0, 1], and
+    the point is converged exactly when the gap changes sign there and brentq
+    returns; N values without a root are kept as flagged, non-converged points.
+    The beta = 0 intercept, the coherent crossover N = 1/eta in closed form, is
     included whenever it falls inside (0, n_max].
     """
     check_eta(eta)
-    if n_points < 1:
-        raise ValidationError(f"n_points must be >= 1 (got {n_points})")
+    if not 1 <= n_points <= MAX_POINTS:
+        raise ValidationError(f"n_points must lie in [1, {MAX_POINTS}] (got {n_points})")
     if not 0.0 < n_max < math.inf:
         raise ValidationError(f"n_max must be positive and finite (got {n_max})")
     points = [_root_beta(float(n), eta) for n in np.linspace(n_max / n_points, n_max, n_points)]

@@ -2,17 +2,14 @@
 
 Everything here is a pure function of its inputs; GuideTable and DensityTable
 instances are immutable after construction and safe to share across workers.
+scipy.integrate is imported by `integrate` on its first call.
 
-scipy.integrate is imported by `integrate` on its first call, so a process
-that never integrates does not load it.  The oscillator mixture has two paths
-with the same bits: arrays run the rescaled Hermite recurrence as numpy
-operations, and a single point, as adaptive quadrature asks for it, runs the
-same operations in the same order on Python floats.  Each is one IEEE
-operation that numpy rounds elementwise as Python does; the start value keeps
-np.exp.  The point path skips the 8-10 numpy dispatches per order that
-dominate the cost of one point.  Both take every step from one coefficient
-table, after clamping the point to |t| <= 1e9, where every order's density is
-exactly 0.0: a far or infinite point gives 0.0 with no overflow.
+The oscillator mixture has two paths with the same bits: arrays run the
+rescaled Hermite recurrence as numpy operations, and a single point, as
+adaptive quadrature asks for it, runs the same operations in the same order on
+Python floats (g_0 from np.exp), without the numpy dispatches that dominate
+one point's cost.  Both clamp the point to |t| <= 1e9, where every order's
+density is 0.0.  The array path also sums the ladder terms of the mixture's CDF.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtr
 
 from .errors import IntegrationError, ValidationError
 
@@ -35,6 +33,7 @@ __all__ = [
     "integrate",
     "oscillator_density",
     "oscillator_mixture",
+    "oscillator_mixture_cdf",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -58,6 +57,17 @@ _GUIDE_CELLS_PER_NODE = 2
 _GUIDE_STEPS = 4
 # the left node of the segments beyond the table's ends: _FAR - u is nonzero and finite
 _FAR = float(np.finfo(float).max)
+
+# a table panel's ends and its check points, the golden sections: no period of
+# an oscillating law puts both check points on its own phase at the left end
+_PANEL_POINTS = np.array([0.0, (3.0 - math.sqrt(5.0)) / 2.0, (math.sqrt(5.0) - 1.0) / 2.0, 1.0])
+# width * (_PANEL_RULE[j] @ values): the mass between points j and j + 1 of a
+# panel, the integral of the cubic through the density at its four points
+_PANEL_RULE = np.diff(_PANEL_POINTS[:, None] ** np.arange(1, 5) / np.arange(1, 5), axis=0) @ (
+    np.linalg.inv(np.vander(_PANEL_POINTS, 4, increasing=True))
+)
+# table panels one build may hold
+_MAX_PANELS = 500_000
 
 
 def hermite_h(n: int, x: float) -> float:
@@ -89,39 +99,57 @@ def _hermite_scaled(n: int, x: float) -> tuple[float, float]:
     return h_cur, ln_scale
 
 
-def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray, ladder=None):
     """Evaluate a mixture of weight-absorbed squared Hermite functions.
 
     With ``g_k(t)^2 = H_k(t)^2 exp(-t^2) / (2^k k!)``, returns
-    ``sum_k weights[k] g_k(t)^2``.  Uses the normalised recurrence
+    ``sum_k weights[k] g_k(t)^2`` by the normalised recurrence
 
         g_{k+1} = t sqrt(2/(k+1)) g_k - sqrt(k/(k+1)) g_{k-1},   g_{-1} = 0,
 
-    every intermediate staying within representable range for orders well
-    beyond 1e4.
-
-    A 0-d t runs on Python floats, bitwise as an array of one point.
+    whose intermediates stay representable for orders well beyond 1e4.  Given
+    ``ladder``, as long as weights, the same pass also returns
+    ``sum_{k>=1} ladder[k] g_k g_{k-1}``, leaving the first sum's bits alone.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
+    if t.ndim == 0 and ladder is None:
         return _weighted_hermite_sq_scalar(float(t), weights)
-    t = np.clip(t, -_T_FAR, _T_FAR)
+    shape, t = t.shape, np.clip(t, -_T_FAR, _T_FAR).reshape(-1)
     ln0 = -0.5 * t * t
     count = np.ceil(np.maximum(0.0, (-ln0 - 600.0) / _RESCALE_LN)).astype(np.int64)
     factor = np.take(_COUNT_FACTORS, np.minimum(count, 3))
-    mant_prev, mant_cur = 0.0, np.exp(ln0 + count * _RESCALE_LN)  # g_-1, g_0 mantissas
+    mant_prev, mant_cur = np.zeros_like(t), np.exp(ln0 + count * _RESCALE_LN)  # g_-1, g_0
     acc = weights[0] * np.square(mant_cur * factor)
-    for (step, damp), weight in zip(_recurrence_coefficients(len(weights)), weights[1:].tolist()):
-        mant_prev, mant_cur = mant_cur, t * step * mant_cur - damp * mant_prev
-        big = (np.abs(mant_cur) > _MANT_HIGH) & (count > 0)
-        if big.any():
-            mant_cur = np.where(big, mant_cur * _RESCALE, mant_cur)
-            mant_prev = np.where(big, mant_prev * _RESCALE, mant_prev)
-            count = count - big
-            factor = np.take(_COUNT_FACTORS, np.minimum(count, 3))
+    # A point's pair terms count from its last rescale on: before it its g are
+    # below 1e-10, so the terms dropped are under 1e-20 and none is subnormal.
+    settled = factor == 1.0
+    term, pairs = np.empty_like(t), np.zeros_like(t)
+    scaled, below = mant_cur * settled, np.empty_like(t)
+    links = [None] * (len(weights) - 1) if ladder is None else ladder[1:].tolist()
+    for (step, damp), weight, link in zip(
+        _recurrence_coefficients(len(weights)), weights[1:].tolist(), links
+    ):
+        np.multiply(t, step, out=term)
+        term *= mant_cur
+        mant_prev *= damp
+        mant_prev, mant_cur = mant_cur, np.subtract(term, mant_prev, out=mant_prev)
+        # only a point with count > 0 passes _MANT_HIGH: at count 0 its
+        # mantissa is g_k, and |g_k| <= 1.09 (Cramer's bound)
+        if np.abs(mant_cur, out=term).max(initial=0.0) > _MANT_HIGH:
+            big = (term > _MANT_HIGH).nonzero()[0]
+            mant_cur[big] *= _RESCALE
+            mant_prev[big] *= _RESCALE
+            count[big] -= 1
+            factor[big] = np.take(_COUNT_FACTORS, np.minimum(count[big], 3))
+            settled[big] = factor[big] == 1.0
         if weight != 0.0:
             acc = acc + weight * np.square(mant_cur * factor)
-    return acc
+        if link is not None:
+            below, scaled = scaled, np.multiply(mant_cur, settled, out=below)
+            np.multiply(scaled, below, out=term)
+            term *= link
+            pairs += term
+    return acc.reshape(shape) if ladder is None else (acc.reshape(shape), pairs.reshape(shape))
 
 
 @lru_cache(maxsize=16)
@@ -178,6 +206,21 @@ def oscillator_mixture(weights, x):
     return float(out) if scalar else out
 
 
+def oscillator_mixture_cdf(weights, x):
+    """Distribution function of oscillator_mixture(weights, .), in closed form:
+    for Hermite functions psi_k at t = sqrt(2) x, d/dt[psi_k psi_{k-1}] =
+    sqrt(2k) (psi_{k-1}^2 - psi_k^2) (DLMF 18.9), so the CDF is T_0 Phi(2 x) -
+    sum_{k>=1} T_k psi_k psi_{k-1} / sqrt(2k), with T_k = sum_{n>=k} weights[n].
+    """
+    weights = np.asarray(weights, dtype=float)
+    x = np.asarray(x, dtype=float)
+    tails = np.cumsum(weights[::-1])[::-1]
+    ladder = tails / np.sqrt(2.0 * math.pi * np.maximum(np.arange(len(tails)), 1))  # k >= 1 used
+    # zero weights: the pass sums the pair terms alone
+    _, pairs = _weighted_hermite_sq(math.sqrt(2.0) * x, np.zeros_like(weights), ladder)
+    return tails[0] * ndtr(2.0 * x) - pairs
+
+
 def integrate(f, lower: float, upper: float, tol: float = 1e-10) -> float:
     """Adaptive quadrature of f over [lower, upper].
 
@@ -209,18 +252,13 @@ def integrate(f, lower: float, upper: float, tol: float = 1e-10) -> float:
 
 
 def gauss_legendre_grid(lower: float, upper: float, panels: int, order: int = 12):
-    """Composite Gauss-Legendre nodes/weights on [lower, upper].
-
-    Returns flat (nodes, weights) arrays covering `panels` equal panels with
-    an `order`-point rule each.
-    """
+    """Composite Gauss-Legendre nodes/weights on [lower, upper]: flat arrays
+    covering `panels` equal panels with an `order`-point rule each."""
     glx, glw = leggauss(order)
     edges = np.linspace(lower, upper, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-    weights = (half[:, None] * glw[None, :]).ravel()
-    return nodes, weights
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * glx).ravel(), (half * glw).ravel()
 
 
 class GuideTable:
@@ -343,90 +381,60 @@ class DensityTable:
         return np.interp(x, self.grid, self.cdf, left=0.0, right=1.0)
 
 
-def build_inverse_cdf(density, domain: tuple[float, float], tol: float = 1e-6) -> DensityTable:
-    """Build an inverse-CDF table for a probability density on a finite domain.
+def build_inverse_cdf(
+    density, domain: tuple[float, float], tol: float = 1e-6, *, cdf=None, panels: int = 64
+) -> DensityTable:
+    """Inverse-CDF table of a law on a finite domain, from its exact CDF or its density.
 
-    The density callable must accept ndarray input, be nonnegative, and
-    integrate to 1 on the domain within tol.  Panels are refined adaptively
-    (breadth-first Simpson refinement), which concentrates nodes near narrow
-    or oscillatory lobes; the resulting linearly interpolated CDF tracks the
-    true law to roughly Kolmogorov-Smirnov distance tol.
+    cdf, when given, evaluates the distribution function on arrays (pass None
+    as density).  Otherwise density must accept arrays, be nonnegative and
+    integrate to 1 on the domain within tol; a panel's masses are then the
+    integrals of the cubic through the density at its four points, a negative
+    mass counting as 0.  The domain starts as `panels` equal panels.  A panel is
+    split at its check points, the golden sections, until linear interpolation
+    between its ends matches the CDF there to within tol / 2, so the table
+    tracks the law to about Kolmogorov-Smirnov distance tol.  Split panels keep
+    their end values: a round evaluates the law at new check points only.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValidationError(f"build_inverse_cdf: bad domain ({lo}, {hi})")
-    if tol <= 0.0:
-        raise ValidationError(f"build_inverse_cdf: tol must be positive (got {tol})")
-
-    width_total = hi - lo
-    # an oscillatory density aliased on coarse panels fails only the mass check
-    for initial in (64, 512, 4096, 32768):
-        edges = np.linspace(lo, hi, initial + 1)
-        pending = np.column_stack([edges[:-1], edges[1:]])
-        accepted = []  # rows (a, m, b, mass_left, mass_right)
-        total_panels = initial
-        max_panels = 500_000
-        rounds = 0
-
-        while pending.size:
-            rounds += 1
-            if rounds > 60 or total_panels > max_panels:
-                raise IntegrationError(
-                    "build_inverse_cdf: refinement budget exhausted before reaching tolerance"
-                )
-            a, b = pending.T
-            w = b - a
-            # five Simpson nodes per panel, evaluated in one vector call
-            nodes = a[:, None] + w[:, None] * np.array([0.0, 0.25, 0.5, 0.75, 1.0])[None, :]
-            vals = np.asarray(density(nodes.ravel()), dtype=float).reshape(nodes.shape)
-            if np.any(vals < -1e-9):
-                raise ValidationError("build_inverse_cdf: density is negative on the domain")
-            vals = np.maximum(vals, 0.0)
-            f0, f1, f2, f3, f4 = vals.T
-            simp = w / 6.0 * (f0 + 4.0 * f2 + f4)
-            simp2_left = w / 12.0 * (f0 + 4.0 * f1 + f2)
-            simp2_right = w / 12.0 * (f2 + 4.0 * f3 + f4)
-            simp2 = simp2_left + simp2_right
-            trap = w / 2.0 * (f0 + f4)
-            quad_ok = np.abs(simp2 - simp) <= 15.0 * 0.2 * tol * np.maximum(w / width_total, 1e-9)
-            interp_ok = np.abs(simp - trap) <= 0.5 * tol
-            done = (quad_ok & interp_ok) | (w < 1e-12 * width_total)
-            if done.any():
-                accepted.append(
-                    np.column_stack(
-                        [a[done], 0.5 * (a + b)[done], b[done], simp2_left[done], simp2_right[done]]
-                    )
-                )
-            if (~done).any():
-                a_s, b_s = a[~done], b[~done]
-                m_s = 0.5 * (a_s + b_s)
-                pending = np.vstack(
-                    [np.column_stack([a_s, m_s]), np.column_stack([m_s, b_s])]
-                )
-                total_panels += len(a_s)
-            else:
-                pending = np.empty((0, 2))
-
-        rows = np.vstack(accepted)
-        rows = rows[np.argsort(rows[:, 0])]
-        grid = np.empty(2 * len(rows) + 1)
-        grid[0] = rows[0, 0]
-        grid[1::2] = rows[:, 1]
-        grid[2::2] = rows[:, 2]
-        masses = np.empty(2 * len(rows))
-        masses[0::2] = rows[:, 3]
-        masses[1::2] = rows[:, 4]
-        cdf = np.concatenate([[0.0], np.cumsum(masses)])
-        total = cdf[-1]
-        if abs(total - 1.0) <= max(10.0 * tol, 1e-9):
-            break
-    else:
+    if not (tol > 0.0 and panels >= 1):
         raise ValidationError(
-            f"build_inverse_cdf: density mass on domain is {total:.12g}, not 1 within tolerance"
+            f"build_inverse_cdf: tol and panels must be positive (got {tol}, {panels})"
         )
-    cdf /= total
-    cdf = np.maximum.accumulate(cdf)
-    cdf[-1] = 1.0
+    law = cdf if cdf is not None else density
+    edges = np.linspace(lo, hi, panels + 1)
+    ends = np.asarray(law(edges), dtype=float)
+    a, b, at_a, at_b = edges[:-1], edges[1:], ends[:-1], ends[1:]
+    lefts, leaf_masses = [], []
+    while a.size:
+        if sum(map(len, lefts)) + a.size > _MAX_PANELS:
+            raise IntegrationError(f"build_inverse_cdf: tol not met within {_MAX_PANELS} panels")
+        # each row: a panel's ends and its check points in between, and the law there
+        points = a[:, None] + (b - a)[:, None] * _PANEL_POINTS
+        points[:, -1] = b
+        inner = np.asarray(law(points[:, 1:3].ravel()), dtype=float).reshape(-1, 2)
+        values = np.column_stack([at_a, inner, at_b])
+        if cdf is None:
+            parts = (b - a)[:, None] * (values @ _PANEL_RULE.T)
+        else:
+            parts = np.diff(values, axis=1)
+        parts = np.maximum(parts, 0.0)
+        whole = parts.sum(axis=1)
+        miss = np.cumsum(parts[:, :2], axis=1) - whole[:, None] * _PANEL_POINTS[1:3]
+        done = (np.abs(miss).max(axis=1) <= 0.5 * tol) | (b - a < 1e-12 * (hi - lo))
+        lefts.append(a[done])
+        leaf_masses.append(whole[done])
+        points, values = points[~done], values[~done]
+        a, b = points[:, :-1].T.ravel(), points[:, 1:].T.ravel()
+        at_a, at_b = values[:, :-1].T.ravel(), values[:, 1:].T.ravel()
+    lefts = np.concatenate(lefts)
+    order = np.argsort(lefts)
+    total = np.concatenate([[0.0], np.cumsum(np.concatenate(leaf_masses)[order])])
+    if abs(total[-1] - 1.0) > max(10.0 * tol, 1e-9):
+        raise ValidationError(
+            f"build_inverse_cdf: mass on domain is {total[-1]:.12g}, not 1 within tolerance"
+        )
+    return DensityTable(grid=np.append(lefts[order], hi), cdf=total / total[-1], domain=(lo, hi))
 
-    keep = np.concatenate([[True], np.diff(grid) > 0.0])
-    return DensityTable(grid=grid[keep], cdf=cdf[keep], domain=(lo, hi))

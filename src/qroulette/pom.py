@@ -1,4 +1,4 @@
-"""Outcome probability densities of the three detection schemes.
+"""Outcome densities and exact distribution functions of the three detection schemes.
 
 Nonunit quantum efficiency eta enters in one place: thin, measure at unit
 efficiency, rescale.  The number distribution is Bernoulli-thinned once per
@@ -8,6 +8,7 @@ efficiency, rescale.  The number distribution is Bernoulli-thinned once per
   * heterodyne: p_eta(I) = eta p_thinned(eta I + 1) with p_thinned the Husimi
     radial law, a complex Gaussian of per-quadrature variance (1/eta - 1)/2;
   * direct detection: the thinned distribution itself.
+Every CDF is in closed form through the tail sums of the thinned weights.
 """
 
 from __future__ import annotations
@@ -21,15 +22,18 @@ from scipy.special import gammaln
 
 from .errors import ValidationError, check_eta
 from .estimators import intensity_estimator
-from .numerics import gauss_legendre_grid, oscillator_mixture
+from .numerics import gauss_legendre_grid, oscillator_mixture, oscillator_mixture_cdf
 from .states import PhotonStatistics, moments
 
 __all__ = [
     "DetectorConfig",
     "SCHEMES",
+    "direct_detection_cdf",
     "direct_detection_pmf",
+    "heterodyne_cdf_v",
     "heterodyne_density_I",
     "heterodyne_outcome_moment",
+    "roulette_cdf_abs_x",
     "roulette_density_x",
     "roulette_density_y",
     "roulette_outcome_moment",
@@ -124,6 +128,13 @@ def roulette_density_x(stats: PhotonStatistics, x, eta: float = 1.0):
     return float(out) if np.isscalar(x) else out
 
 
+def roulette_cdf_abs_x(stats: PhotonStatistics, s, eta: float = 1.0):
+    """P(|x| <= s), which fixes the outcome y = 2 x^2 - 1/(2 eta): with
+    F_eta(x) = F_thinned(sqrt(eta) x) and an even density, 2 F_eta(s) - T_0."""
+    weights, x = _thinned(stats, check_eta(eta)), math.sqrt(eta) * np.asarray(s, dtype=float)
+    return 2.0 * oscillator_mixture_cdf(weights, x) - weights.sum()
+
+
 def roulette_density_y(stats: PhotonStatistics, y, eta: float = 1.0):
     """Density of the unbiased intensity outcome y = 2 x^2 - 1/(2 eta).
 
@@ -150,11 +161,8 @@ def roulette_density_y(stats: PhotonStatistics, y, eta: float = 1.0):
 
 
 def _poisson_mixture(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_n rho_n e^{-u} u^n / n! evaluated in the log domain, chunked in u.
-
-    Every block is computed in place in one buffer allocated per call, so a
-    long u touches the same pages block after block.
-    """
+    """sum_n rho_n e^{-u} u^n / n! in the log domain, in blocks of u computed
+    in place in one buffer per call, so a long u touches the same pages."""
     n = np.arange(len(rho), dtype=float)
     lgn = gammaln(n + 1.0)
     out = np.empty_like(u)
@@ -188,6 +196,18 @@ def heterodyne_density_I(stats: PhotonStatistics, intensity, eta: float = 1.0):
     ok = u >= 0.0
     out[ok] = eta * _poisson_mixture(_thinned(stats, eta), eta * u[ok])
     return float(out[0]) if scalar else out
+
+
+def heterodyne_cdf_v(stats: PhotonStatistics, v, eta: float = 1.0):
+    """P(eta I + 1 <= v) for v the unit-efficiency |alpha|^2 of the thinned state,
+    1 - sum_k T_k e^{-v} v^k / k!: a number state m gives Gamma(m + 1) (DLMF 8.4.10)."""
+    weights, v = _thinned(stats, check_eta(eta)), np.asarray(v, dtype=float)
+    return 1.0 - _poisson_mixture(np.cumsum(weights[::-1])[::-1], v.reshape(-1)).reshape(v.shape)
+
+
+def direct_detection_cdf(stats: PhotonStatistics, eta: float) -> np.ndarray:
+    """P(m' <= m) over detected counts m: the cumulative thinned pmf."""
+    return np.cumsum(_thinned(stats, check_eta(eta)))
 
 
 def roulette_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: int = 1) -> float:

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qroulette
+from qroulette import montecarlo
 from qroulette.cli import main, parse_state
 from qroulette.errors import ValidationError
-from qroulette.noise import NoiseReport, zero_line
+from qroulette.noise import MAX_POINTS, NoiseReport, zero_line
 from qroulette.states import StateSpec
 
 
@@ -781,3 +782,41 @@ class TestAcceptedInputSweep:
     @settings(max_examples=100, deadline=None)
     def test_threshold_manifest(self, params):
         self.check_threshold(None, params)
+
+
+class TestSizeBounds:
+    """Sizes past their bound exit 1 naming the field, before anything is allocated or drawn."""
+
+    def replay(self, command, params, tmp_path):
+        path = tmp_path / "manifest.json"
+        manifest = {"command": command, "output_dir": str(tmp_path), "params": params}
+        path.write_text(json.dumps(manifest), encoding="ascii")
+        return run_cli("--manifest", str(path))
+
+    @pytest.mark.parametrize("n_points", [1e308, 1112642225.0])
+    def test_huge_manifest_n_points(self, n_points, tmp_path, capsys):
+        params = dict(TestManifestParamTypes.BASE["threshold"], n_points=n_points)
+        assert self.replay("threshold", params, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_points" in err and str(MAX_POINTS) in err
+        assert not (tmp_path / "curves.csv").exists()
+
+    def test_n_points_one_past_the_bound(self, tmp_path, capsys):
+        argv = ["--output-dir", str(tmp_path), "threshold", "--n-points", str(MAX_POINTS + 1)]
+        assert run_cli(*argv) == 1
+        assert "n_points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_samples", [10**30, 2**53 + 1])
+    def test_huge_n_samples(self, n_samples, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(montecarlo, "_chunk_reduction", no_draws)
+        argv = ["--output-dir", str(tmp_path), "simulate", "--state", "kind=fock n=1"]
+        argv += ["--scheme", "direct", "--eta", "0.5", "--n-samples", str(n_samples)]
+        assert run_cli(*argv, "--seed", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_samples" in err and "2**53" in err
+        params = dict(TestManifestParamTypes.BASE["simulate"], n_samples=n_samples)
+        assert self.replay("simulate", params, tmp_path) == 1
+        assert "n_samples" in capsys.readouterr().err

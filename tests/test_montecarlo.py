@@ -26,6 +26,7 @@ from qroulette.pom import (
     DetectorConfig,
     direct_detection_pmf,
     heterodyne_density_I,
+    roulette_cdf_abs_x,
     roulette_density_x,
 )
 from qroulette.states import StateSpec, exact_moments, photon_distribution
@@ -126,6 +127,31 @@ class TestRoulette:
         summary = sample_roulette(cfg)
         assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
         assert len(calls) == 1
+
+
+def dense_ks(table, spec, eta):
+    """Largest gap between a roulette table and the exact CDF of |x|, over
+    10^5 + 1 points spanning the table."""
+    s = np.linspace(0.0, table.grid[-1], 100_001)
+    exact = roulette_cdf_abs_x(photon_distribution(spec), s, eta)
+    return float(np.max(np.abs(table.cdf_at(s) - exact)))
+
+
+class TestRouletteTable:
+    @pytest.mark.parametrize("eta", MC_ETAS)
+    @pytest.mark.parametrize("label, spec", MATRIX_STATES)
+    def test_matrix_tables_meet_their_tolerance(self, label, spec, eta):
+        assert dense_ks(montecarlo._roulette_table(spec, eta), spec, eta) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "n, eta", [(10, 1.0), (340, 1.0), (958, 1.0), (960, 1.0), (1000, 1.0)]
+        + [(10, 0.99), (340, 0.99), (1000, 0.99)],
+    )
+    def test_fock_tables_meet_their_tolerance(self, n, eta):
+        # a strided sweep to n = 1000, about one density lobe per order; the
+        # tables, up to 35 000 nodes, stay out of the cache the other tests share
+        spec = StateSpec.fock(n)
+        assert dense_ks(montecarlo._roulette_table.__wrapped__(spec, eta), spec, eta) <= 1e-6
 
 
 class TestHeterodyne:

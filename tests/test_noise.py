@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qroulette.errors import NumericalError, ValidationError
 from qroulette.noise import (
+    MAX_POINTS,
     added_noise,
     delta_rh,
     direct_variance,
@@ -248,6 +249,24 @@ class TestZeroLine:
         # such a point is flagged, and a flagged point has no beta
         points = zero_line(1e-3, n_points=64, n_max=2000.0)
         assert all(math.isnan(p.beta) for p in points if not p.converged)
+
+    def test_bracketed_points_converge(self):
+        # brentq finds these roots to the last bit, though the gap's terms near
+        # 1/eta^2 = 1e6 leave |gap| above 1e-10 at some of them
+        eta = 1e-3
+        points = zero_line(eta, n_points=64, n_max=2000.0)
+        bracketed = [
+            p
+            for p in points
+            if squeezed_delta_rh(p.total_n, 0.0, eta) <= 0.0
+            and squeezed_delta_rh(p.total_n, 1.0, eta) >= 0.0
+        ]
+        assert len(bracketed) == 14
+        assert all(p.converged and 0.0 <= p.beta <= 1.0 for p in bracketed)
+
+    def test_n_points_is_bounded(self):
+        with pytest.raises(ValidationError, match=f"n_points must lie in \\[1, {MAX_POINTS}\\]"):
+            zero_line(0.5, n_points=MAX_POINTS + 1)
 
     def test_converged_roots_are_tight(self):
         for eta in (1.0, 0.5):

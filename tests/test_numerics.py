@@ -18,6 +18,7 @@ from qroulette.numerics import (
     integrate,
     oscillator_density,
     oscillator_mixture,
+    oscillator_mixture_cdf,
 )
 from qroulette.states import HARD_CAP
 
@@ -155,6 +156,80 @@ class TestScalarMixturePath:
                 assert oscillator_density(n, np.array([x, -x])).tolist() == [0.0, 0.0]
 
 
+def reference_mixture(weights, x):
+    """The mixture density by one array pass of the rescaled recurrence, density
+    terms only: the bits the array and scalar paths must keep."""
+    t = np.clip(math.sqrt(2.0) * np.asarray(x, dtype=float), -1e9, 1e9)
+    ln_rescale, factors = math.log(1e150), np.array([1.0, 1e-150, 1e-300, 0.0])
+    ln0 = -0.5 * t * t
+    count = np.ceil(np.maximum(0.0, (-ln0 - 600.0) / ln_rescale)).astype(np.int64)
+    factor = factors[np.minimum(count, 3)]
+    mant_prev, mant_cur = 0.0, np.exp(ln0 + count * ln_rescale)
+    acc = weights[0] * np.square(mant_cur * factor)
+    for k, weight in enumerate(weights[1:].tolist()):
+        step, damp = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))
+        mant_prev, mant_cur = mant_cur, t * step * mant_cur - damp * mant_prev
+        big = (np.abs(mant_cur) > 1e140) & (count > 0)
+        mant_cur = np.where(big, mant_cur * 1e-150, mant_cur)
+        mant_prev = np.where(big, mant_prev * 1e-150, mant_prev)
+        count = count - big
+        factor = factors[np.minimum(count, 3)]
+        if weight != 0.0:
+            acc = acc + weight * np.square(mant_cur * factor)
+    return SQRT_2_OVER_PI * acc
+
+
+class TestMixtureBits:
+    """The closed-form CDF shares the density's recurrence; the density keeps its bits."""
+
+    POINTS = np.concatenate(
+        [np.linspace(-60.0, 60.0, 6001), RESCALE_STEPS, np.negative(RESCALE_STEPS), FAR_POINTS]
+    ) / math.sqrt(2.0)
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 64, 301, 1000])
+    def test_one_hot_orders(self, order):
+        weights = _one_hot(order)
+        expected = reference_mixture(weights, self.POINTS)
+        assert oscillator_mixture(weights, self.POINTS).tobytes() == expected.tobytes()
+        scalars = [oscillator_mixture(weights, float(x)) for x in self.POINTS[::197]]
+        assert np.array(scalars).tobytes() == expected[::197].tobytes()
+
+    @pytest.mark.parametrize("length", [2, 40, 513])
+    def test_dense_and_sparse_weights(self, length):
+        rng = np.random.default_rng(length)
+        dense = rng.random(length)
+        sparse = np.where(rng.random(length) < 0.7, 0.0, dense)
+        for weights in (dense / dense.sum(), sparse):
+            expected = reference_mixture(weights, self.POINTS)
+            assert oscillator_mixture(weights, self.POINTS).tobytes() == expected.tobytes()
+
+    def test_ladder_pass_leaves_the_density_sum(self):
+        weights = np.random.default_rng(3).random(120)
+        t = math.sqrt(2.0) * self.POINTS
+        ladder = np.linspace(0.0, 1.0, len(weights))
+        density, _ = _weighted_hermite_sq(t, weights, ladder)
+        assert density.tobytes() == _weighted_hermite_sq(t, weights).tobytes()
+
+    @pytest.mark.parametrize("order", [0, 5, 40])
+    def test_cdf_is_the_integral_of_the_density(self, order):
+        weights = np.random.default_rng(order).random(order + 1)
+        weights /= weights.sum()
+        lower = -math.sqrt(order + 0.5) - 9.0
+        for x in (-2.5, -0.4, 0.0, 1.3, 4.0):
+            area = integrate(lambda z: oscillator_mixture(weights, z), lower, x, 1e-14)
+            assert oscillator_mixture_cdf(weights, x) == pytest.approx(area, abs=1e-12)
+
+    def test_cdf_of_a_point_is_the_cdf_of_an_array(self):
+        # 30 and 40 start deep in the tail, where g_0 underflows and the pass rescales
+        weights = np.random.default_rng(7).random(300)
+        weights /= weights.sum()
+        points = np.array([-40.0, -30.0, -1.5, 0.0, 2.5, 30.0, 40.0])
+        row = oscillator_mixture_cdf(weights, points)
+        for x, value in zip(points, row):
+            assert oscillator_mixture_cdf(weights, float(x)).tobytes() == value.tobytes()
+        assert row[0] == 0.0 and row[-1] == pytest.approx(1.0, abs=1e-15)
+
+
 class TestIntegrate:
     def test_pom_element_normalization(self):
         for n in (0, 7):
@@ -224,6 +299,14 @@ class TestInverseCdf:
     def test_negative_density_rejected(self):
         with pytest.raises(ValidationError):
             build_inverse_cdf(lambda x: np.full_like(x, -0.1), (0.0, 1.0), 1e-6)
+
+    def test_refinement_budget_raises(self):
+        # every panel misses tol, so each round triples the panels until the budget ends
+        def wobbly(x):
+            return x + 1e-4 * np.sin(1e7 * x)
+
+        with pytest.raises(IntegrationError, match="panels"):
+            build_inverse_cdf(None, (0.0, 1.0), 1e-9, cdf=wobbly, panels=1000)
 
     @pytest.mark.parametrize("n", range(21))
     def test_kolmogorov_smirnov_draws(self, n):

@@ -6,15 +6,18 @@ import pytest
 from scipy import stats as scipy_stats
 from scipy.special import eval_laguerre, i0e
 
-from conftest import DENSITY_ETAS, MATRIX_STATES
+from conftest import DENSITY_ETAS, MATRIX_STATES, MC_ETAS
 from qroulette import pom
 from qroulette.errors import ValidationError
 from qroulette.numerics import gauss_legendre_grid, integrate
 from qroulette.pom import (
     DetectorConfig,
+    direct_detection_cdf,
     direct_detection_pmf,
+    heterodyne_cdf_v,
     heterodyne_density_I,
     heterodyne_outcome_moment,
+    roulette_cdf_abs_x,
     roulette_density_x,
     roulette_density_y,
     roulette_outcome_moment,
@@ -344,3 +347,34 @@ class TestMomentIdentities:
             expected = mean_sq + (2.0 / eta - 1.0) * mean + 1.0 / eta**2
             assert second == pytest.approx(expected, rel=1e-10)
         assert sizes[0] == sizes[1]
+
+
+class TestExactCdfs:
+    """The closed-form CDFs against quadrature of their densities."""
+
+    @pytest.mark.parametrize("eta", MC_ETAS)
+    @pytest.mark.parametrize("label, spec", MATRIX_STATES)
+    def test_roulette_abs_x(self, label, spec, eta):
+        stats = photon_distribution(spec)
+        for s in (0.0, 0.4, 1.7, 6.0):
+            area = 0.0
+            if s:
+                area = integrate(lambda x: roulette_density_x(stats, x, eta), -s, s, 1e-14)
+            assert roulette_cdf_abs_x(stats, s, eta) == pytest.approx(area, abs=1e-12), s
+
+    @pytest.mark.parametrize("eta", MC_ETAS)
+    @pytest.mark.parametrize("label, spec", MATRIX_STATES)
+    def test_heterodyne_v(self, label, spec, eta):
+        stats = photon_distribution(spec)
+        for intensity in (-0.5 / eta, 0.7, 4.0, 12.0):
+            area = integrate(
+                lambda i: heterodyne_density_I(stats, i, eta), -1.0 / eta, intensity, 1e-14
+            )
+            v = eta * intensity + 1.0
+            assert heterodyne_cdf_v(stats, v, eta) == pytest.approx(area, abs=1e-12), intensity
+
+    @pytest.mark.parametrize("eta", MC_ETAS)
+    def test_direct_is_the_cumulative_pmf(self, matrix_stats, eta):
+        for stats in matrix_stats.values():
+            pmf = direct_detection_pmf(stats, eta)
+            np.testing.assert_array_equal(direct_detection_cdf(stats, eta), np.cumsum(pmf))
