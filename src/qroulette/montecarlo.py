@@ -6,12 +6,13 @@ decide which process evaluates which chunk, so a given configuration is
 bit-reproducible for any worker count.
 
 Efficiency eta enters only through the exact laws of `pom`.  Each run resolves
-its sampling law once, before any worker starts: the table of the roulette's
-|x|, built from its exact CDF, or the thinned photon-number law.  A draw finds
-its table segment, or its photon number, through a guide table
+its sampling law once, before any worker starts: an inverse-CDF table built
+from the exact CDF of the roulette's |x| or of heterodyne's v = eta I + 1, or
+the thinned photon-number law.  Every draw takes one uniform and finds its
+table segment, or its photon number, through a guide table
 (`numerics.GuideTable`) in O(1) expected steps, bitwise np.interp on the table
-or Generator.choice on the pmf from the same uniforms.  A run whose n_samples
-times the exact outcome variance overflows fails before any draw.
+or Generator.choice on the pmf.  A run whose n_samples times the exact outcome
+variance overflows fails before any draw.
 
 The histogram edges are fixed before any draw by the exact outcome law:
 equal-width Freedman-Diaconis bins (Freedman & Diaconis, 1981) spanning the
@@ -126,14 +127,24 @@ class SampleSummary:
 
 
 @lru_cache(maxsize=64)
-def _roulette_table(spec: StateSpec, eta: float) -> DensityTable:
-    """Inverse-CDF table of |x| at efficiency eta, from its exact CDF: the outcome
-    2 x^2 - 1/(2 eta) depends on |x| alone, so it serves draws and quantiles."""
+def _sampling_table(spec: StateSpec, scheme: str, eta: float) -> DensityTable:
+    """Inverse-CDF table, from the exact CDF, of what a draw maps to its outcome:
+    |x| for the roulette (2 x^2 - 1/(2 eta) depends on |x| alone), v = eta I + 1
+    for heterodyne.  It serves both draws and quantiles."""
     stats = photon_distribution(spec)
-    limit = (math.sqrt((2.0 * stats.n_max + 1.0) / 2.0) + 8.0) / math.sqrt(eta)
-    # seeded with two panels per order: a few per lobe of the density
-    cdf = partial(roulette_cdf_abs_x, stats, eta=eta)
-    return build_inverse_cdf(None, (0.0, limit), 1e-6, cdf=cdf, panels=2 * (stats.n_max + 1))
+    if scheme == "roulette":
+        limit = (math.sqrt((2.0 * stats.n_max + 1.0) / 2.0) + 8.0) / math.sqrt(eta)
+        # seeded with two panels per order: a few per lobe of the density
+        cdf = partial(roulette_cdf_abs_x, stats, eta=eta)
+        return build_inverse_cdf(None, (0.0, limit), 1e-6, cdf=cdf, panels=2 * (stats.n_max + 1))
+    size = len(stats.rho)
+    cdf = partial(heterodyne_cdf_v, stats, eta=eta)
+    return build_inverse_cdf(None, (0.0, size + 10.0 * math.sqrt(size) + 40.0), 1e-6, cdf=cdf)
+
+
+def _outcome(q, scheme: str, eta: float):
+    """The intensity outcome of a table abscissa: 2 |x|^2 - 1/(2 eta) or (v - 1)/eta."""
+    return intensity_estimator(q, eta) if scheme == "roulette" else (q - 1.0) / eta
 
 
 def _choice_cdf(pmf) -> np.ndarray:
@@ -151,18 +162,13 @@ def _chunk_outcomes(
     law, scheme: str, eta: float, seed: int, chunk_index: int, size: int
 ) -> np.ndarray:
     """Outcomes for one chunk, a pure function of its arguments; law is the
-    run's roulette table, or its thinned photon-number pmf."""
+    run's sampling table, or its thinned photon-number pmf for direct detection."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_SCHEME_INDEX[scheme], chunk_index))
     )
-    if scheme == "roulette":
-        return intensity_estimator(law.sample(rng.random(size)), eta)
-
-    m = GuideTable(_choice_cdf(law)).rank(rng.random(size))
-    if scheme == "heterodyne":
-        # |alpha|^2 for a number state m is Gamma(m + 1, 1) (Husimi radial law)
-        return (rng.gamma(m + 1.0) - 1.0) / eta
-    return m / eta
+    if scheme == "direct":
+        return GuideTable(_choice_cdf(law)).rank(rng.random(size)) / eta
+    return _outcome(law.sample(rng.random(size)), scheme, eta)
 
 
 def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -174,30 +180,19 @@ def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 def _bins(spec: StateSpec, scheme: str, eta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Freedman-Diaconis bins from the exact interquartile range, spanning the
     quantiles eps .. 1 - eps; cached for the summary and later runs."""
-    # the exact CDF of what a draw maps to its outcome: |x|, v = eta I + 1 or m
-    stats = photon_distribution(spec)
-    if scheme == "roulette":
-        table = _roulette_table(spec, eta)
-        cdf, nodes = table.cdf, table.grid
-    elif scheme == "heterodyne":
-        nodes = np.linspace(0.0, len(stats.rho) + 10.0 * math.sqrt(len(stats.rho)) + 40.0, 2049)
-        cdf = np.maximum.accumulate(heterodyne_cdf_v(stats, nodes, eta))
-    else:
-        nodes, cdf = np.arange(len(stats.rho)), direct_detection_cdf(stats, eta)
     probs = np.array([0.1 / n, 0.25, 0.75, 1.0 - 0.1 / n])
     if scheme == "direct":
         # whole steps of the 1/eta lattice, edges at half-lattice points
-        m_lo, m_25, m_75, m_hi = nodes[np.minimum(np.searchsorted(cdf, probs), len(nodes) - 1)]
+        cdf = direct_detection_cdf(photon_distribution(spec), eta)
+        m_lo, m_25, m_75, m_hi = np.minimum(np.searchsorted(cdf, probs), len(cdf) - 1)
         span = int(m_hi - m_lo) + 1
         step = max(
             1, round(2.0 * (m_75 - m_25) / n ** (1.0 / 3.0)), math.ceil(span / MAX_HISTOGRAM_BINS)
         )
         lo, width, bins = (m_lo - 0.5) / eta, step / eta, math.ceil(span / step)
     else:
-        q = np.interp(probs, cdf, nodes)
-        lo, q_25, q_75, hi = (
-            intensity_estimator(q, eta) if scheme == "roulette" else (q - 1.0) / eta
-        )
+        table = _sampling_table(spec, scheme, eta)
+        lo, q_25, q_75, hi = _outcome(table.sample(probs), scheme, eta)
         width = max(2.0 * (q_75 - q_25) / n ** (1.0 / 3.0), (hi - lo) / MAX_HISTOGRAM_BINS)
         bins = min(MAX_HISTOGRAM_BINS, max(1, math.ceil((hi - lo) / width)))
     edges = np.linspace(lo, lo + bins * width, bins + 1)
@@ -285,10 +280,10 @@ def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
     per chunk in the fixed chunk order."""
     _check_spread(config)
     scheme, eta = config.detector.scheme, config.detector.eta
-    if scheme == "roulette":
-        law = _roulette_table(config.state, eta)
-    else:
+    if scheme == "direct":
         law = direct_detection_pmf(photon_distribution(config.state), eta)
+    else:
+        law = _sampling_table(config.state, scheme, eta)
     edges, _ = _histogram_bins(config)
     n, seed = config.n_samples, config.seed
     n_chunks = -(-n // CHUNK_SIZE)
@@ -326,8 +321,9 @@ def sample_roulette(config: ExperimentConfig) -> SampleSummary:
 
 
 def sample_heterodyne(config: ExperimentConfig) -> SampleSummary:
-    """Heterodyne intensity sampling: m from the thinned photon-number law,
-    |alpha|^2 ~ Gamma(m + 1) (Husimi radial law), outcome (|alpha|^2 - 1)/eta."""
+    """Heterodyne intensity sampling: v = eta I + 1, the Husimi radial |alpha|^2
+    of the thinned state, from the cached inverse-CDF table of its exact law at
+    efficiency eta, then the outcome (v - 1)/eta."""
     return run_sampling(_check_scheme(config, "heterodyne"))
 
 

@@ -44,6 +44,7 @@ SCHEMES = ("roulette", "heterodyne", "direct")
 
 # cells of one block of the thinning sum: a few MB of temporaries at any n_max
 _THIN_BLOCK_CELLS = 1 << 16
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,10 @@ def roulette_density_x(stats: PhotonStatistics, x, eta: float = 1.0):
 
 def roulette_cdf_abs_x(stats: PhotonStatistics, s, eta: float = 1.0):
     """P(|x| <= s), which fixes the outcome y = 2 x^2 - 1/(2 eta): with
-    F_eta(x) = F_thinned(sqrt(eta) x) and an even density, 2 F_eta(s) - T_0."""
+    F_eta(x) = F_thinned(sqrt(eta) x) and an even density, 2 F_eta(s) - T_0
+    for s >= 0, and 0 below."""
     weights, x = _thinned(stats, check_eta(eta)), math.sqrt(eta) * np.asarray(s, dtype=float)
-    return 2.0 * oscillator_mixture_cdf(weights, x) - weights.sum()
+    return np.where(x < 0.0, 0.0, 2.0 * oscillator_mixture_cdf(weights, x) - weights.sum())[()]
 
 
 def roulette_density_y(stats: PhotonStatistics, y, eta: float = 1.0):
@@ -161,8 +163,9 @@ def roulette_density_y(stats: PhotonStatistics, y, eta: float = 1.0):
 
 
 def _poisson_mixture(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_n rho_n e^{-u} u^n / n! in the log domain, in blocks of u computed
-    in place in one buffer per call, so a long u touches the same pages."""
+    """sum_n rho_n e^{-u} u^n / n! for u >= 0 (0 at u = inf) in the log domain,
+    in blocks of u computed in place in one buffer per call, so a long u
+    touches the same pages."""
     n = np.arange(len(rho), dtype=float)
     lgn = gammaln(n + 1.0)
     out = np.empty_like(u)
@@ -170,7 +173,9 @@ def _poisson_mixture(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     for start in range(0, len(u), 512):
         block = u[start : start + 512]
         expo = buf[: len(n) * len(block)].reshape(len(n), len(block))
-        np.multiply.outer(n, np.log(np.where(block > 0.0, block, 1.0)), out=expo)
+        # log of 1 at u = 0 and of the largest float at u = inf: no 0 * inf below
+        logs = np.log(np.minimum(np.where(block > 0.0, block, 1.0), _FLOAT_MAX))
+        np.multiply.outer(n, logs, out=expo)
         expo -= block
         expo -= lgn[:, None]
         out[start : start + 512] = rho @ np.exp(expo, out=expo)
@@ -200,9 +205,12 @@ def heterodyne_density_I(stats: PhotonStatistics, intensity, eta: float = 1.0):
 
 def heterodyne_cdf_v(stats: PhotonStatistics, v, eta: float = 1.0):
     """P(eta I + 1 <= v) for v the unit-efficiency |alpha|^2 of the thinned state,
-    1 - sum_k T_k e^{-v} v^k / k!: a number state m gives Gamma(m + 1) (DLMF 8.4.10)."""
+    1 - sum_k T_k e^{-v} v^k / k! for v >= 0, and 0 below: a number state m
+    gives Gamma(m + 1) (DLMF 8.4.10)."""
     weights, v = _thinned(stats, check_eta(eta)), np.asarray(v, dtype=float)
-    return 1.0 - _poisson_mixture(np.cumsum(weights[::-1])[::-1], v.reshape(-1)).reshape(v.shape)
+    tails = np.cumsum(weights[::-1])[::-1]
+    above = 1.0 - _poisson_mixture(tails, np.maximum(v, 0.0).reshape(-1)).reshape(v.shape)
+    return np.where(v < 0.0, 0.0, above)[()]
 
 
 def direct_detection_cdf(stats: PhotonStatistics, eta: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from qroulette.numerics import build_inverse_cdf, gauss_legendre_grid
 from qroulette.pom import (
     DetectorConfig,
     direct_detection_pmf,
+    heterodyne_cdf_v,
     heterodyne_density_I,
     roulette_cdf_abs_x,
     roulette_density_x,
@@ -86,12 +87,14 @@ class TestRoulette:
             calls.append(args)
             return build_inverse_cdf(*args, **kwargs)
 
-        montecarlo._roulette_table.cache_clear()
         monkeypatch.setattr(montecarlo, "build_inverse_cdf", counting)
-        cfg = config(StateSpec.coherent(4.0), "roulette", 0.5, n=3 * montecarlo.CHUNK_SIZE)
-        summary = sample_roulette(cfg)
-        assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
-        assert len(calls) == 1
+        for scheme in ("roulette", "heterodyne"):
+            montecarlo._sampling_table.cache_clear()
+            calls.clear()
+            cfg = config(StateSpec.coherent(4.0), scheme, 0.5, n=3 * montecarlo.CHUNK_SIZE)
+            summary = run_sampling(cfg)
+            assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
+            assert len(calls) == 1, scheme
 
     def test_workers_never_build_a_table(self, monkeypatch):
         # an in-process pool whose "workers" start every chunk with an empty
@@ -108,7 +111,7 @@ class TestRoulette:
 
             def map(self, fn, *iterables):
                 for args in zip(*iterables):
-                    montecarlo._roulette_table.cache_clear()
+                    montecarlo._sampling_table.cache_clear()
                     yield fn(*args)
 
         calls = []
@@ -117,23 +120,25 @@ class TestRoulette:
             calls.append(args)
             return build_inverse_cdf(*args, **kwargs)
 
-        montecarlo._roulette_table.cache_clear()
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FreshCachePool)
         monkeypatch.setattr(montecarlo, "build_inverse_cdf", counting)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        cfg = config(
-            StateSpec.coherent(4.0), "roulette", 0.5, n=3 * montecarlo.CHUNK_SIZE, workers=3
-        )
-        summary = sample_roulette(cfg)
-        assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
-        assert len(calls) == 1
+        for scheme in ("roulette", "heterodyne"):
+            montecarlo._sampling_table.cache_clear()
+            calls.clear()
+            cfg = config(
+                StateSpec.coherent(4.0), scheme, 0.5, n=3 * montecarlo.CHUNK_SIZE, workers=3
+            )
+            summary = run_sampling(cfg)
+            assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
+            assert len(calls) == 1, scheme
 
 
-def dense_ks(table, spec, eta):
-    """Largest gap between a roulette table and the exact CDF of |x|, over
+def dense_ks(table, spec, eta, exact_cdf=roulette_cdf_abs_x):
+    """Largest gap between a sampling table and the exact CDF it tabulates, over
     10^5 + 1 points spanning the table."""
     s = np.linspace(0.0, table.grid[-1], 100_001)
-    exact = roulette_cdf_abs_x(photon_distribution(spec), s, eta)
+    exact = exact_cdf(photon_distribution(spec), s, eta)
     return float(np.max(np.abs(table.cdf_at(s) - exact)))
 
 
@@ -141,7 +146,8 @@ class TestRouletteTable:
     @pytest.mark.parametrize("eta", MC_ETAS)
     @pytest.mark.parametrize("label, spec", MATRIX_STATES)
     def test_matrix_tables_meet_their_tolerance(self, label, spec, eta):
-        assert dense_ks(montecarlo._roulette_table(spec, eta), spec, eta) <= 1e-6
+        table = montecarlo._sampling_table(spec, "roulette", eta)
+        assert dense_ks(table, spec, eta) <= 1e-6
 
     @pytest.mark.parametrize(
         "n, eta", [(10, 1.0), (340, 1.0), (958, 1.0), (960, 1.0), (1000, 1.0)]
@@ -151,7 +157,35 @@ class TestRouletteTable:
         # a strided sweep to n = 1000, about one density lobe per order; the
         # tables, up to 35 000 nodes, stay out of the cache the other tests share
         spec = StateSpec.fock(n)
-        assert dense_ks(montecarlo._roulette_table.__wrapped__(spec, eta), spec, eta) <= 1e-6
+        table = montecarlo._sampling_table.__wrapped__(spec, "roulette", eta)
+        assert dense_ks(table, spec, eta) <= 1e-6
+
+
+class TestHeterodyneTable:
+    @pytest.mark.parametrize("eta", MC_ETAS)
+    @pytest.mark.parametrize("label, spec", MATRIX_STATES)
+    def test_matrix_tables_meet_their_tolerance(self, label, spec, eta):
+        table = montecarlo._sampling_table(spec, "heterodyne", eta)
+        assert dense_ks(table, spec, eta, heterodyne_cdf_v) <= 1e-6
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "spec, law",
+        [
+            # the Husimi law of a coherent state is a complex Gaussian about its
+            # amplitude, so 2 v is noncentral chi-square with 2 degrees of freedom
+            (StateSpec.coherent(2000.0), lambda v, eta: scipy_stats.ncx2.cdf(2 * v, 2, 4000 * eta)),
+            # and that of a thermal state is centred, so v is exponential, mean N + 1
+            (StateSpec.thermal(50.0), lambda v, eta: -np.expm1(-v / (50.0 * eta + 1.0))),
+        ],
+        ids=["coherent2000", "thermal50"],
+    )
+    def test_bright_tables_meet_their_tolerance(self, spec, law, eta):
+        # against closed forms of the untruncated states, which the exact CDF
+        # matches to about 1e-13 but costs seconds to evaluate on 10^5 points;
+        # the tables stay out of the cache the other tests share
+        table = montecarlo._sampling_table.__wrapped__(spec, "heterodyne", eta)
+        assert dense_ks(table, spec, eta, lambda stats, v, eta: law(v, eta)) <= 1e-6
 
 
 class TestHeterodyne:
@@ -190,14 +224,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_count_does_not_change_results(self, workers):
-        base = config(StateSpec.coherent(1.0), "roulette", 0.5, n=3 * 10**5)
-        parallel = config(
-            StateSpec.coherent(1.0), "roulette", 0.5, n=3 * 10**5, workers=workers
-        )
-        serial_summary = run_sampling(base)
-        parallel_summary = run_sampling(parallel)
-        assert serial_summary.to_dict() == parallel_summary.to_dict()
-        assert parallel_summary.workers == workers
+        for scheme in ("roulette", "heterodyne"):
+            base = config(StateSpec.coherent(1.0), scheme, 0.5, n=3 * 10**5)
+            parallel = config(StateSpec.coherent(1.0), scheme, 0.5, n=3 * 10**5, workers=workers)
+            serial_summary = run_sampling(base)
+            parallel_summary = run_sampling(parallel)
+            assert serial_summary.to_dict() == parallel_summary.to_dict(), scheme
+            assert parallel_summary.workers == workers
 
     def test_one_task_per_process(self, monkeypatch):
         # an in-process pool that counts its tasks: each carries the run's law
@@ -376,9 +409,9 @@ class TestConfigValidation:
 
 def run_law(cfg):
     scheme, eta = cfg.detector.scheme, cfg.detector.eta
-    if scheme == "roulette":
-        return montecarlo._roulette_table(cfg.state, eta)
-    return direct_detection_pmf(photon_distribution(cfg.state), eta)
+    if scheme == "direct":
+        return direct_detection_pmf(photon_distribution(cfg.state), eta)
+    return montecarlo._sampling_table(cfg.state, scheme, eta)
 
 
 class TestReduction:
@@ -469,12 +502,10 @@ def reference_chunk_outcomes(law, scheme, eta, seed, chunk_index, size):
             entropy=int(seed), spawn_key=(montecarlo._SCHEME_INDEX[scheme], chunk_index)
         )
     )
-    if scheme == "roulette":
-        return intensity_estimator(np.interp(rng.random(size), law.cdf, law.grid), eta)
-    m = rng.choice(len(law), size=size, p=law)
-    if scheme == "heterodyne":
-        return (rng.gamma(m + 1.0) - 1.0) / eta
-    return m / eta
+    if scheme == "direct":
+        return rng.choice(len(law), size=size, p=law) / eta
+    q = np.interp(rng.random(size), law.cdf, law.grid)
+    return intensity_estimator(q, eta) if scheme == "roulette" else (q - 1.0) / eta
 
 
 class TestGuideLookupDraws:
@@ -489,7 +520,7 @@ class TestGuideLookupDraws:
         monkeypatch.setattr(montecarlo, "_chunk_outcomes", reference_chunk_outcomes)
         assert [json.dumps(run_sampling(cfg).to_dict()) for cfg in configs] == actual
 
-    @pytest.mark.parametrize("scheme", ["heterodyne", "direct"])
+    @pytest.mark.parametrize("scheme", ["direct"])
     @pytest.mark.parametrize(
         "pmf", [[0.5, math.nan, 0.5], [1.5, -0.5], [0.5, 0.4], [math.inf, 0.0]]
     )

@@ -374,6 +374,23 @@ class TestExactCdfs:
             assert heterodyne_cdf_v(stats, v, eta) == pytest.approx(area, abs=1e-12), intensity
 
     @pytest.mark.parametrize("eta", MC_ETAS)
+    def test_zero_below_the_support(self, matrix_stats, eta):
+        below = np.array([-math.inf, -3.0, -1.0, -1e-300])
+        for label, stats in matrix_stats.items():
+            for cdf in (roulette_cdf_abs_x, heterodyne_cdf_v):
+                assert cdf(stats, -1.0, eta) == 0.0, (label, cdf.__name__)
+                np.testing.assert_array_equal(cdf(stats, below, eta), 0.0)
+
+    @pytest.mark.parametrize("eta", MC_ETAS)
+    def test_heterodyne_at_infinity(self, matrix_stats, eta):
+        # the Poisson mixture must give exactly 0 there, without 0 * inf on the way
+        for stats in matrix_stats.values():
+            assert heterodyne_density_I(stats, math.inf, eta) == 0.0
+            far = np.array([math.inf])
+            np.testing.assert_array_equal(heterodyne_density_I(stats, far, eta), 0.0)
+            np.testing.assert_array_equal(heterodyne_cdf_v(stats, far, eta), 1.0)
+
+    @pytest.mark.parametrize("eta", MC_ETAS)
     def test_direct_is_the_cumulative_pmf(self, matrix_stats, eta):
         for stats in matrix_stats.values():
             pmf = direct_detection_pmf(stats, eta)
