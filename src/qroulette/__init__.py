@@ -1,10 +1,12 @@
 """qroulette: random-phase homodyne measurement of the field intensity.
 
-A numpy/scipy toolkit for the "quantum roulette" view of random-phase
-homodyne detection: outcome densities of roulette, heterodyne and direct
-photodetection under nonunit quantum efficiency, unbiased intensity
-estimators, closed-form noise comparisons, seeded Monte Carlo validation,
-and Naimark extensions of projector-mixture measurements.
+A numpy toolkit (scipy only for adaptive quadrature, the Naimark checks'
+coherent tail and the error of a state too bright for the photon-number cap)
+for the "quantum roulette" view of random-phase homodyne detection: outcome
+densities of roulette, heterodyne and direct photodetection under nonunit
+quantum efficiency, unbiased intensity estimators, closed-form noise
+comparisons, seeded Monte Carlo validation, and Naimark extensions of
+projector-mixture measurements.
 """
 
 from .errors import (

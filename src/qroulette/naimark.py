@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .errors import TruncationError, ValidationError
 
@@ -235,6 +234,8 @@ def _coherent_vector(z: complex, trunc: int) -> np.ndarray:
 
 def _coherent_tail(z_abs: float, trunc: int) -> float:
     """Poisson mass at n >= trunc of the coherent state |z|, all of it when trunc < 1."""
+    from scipy.special import pdtrc  # on first use: no other command needs scipy.special
+
     return 1.0 if trunc < 1 else float(pdtrc(trunc - 1, z_abs * z_abs))
 
 

@@ -2,8 +2,9 @@
 
 All quantities depend on the state only through (mean_n, mean_nsq), the
 first two photon-number moments, plus the quantum efficiency eta.  Each zero
-contour point is one bracketed root find (scipy.optimize, imported on first
-use); the beta = 0 intercept is the coherent crossover N = 1/eta in closed form.
+contour point is one bisection of a bracket on which the gap never falls, run
+to adjacent floats; the beta = 0 intercept is the coherent crossover N = 1/eta
+in closed form.
 """
 
 from __future__ import annotations
@@ -187,29 +188,40 @@ class ZeroLinePoint:
     converged: bool
 
 
+def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of a nondecreasing f with f(lo) = f_lo <= 0 <= f_hi = f(hi), by
+    bisection until lo and hi are adjacent floats: an end where f is exactly 0,
+    else the end with the smaller |f|."""
+    while f_lo != 0.0 and f_hi != 0.0:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if -f_lo <= f_hi else hi
+        f_mid = f(mid)
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if f_lo == 0.0 else hi
+
+
 def _root_beta(total_n: float, eta: float) -> ZeroLinePoint:
     f = partial(squeezed_delta_rh, total_n, eta=eta)
     # With s = beta N = sinh^2 r and u = e^{2r} the number variance is
     # (N - s) u + 2 s (1 + s); du/ds >= 4 and u <= 2 + 4 s give it a slope
     # >= 4 (N - s) >= 0, so the gap never falls as beta grows: [0, 1] is the bracket.
-    if f(0.0) > 0.0 or f(1.0) < 0.0:
+    at_0, at_1 = f(0.0), f(1.0)
+    if at_0 > 0.0 or at_1 < 0.0:
         return ZeroLinePoint(total_n, math.nan, False)
-    from scipy.optimize import brentq
-
-    try:
-        beta = brentq(f, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    except RuntimeError:
-        return ZeroLinePoint(total_n, math.nan, False)
-    return ZeroLinePoint(total_n, float(beta), True)
+    return ZeroLinePoint(total_n, _bisect(f, 0.0, 1.0, at_0, at_1), True)
 
 
 def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[ZeroLinePoint]:
     """Sample the squeezed-family contour where the roulette/heterodyne gap is zero.
 
     For each of the n_points sampled total mean photon numbers N (at most
-    MAX_POINTS) the root beta is found by brentq in the one bracket [0, 1], and
-    the point is converged exactly when the gap changes sign there and brentq
-    returns; N values without a root are kept as flagged, non-converged points.
+    MAX_POINTS) the root beta is found by bisection in the one bracket [0, 1],
+    and the point is converged exactly when the gap changes sign there; N values
+    without a root are kept as flagged, non-converged points.
     The beta = 0 intercept, the coherent crossover N = 1/eta in closed form, is
     included whenever it falls inside (0, n_max].
     """
@@ -229,14 +241,13 @@ def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[Zero
 
 
 def zero_contour_n(eta: float, beta: float, n_hi: float = 1e4) -> float:
-    """Total mean photon number on the zero contour at a fixed beta."""
+    """Total mean photon number on the zero contour at a fixed beta: the gap
+    never falls as N grows, so one bisection of [0, n_hi] finds it."""
     check_eta(eta)
-    if squeezed_delta_rh(n_hi, beta, eta) <= 0.0:
+    at_hi = squeezed_delta_rh(n_hi, beta, eta)
+    if at_hi <= 0.0:
         raise ValidationError(f"no contour crossing below N = {n_hi}")
     if beta == 0.0:
         return 1.0 / eta
-    from scipy.optimize import brentq
-
-    return float(
-        brentq(lambda n: squeezed_delta_rh(n, beta, eta), 0.0, n_hi, xtol=1e-14, rtol=8.9e-16)
-    )
+    f = partial(squeezed_delta_rh, beta=beta, eta=eta)
+    return _bisect(f, 0.0, n_hi, f(0.0), at_hi)

@@ -2,7 +2,11 @@
 
 Everything here is a pure function of its inputs; GuideTable and DensityTable
 instances are immutable after construction and safe to share across workers.
-scipy.integrate is imported by `integrate` on its first call.
+scipy.integrate is imported by `integrate` on its first call.  The other
+special functions the package needs are ports of the cephes routines behind
+scipy.special, bit for bit on numpy and libm (math.log, math.exp): the normal
+distribution function `ndtr` and the log-factorial table `log_factorials`, so
+no command pays for importing scipy.special.
 
 The oscillator mixture has two paths with the same bits: arrays run the
 rescaled Hermite recurrence as numpy operations, and a single point, as
@@ -20,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr
 
 from .errors import IntegrationError, ValidationError
 
@@ -31,6 +34,8 @@ __all__ = [
     "gauss_legendre_grid",
     "hermite_h",
     "integrate",
+    "log_factorials",
+    "ndtr",
     "oscillator_density",
     "oscillator_mixture",
     "oscillator_mixture_cdf",
@@ -68,6 +73,157 @@ _PANEL_RULE = np.diff(_PANEL_POINTS[:, None] ** np.arange(1, 5) / np.arange(1, 5
 )
 # table panels one build may hold
 _MAX_PANELS = 500_000
+
+# ln n! is tabulated for n up to states.WINDOW_CAP + 1 at least, which every
+# photon-number window fits; a longer request builds a longer table
+_LOG_FACTORIALS = 4610
+# cephes lgam: log sqrt(2 pi) and the Stirling series in 1/x^2 below x = 1000
+_LS2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+# and its three terms from x = 1000
+_STIRLING_FAR = (
+    7.9365079365079365079365e-4,
+    -2.7777777777777777777778e-3,
+    0.0833333333333333333333,
+)
+
+# cephes ndtr, erf and erfc: polynomial coefficients, highest power first; the
+# denominators' leading 1.0 makes one Horner loop serve cephes' p1evl too
+_ERF_T = (
+    9.60497373987051638749e0,
+    9.00260197203842689217e1,
+    2.23200534594684319226e3,
+    7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0,
+    3.35617141647503099647e1,
+    5.21357949780152679795e2,
+    4.59432382970980127987e3,
+    2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10,
+    5.64189564831068821977e-1,
+    7.46321056442269912687e0,
+    4.86371970985681366614e1,
+    1.96520832956077098242e2,
+    5.26445194995477358631e2,
+    9.34528527171957607540e2,
+    1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0,
+    1.32281951154744992508e1,
+    8.67072140885989742329e1,
+    3.54937778887819891062e2,
+    9.75708501743205489753e2,
+    1.82390916687909736289e3,
+    2.24633760818710981792e3,
+    1.65666309194161350182e3,
+    5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1,
+    1.27536670759978104416e0,
+    5.01905042251180477414e0,
+    6.16021097993053585195e0,
+    7.40974269950448939160e0,
+    2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0,
+    2.26052863220117276590e0,
+    9.39603524938001434673e0,
+    1.20489539808096656605e1,
+    1.70814450747565897222e1,
+    9.60896809063285878198e0,
+    3.36907645100081516050e0,
+)
+# exp(-z^2) underflows where z^2 > _MAXLOG, and cephes' erfc returns 0 there
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.707106781186547524401
+
+
+def _lgam(x: float) -> float:
+    """cephes lgam (scipy.special.gammaln) at an integer-valued x >= 1, on
+    Python floats: the log of the exact product (x - 1)! below 13, Stirling's
+    series above."""
+    if x < 13.0:
+        return math.log(math.factorial(int(x) - 1))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    return q + _horner(p, _STIRLING_FAR if x >= 1000.0 else _STIRLING) / x
+
+
+@lru_cache(maxsize=2)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.array([_lgam(n + 1.0) for n in range(size)])
+    table.setflags(write=False)
+    return table
+
+
+def log_factorials(count: int) -> np.ndarray:
+    """ln n! for n = 0 .. count - 1, bit for bit scipy.special.gammaln(n + 1).
+
+    A read-only view of one cached table, built once with libm's log.
+    """
+    return _log_factorial_table(max(count, _LOG_FACTORIALS))[:count]
+
+
+def _horner(x, coefficients):
+    """cephes polevl: the polynomial with these coefficients, highest power first."""
+    out = coefficients[0]
+    for c in coefficients[1:]:
+        out = out * x + c
+    return out
+
+
+def _erf_core(x: np.ndarray) -> np.ndarray:
+    """cephes erf for |x| <= 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def ndtr(a):
+    """Standard normal distribution function, bit for bit scipy.special.ndtr.
+
+    The cephes branches of ndtr, erf and erfc at z = |a| / sqrt(2): erf below
+    sqrt(1/2), 1 - erf below 1, and above it exp(-z^2) times the P/Q rational
+    function below 8 and R/S from 8, until exp(-z^2) underflows.  The rational
+    functions run in numpy and exp point by point in libm (math.exp), since
+    np.exp's SIMD kernels may round differently.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(-1) * _SQRT1_2
+    z = np.abs(x)
+    # y = erfc(z) / 2 for z >= sqrt(1/2); NaN in, NaN out
+    y = np.where(np.isnan(z), z, 0.0)
+    mid = (z >= _SQRT1_2) & (z < 1.0)
+    y[mid] = 0.5 * (1.0 - _erf_core(z[mid]))
+    # cephes' underflow test on z^2, with z capped so the square cannot overflow
+    capped = np.minimum(z, 1e100)
+    tail = np.flatnonzero((z >= 1.0) & (capped * capped <= _MAXLOG))
+    zt = z[tail]
+    decay = np.array([math.exp(v) for v in (-(zt * zt)).tolist()])
+    near = zt < 8.0
+    top, bottom = np.empty_like(zt), np.empty_like(zt)
+    top[near], bottom[near] = _horner(zt[near], _ERFC_P), _horner(zt[near], _ERFC_Q)
+    top[~near], bottom[~near] = _horner(zt[~near], _ERFC_R), _horner(zt[~near], _ERFC_S)
+    y[tail] = 0.5 * (decay * top / bottom)
+    out = np.where(x > 0.0, 1.0 - y, y)
+    small = z < _SQRT1_2
+    out[small] = 0.5 + 0.5 * _erf_core(x[small])
+    return out.reshape(a.shape)[()]
 
 
 def hermite_h(n: int, x: float) -> float:

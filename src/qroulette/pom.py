@@ -18,11 +18,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ValidationError, check_eta
 from .estimators import intensity_estimator
-from .numerics import gauss_legendre_grid, oscillator_mixture, oscillator_mixture_cdf
+from .numerics import (
+    gauss_legendre_grid,
+    log_factorials,
+    oscillator_mixture,
+    oscillator_mixture_cdf,
+)
 from .states import PhotonStatistics, moments
 
 __all__ = [
@@ -79,7 +83,7 @@ def thinned_distribution(rho: np.ndarray, eta: float) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if eta == 1.0:
         return rho.copy()
-    log_fact = gammaln(np.arange(len(rho)) + 1.0)
+    log_fact = log_factorials(len(rho))
     log_eta, log_loss = math.log(eta), math.log1p(-eta)
     n = np.flatnonzero(rho)
     out = np.zeros_like(rho)
@@ -167,7 +171,7 @@ def _poisson_mixture(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     in blocks of u computed in place in one buffer per call, so a long u
     touches the same pages."""
     n = np.arange(len(rho), dtype=float)
-    lgn = gammaln(n + 1.0)
+    lgn = log_factorials(len(rho))
     out = np.empty_like(u)
     buf = np.empty(len(n) * min(len(u), 512))
     for start in range(0, len(u), 512):

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri, pdtrc, xlogy
 
 from .errors import NumericalError, TruncationError, ValidationError
+from .numerics import log_factorials
 
 __all__ = [
     "PhotonStatistics",
@@ -29,6 +29,8 @@ WINDOW_CAP = HARD_CAP + 512
 DEFAULT_TAIL = 1e-12
 # rounding slack on both edges of the accepted mass band [1 - tail_bound, 1]
 MASS_SLACK = 1e-13
+# up to this mean the Poisson tail beyond WINDOW_CAP, pdtrc(WINDOW_CAP, N), is exactly 0.0
+_ZERO_TAIL_MEAN = 2000.0
 
 
 @dataclass(frozen=True)
@@ -174,17 +176,29 @@ def _too_bright(needed: float, tail_bound: float) -> TruncationError:
     )
 
 
+def _bulk_end(mean: float, deviation: float, tail_bound: float) -> float:
+    """mean + z deviation with the normal upper tail_bound quantile z: the n_max
+    a bright state would need."""
+    from scipy.special import ndtri  # only a state too bright for the cap gets here
+
+    return mean - ndtri(tail_bound) * deviation
+
+
 def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
     if mean_photons == 0.0:
         return np.array([1.0])
-    if pdtrc(WINDOW_CAP, mean_photons) > tail_bound:
-        # the Poisson quantile, by its normal approximation
-        raise _too_bright(mean_photons - ndtri(tail_bound) * math.sqrt(mean_photons), tail_bound)
+    if mean_photons > _ZERO_TAIL_MEAN:
+        from scipy.special import pdtrc
+
+        if pdtrc(WINDOW_CAP, mean_photons) > tail_bound:
+            # the Poisson quantile, by its normal approximation
+            needed = _bulk_end(mean_photons, math.sqrt(mean_photons), tail_bound)
+            raise _too_bright(needed, tail_bound)
     n_hi = int(mean_photons + 30.0 * math.sqrt(mean_photons + 1.0) + 30.0)
     n_hi = min(n_hi, WINDOW_CAP)
-    n = np.arange(n_hi + 1)
     # the Poisson pmf in the log domain, exactly as scipy.stats.poisson.pmf computes it
-    raw = np.exp(xlogy(n, mean_photons) - gammaln(n + 1) - mean_photons)
+    log_mean = math.log(mean_photons)
+    raw = np.exp(np.arange(n_hi + 1) * log_mean - log_factorials(n_hi + 1) - mean_photons)
     pmf = _trim(raw, tail_bound)
     # for bright states the rounded mass can leave the band PhotonStatistics
     # accepts; rescale only those, so every law inside it stays bit-identical
@@ -219,7 +233,7 @@ def _squeezed_pmf(mean_photons: float, beta: float, tail_bound: float) -> np.nda
     if mean_photons > WINDOW_CAP:
         # a mean beyond the widest window; the bulk's end, mean + z sd, without overflow
         deviation = math.hypot(alpha * (ch + s), math.sqrt(2.0 * n_sq) * ch)
-        raise _too_bright(mean_photons - ndtri(tail_bound) * deviation, tail_bound)
+        raise _too_bright(_bulk_end(mean_photons, deviation, tail_bound), tail_bound)
     # number variance with both phases zero: amplitude along the
     # anti-squeezed quadrature, cross-checked by the moments tests
     var = n_coh * (ch + s) ** 2 + 2.0 * n_sq * (1.0 + n_sq)

@@ -410,6 +410,36 @@ class TestTopLevel:
         assert result.stdout.strip() == "[False, False] True True True"
 
 
+    def test_commands_load_no_scipy(self, tmp_path):
+        # a fresh interpreter, so no other test's imports can hide the dependency
+        src = str(Path(qroulette.__file__).parents[1])
+        probe = (
+            "import sys\n"
+            "import qroulette\n"
+            "import qroulette.cli\n"
+            "loaded = []\n"
+            "def run(*argv):\n"
+            "    assert qroulette.cli.main(list(argv)) == 0, argv\n"
+            "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "run('noise', '--state', 'kind=squeezed N=2.0 beta=0.5', '--eta', '0.5')\n"
+            "for scheme in ('roulette', 'heterodyne', 'direct'):\n"
+            "    run('--output-dir', scheme, 'simulate', '--state', 'kind=coherent N=100',\n"
+            "        '--scheme', scheme, '--eta', '0.5', '--n-samples', '20000', '--seed', '3',\n"
+            "        '--workers', '1')\n"
+            "run('threshold', '--etas', '1,0.1', '--output', 'curves.csv')\n"
+            "print(loaded)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.stdout.splitlines()[-1] == str([[]] * 5)
+
+
 class TestManifestReplayErrors:
     def replay(self, path, capsys):
         code = run_cli("--manifest", str(path))
@@ -620,6 +650,16 @@ class TestBrightStates:
         assert out == ""
         assert err.startswith("numerical failure: distribution needs n_max")
         assert not (tmp_path / "summary.json").exists()
+
+
+    def test_coherent_past_the_window_names_the_needed_n_max(self, tmp_path, capsys):
+        argv = ["--state", "kind=coherent N=4500", "--scheme", "roulette", "--eta", "1"]
+        code = run_cli(
+            "--output-dir", str(tmp_path), "simulate", *argv, "--n-samples", "100", "--seed", "1"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: distribution needs n_max of about 4972 > 4096")
 
 
 class TestMomentOverflow:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from qroulette.errors import NumericalError, ValidationError
 from qroulette.noise import (
     MAX_POINTS,
+    _bisect,
+    _root_beta,
     added_noise,
     delta_rh,
     direct_variance,
@@ -293,6 +296,52 @@ class TestZeroLine:
             zero_line(1.0, n_points=0)
         with pytest.raises(ValidationError):
             zero_line(1.0, n_max=-1.0)
+
+
+class TestBisection:
+    ETAS = [1.0, 0.9, 0.75, 0.5, 0.3, 0.25, 0.1, 0.05, 0.01, 1e-3]
+    GRID = [(128, 12.0), (160, 12.0), (96, 14.0), (48, 5.0), (64, 4.0), (7, 30.0), (300, 50.0),
+            (1, 1e6)]
+
+    def test_agrees_with_brentq_on_every_bracketed_point(self):
+        bracketed = 0
+        for eta in self.ETAS:
+            for n_points, n_max in self.GRID:
+                for point in zero_line(eta, n_points, n_max):
+                    if point.total_n == 1.0 / eta and point.beta == 0.0:
+                        continue  # the intercept, in closed form
+                    gap = lambda beta, n=point.total_n: squeezed_delta_rh(n, beta, eta)
+                    inside = gap(0.0) <= 0.0 <= gap(1.0)
+                    assert point.converged == inside
+                    if inside:
+                        root = brentq(gap, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+                        assert abs(point.beta - root) <= 3e-15, (eta, point, root)
+                        bracketed += 1
+        assert bracketed > 600
+
+    def test_zero_contour_n_agrees_with_brentq(self):
+        for eta in (1.0, 0.5, 0.1):
+            for beta in (1e-9, 0.05, 0.5, 1.0):
+                gap = lambda n: squeezed_delta_rh(n, beta, eta)
+                root = brentq(gap, 0.0, 1e4, xtol=1e-14, rtol=8.9e-16)
+                assert abs(zero_contour_n(eta, beta) - root) <= 4e-15 * root
+
+    def test_a_gap_of_exactly_zero_at_beta_zero_is_the_root(self):
+        # N = 1000 = 1/eta is a grid point of this line, with a gap of exactly 0.0 at beta = 0
+        assert squeezed_delta_rh(1000.0, 0.0, 1e-3) == 0.0
+        assert _root_beta(1000.0, 1e-3).beta == 0.0
+        points = zero_line(1e-3, n_points=64, n_max=2000.0)
+        assert [p.total_n for p in points if p.beta == 0.0] == [1000.0]
+
+    def test_runs_to_adjacent_floats(self):
+        f = lambda b: b * b - 0.5
+        root = _bisect(f, 0.0, 1.0, -0.5, 0.5)
+        assert abs(root - math.sqrt(0.5)) <= math.ulp(root)
+        assert _bisect(lambda b: b - 0.25, 0.0, 1.0, -0.25, 0.75) == 0.25
+        assert _bisect(lambda b: b, 0.0, 1.0, 0.0, 1.0) == 0.0
+        assert _bisect(lambda b: b - 1.0, 0.0, 1.0, -1.0, 0.0) == 1.0
+        # a root below every normal float: bisection walks into the subnormals and stops
+        assert _bisect(lambda b: b - 1e-320, 0.0, 1.0, -1e-320, 1.0) == 1e-320
 
 
 class TestNoiseReport:

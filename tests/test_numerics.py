@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +17,59 @@ from qroulette.numerics import (
     gauss_legendre_grid,
     hermite_h,
     integrate,
+    log_factorials,
+    ndtr,
     oscillator_density,
     oscillator_mixture,
     oscillator_mixture_cdf,
 )
-from qroulette.states import HARD_CAP
+from qroulette.states import HARD_CAP, WINDOW_CAP
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestLogFactorials:
+    def test_bitwise_gammaln_over_every_window(self):
+        n = np.arange(WINDOW_CAP + 2)
+        assert same_bits(log_factorials(WINDOW_CAP + 2), scipy.special.gammaln(n + 1.0))
+
+    def test_a_longer_request_extends_the_table(self):
+        n = np.arange(3 * WINDOW_CAP)
+        assert same_bits(log_factorials(3 * WINDOW_CAP), scipy.special.gammaln(n + 1.0))
+
+    def test_windows_share_one_read_only_table(self):
+        short, full = log_factorials(5), log_factorials(WINDOW_CAP + 2)
+        assert short.base is full.base is not None
+        assert not full.flags.writeable
+        assert log_factorials(0).shape == (0,)
+
+
+def ndtr_grid():
+    """A dense grid and both sides of every cephes branch edge of ndtr: |a| / sqrt(2)
+    at sqrt(1/2), 1 and 8, and the exp(-a^2 / 2) underflow near |a| = 37.68."""
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)]
+    near = [e * (1.0 + k * 2.0**-52) for e in edges for k in range(-300, 301)]
+    near += [e * (1.0 + k * 1e-9) for e in edges for k in range(-1000, 1001)]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, 1e-300]
+    points = np.concatenate([np.linspace(-45.0, 45.0, 200_001), near, special])
+    return np.concatenate([points, -points])
+
+
+class TestNdtr:
+    def test_bitwise_scipy_across_every_branch(self):
+        a = ndtr_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(ndtr(a), scipy.special.ndtr(a))
+
+    def test_scalars_and_shapes(self):
+        assert ndtr(0.0) == 0.5 and np.ndim(ndtr(0.0)) == 0
+        grid = np.linspace(-9.0, 9.0, 12).reshape(3, 4)
+        assert same_bits(ndtr(grid), scipy.special.ndtr(grid))
 
 
 class TestHermite:

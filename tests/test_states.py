@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from scipy.special import pdtrc
 
 from qroulette.errors import NumericalError, TruncationError, ValidationError
 from qroulette.states import (
+    _ZERO_TAIL_MEAN,
     HARD_CAP,
+    WINDOW_CAP,
     StateSpec,
     exact_moments,
     moments,
@@ -143,6 +146,14 @@ class TestBrightStates:
     def test_message_names_the_needed_n_max(self, spec, needed):
         with pytest.raises(TruncationError, match=re.escape(f"about {needed:.4g} > {HARD_CAP}")):
             photon_distribution(spec)
+
+    def test_no_poisson_tail_beyond_the_window_below_the_skip_threshold(self):
+        # _coherent_pmf skips its pdtrc test up to this mean, where it reads exactly 0.0
+        assert pdtrc(WINDOW_CAP, _ZERO_TAIL_MEAN) == 0.0
+        means = np.concatenate([np.logspace(-300, np.log10(_ZERO_TAIL_MEAN), 20_000), [5e-324]])
+        assert not pdtrc(WINDOW_CAP, means).any()
+        stats = photon_distribution(StateSpec.coherent(_ZERO_TAIL_MEAN))
+        assert 1.0 - 1e-12 - 1e-13 <= stats.rho.sum() <= 1.0 + 1e-13
 
     def test_squeezed_tail_beyond_the_window_names_the_needed_n_max(self):
         # 2.1 % of this law lies beyond the widest window, and its tail falls
