@@ -39,6 +39,9 @@ from . import __version__
 from .errors import NumericalError, ValidationError, check_eta
 from .montecarlo import ExperimentConfig, run_sampling
 from .naimark import (
+    MAX_DIM,
+    MAX_M,
+    MAX_TRUNC,
     build_extension,
     random_roulette_spec,
     semiclassical_check,
@@ -51,6 +54,8 @@ from .states import StateSpec, exact_moments
 OUTPUT_DIR_ENV = "QROULETTE_OUTPUT_DIR"
 MANIFEST_NAME = "manifest.json"
 DEFAULT_ETAS = "1.0,0.75,0.5,0.25,0.1"
+# naimark discrete-random trials: the per-trial reports kept take about 0.26 GB at the bound
+MAX_TRIALS = 1_000_000
 
 
 class _ManifestFields(dict):
@@ -257,9 +262,12 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     outputs: list[Path] = []
     if mode == "discrete-random":
         trials = _number(params, "trials", int)
-        if trials < 1:
-            raise ValidationError(f"field 'trials' must be >= 1 (got {trials})")
-        rng = np.random.default_rng(_number(params, "seed", int))
+        if not 1 <= trials <= MAX_TRIALS:
+            raise ValidationError(f"field 'trials' must lie in [1, {MAX_TRIALS}] (got {trials})")
+        seed = _number(params, "seed", int)
+        if seed < 0:
+            raise ValidationError(f"field 'seed' must be >= 0 (got {seed})")
+        rng = np.random.default_rng(seed)
         reports = []
         for _ in range(trials):
             spec = random_roulette_spec(
@@ -373,10 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nai = sub.add_parser("naimark", help="extension construction and verification")
     p_nai.add_argument("mode", choices=["discrete-random", "semiclassical"])
-    p_nai.add_argument("--trials", type=int, default=100)
+    p_nai.add_argument("--trials", type=int, default=100, help=f"at most {MAX_TRIALS}")
     p_nai.add_argument("--seed", type=int, default=2024)
-    p_nai.add_argument("--max-dim", type=int, default=8)
-    p_nai.add_argument("--max-m", type=int, default=4)
+    p_nai.add_argument(
+        "--max-dim", type=int, default=8, help=f"largest system dimension, at most {MAX_DIM}"
+    )
+    p_nai.add_argument(
+        "--max-m", type=int, default=4, help=f"most projector families, at most {MAX_M}"
+    )
     p_nai.add_argument(
         "--corrupt", action="store_true", help="perturb one projector entry (testing aid)"
     )
@@ -384,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_nai.add_argument("--alpha-im", type=float, default=0.0)
     p_nai.add_argument("--phi", type=float, default=0.0)
     p_nai.add_argument("--amplitudes", default="2,4,8", help="comma list of probe |z| values")
-    p_nai.add_argument("--system-trunc", type=int)
-    p_nai.add_argument("--probe-trunc", type=int)
+    for flag in ("--system-trunc", "--probe-trunc"):
+        p_nai.add_argument(flag, type=int, help=f"Fock cutoff, at most {MAX_TRUNC}")
     p_nai.add_argument("--json", help="also write the result as JSON with this file name")
     return parser
 

@@ -136,10 +136,10 @@ def _sampling_table(spec: StateSpec, scheme: str, eta: float) -> DensityTable:
         limit = (math.sqrt((2.0 * stats.n_max + 1.0) / 2.0) + 8.0) / math.sqrt(eta)
         # seeded with two panels per order: a few per lobe of the density
         cdf = partial(roulette_cdf_abs_x, stats, eta=eta)
-        return build_inverse_cdf(None, (0.0, limit), 1e-6, cdf=cdf, panels=2 * (stats.n_max + 1))
+        return build_inverse_cdf(cdf, (0.0, limit), 1e-6, panels=2 * (stats.n_max + 1))
     size = len(stats.rho)
     cdf = partial(heterodyne_cdf_v, stats, eta=eta)
-    return build_inverse_cdf(None, (0.0, size + 10.0 * math.sqrt(size) + 40.0), 1e-6, cdf=cdf)
+    return build_inverse_cdf(cdf, (0.0, size + 10.0 * math.sqrt(size) + 40.0), 1e-6)
 
 
 def _outcome(q, scheme: str, eta: float):

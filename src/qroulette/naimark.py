@@ -17,6 +17,9 @@ import numpy as np
 from .errors import TruncationError, ValidationError
 
 __all__ = [
+    "MAX_DIM",
+    "MAX_M",
+    "MAX_TRUNC",
     "ExtensionReport",
     "RouletteSpec",
     "build_extension",
@@ -28,6 +31,14 @@ __all__ = [
 ]
 
 PROJECTOR_TOL = 1e-12
+# The largest sizes accepted, so that a run stays near 1 GB: a random spec of
+# dimension d <= MAX_DIM with M <= MAX_M families extends to projectors of
+# 16 d^3 M^2 bytes (1.07 GB at both bounds), and the semiclassical check's
+# dense ladder matrices take about 24 s^2 + 32 p^2 bytes at system and probe
+# truncations s, p <= MAX_TRUNC (0.94 GB at both bounds).
+MAX_DIM = 64
+MAX_M = 16
+MAX_TRUNC = 4096
 
 
 @dataclass(frozen=True)
@@ -175,10 +186,12 @@ def random_roulette_spec(
     rng: np.random.Generator, max_dim: int = 8, max_observables: int = 4
 ) -> RouletteSpec:
     """Random valid spec: Haar-random eigenbases partitioned into projectors."""
-    if max_dim < 2:
-        raise ValidationError(f"field 'max_dim' must be >= 2 (got {max_dim})")
-    if max_observables < 1:
-        raise ValidationError(f"field 'max_observables' must be >= 1 (got {max_observables})")
+    if not 2 <= max_dim <= MAX_DIM:
+        raise ValidationError(f"field 'max_dim' must lie in [2, {MAX_DIM}] (got {max_dim})")
+    if not 1 <= max_observables <= MAX_M:
+        raise ValidationError(
+            f"field 'max_m' ('max_observables') must lie in [1, {MAX_M}] (got {max_observables})"
+        )
     dim = int(rng.integers(2, max_dim + 1))
     n_obs = int(rng.integers(1, max_observables + 1))
     weights = rng.dirichlet(np.ones(n_obs))
@@ -239,13 +252,24 @@ def _coherent_tail(z_abs: float, trunc: int) -> float:
     return 1.0 if trunc < 1 else float(pdtrc(trunc - 1, z_abs * z_abs))
 
 
-def default_truncation(z_abs: float, tail: float = 1e-11) -> int:
-    """Smallest Fock cutoff keeping the coherent-state tail below `tail`."""
+def default_truncation(z_abs: float, tail: float = 1e-11, field: str = "truncation") -> int:
+    """Smallest Fock cutoff keeping the coherent-state tail below `tail`.
+
+    A cutoff past MAX_TRUNC, |z|^2 = inf included, is a TruncationError naming
+    `field` and the cutoff needed; it is raised before anything is allocated.
+    """
     mu = z_abs * z_abs
-    trunc = max(16, int(mu + 12.0 * math.sqrt(mu + 1.0) + 20.0))
-    while _coherent_tail(z_abs, trunc) >= tail:
-        trunc += 16
-    return trunc
+    need = mu + 12.0 * math.sqrt(mu + 1.0) + 20.0
+    if need <= MAX_TRUNC:
+        need = max(16, int(need))
+        while need <= MAX_TRUNC and _coherent_tail(z_abs, need) >= tail:
+            need += 16
+        if need <= MAX_TRUNC:
+            return need
+    raise TruncationError(
+        f"{field} of about {need:.0f} is needed for a coherent amplitude {z_abs:g},"
+        f" past the bound {MAX_TRUNC}"
+    )
 
 
 def semiclassical_check(
@@ -269,19 +293,22 @@ def semiclassical_check(
     for name, value in (("alpha", alpha), ("phi", phi)):
         if not cmath.isfinite(value):
             raise ValidationError(f"'{name}' must be finite (got {value})")
-    if system_trunc is None:
-        system_trunc = default_truncation(abs(alpha))
-    if probe_trunc is None:
-        probe_trunc = default_truncation(max(amplitudes, default=0.0))
-    for label, z_abs, trunc in (
-        ("system", abs(alpha), system_trunc),
-        ("probe", max(amplitudes, default=0.0), probe_trunc),
+    truncations = []
+    for field, z_abs, trunc in (
+        ("system_trunc", math.hypot(alpha.real, alpha.imag), system_trunc),  # inf past the range
+        ("probe_trunc", max(amplitudes, default=0.0), probe_trunc),
     ):
+        if trunc is None:
+            trunc = default_truncation(z_abs, field=field)
+        elif trunc > MAX_TRUNC:
+            raise ValidationError(f"field '{field}' must be at most {MAX_TRUNC} (got {trunc})")
         tail = _coherent_tail(z_abs, trunc)
         if tail >= 1e-10:
             raise TruncationError(
-                f"{label} truncation {trunc} leaves coherent tail mass {tail:.3e} >= 1e-10"
+                f"{field}: truncation {trunc} leaves coherent tail mass {tail:.3e} >= 1e-10"
             )
+        truncations.append(trunc)
+    system_trunc, probe_trunc = truncations
 
     a = _annihilation(system_trunc)
     e_plus, e_minus = _phase_ladder(probe_trunc)

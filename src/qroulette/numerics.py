@@ -2,11 +2,12 @@
 
 Everything here is a pure function of its inputs; GuideTable and DensityTable
 instances are immutable after construction and safe to share across workers.
-scipy.integrate is imported by `integrate` on its first call.  The other
-special functions the package needs are ports of the cephes routines behind
-scipy.special, bit for bit on numpy and libm (math.log, math.exp): the normal
-distribution function `ndtr` and the log-factorial table `log_factorials`, so
-no command pays for importing scipy.special.
+scipy.integrate is imported by `integrate` on its first call; no other function
+here needs scipy.  The normal distribution function `ndtr` is libm's erfc
+(math.erfc), and the log-factorial table `log_factorials` ports the cephes
+routine behind scipy.special.gammaln bit for bit with libm's log, because the
+coherent photon-number law is pinned to scipy's Poisson pmf.  Sampling tables
+are built from a law's exact CDF alone.
 
 The oscillator mixture has two paths with the same bits: arrays run the
 rescaled Hermite recurrence as numpy operations, and a single point, as
@@ -41,6 +42,7 @@ __all__ = [
     "oscillator_mixture_cdf",
 ]
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # Magnitude/exponent splitting used by the weighted Hermite recurrence:
@@ -66,11 +68,6 @@ _FAR = float(np.finfo(float).max)
 # a table panel's ends and its check points, the golden sections: no period of
 # an oscillating law puts both check points on its own phase at the left end
 _PANEL_POINTS = np.array([0.0, (3.0 - math.sqrt(5.0)) / 2.0, (math.sqrt(5.0) - 1.0) / 2.0, 1.0])
-# width * (_PANEL_RULE[j] @ values): the mass between points j and j + 1 of a
-# panel, the integral of the cubic through the density at its four points
-_PANEL_RULE = np.diff(_PANEL_POINTS[:, None] ** np.arange(1, 5) / np.arange(1, 5), axis=0) @ (
-    np.linalg.inv(np.vander(_PANEL_POINTS, 4, increasing=True))
-)
 # table panels one build may hold
 _MAX_PANELS = 500_000
 
@@ -92,67 +89,6 @@ _STIRLING_FAR = (
     -2.7777777777777777777778e-3,
     0.0833333333333333333333,
 )
-
-# cephes ndtr, erf and erfc: polynomial coefficients, highest power first; the
-# denominators' leading 1.0 makes one Horner loop serve cephes' p1evl too
-_ERF_T = (
-    9.60497373987051638749e0,
-    9.00260197203842689217e1,
-    2.23200534594684319226e3,
-    7.00332514112805075473e3,
-    5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0,
-    3.35617141647503099647e1,
-    5.21357949780152679795e2,
-    4.59432382970980127987e3,
-    2.26290000613890934246e4,
-    4.92673942608635921086e4,
-)
-_ERFC_P = (
-    2.46196981473530512524e-10,
-    5.64189564831068821977e-1,
-    7.46321056442269912687e0,
-    4.86371970985681366614e1,
-    1.96520832956077098242e2,
-    5.26445194995477358631e2,
-    9.34528527171957607540e2,
-    1.02755188689515710272e3,
-    5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0,
-    1.32281951154744992508e1,
-    8.67072140885989742329e1,
-    3.54937778887819891062e2,
-    9.75708501743205489753e2,
-    1.82390916687909736289e3,
-    2.24633760818710981792e3,
-    1.65666309194161350182e3,
-    5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1,
-    1.27536670759978104416e0,
-    5.01905042251180477414e0,
-    6.16021097993053585195e0,
-    7.40974269950448939160e0,
-    2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0,
-    2.26052863220117276590e0,
-    9.39603524938001434673e0,
-    1.20489539808096656605e1,
-    1.70814450747565897222e1,
-    9.60896809063285878198e0,
-    3.36907645100081516050e0,
-)
-# exp(-z^2) underflows where z^2 > _MAXLOG, and cephes' erfc returns 0 there
-_MAXLOG = 7.09782712893383996843e2
-_SQRT1_2 = 0.707106781186547524401
-
 
 def _lgam(x: float) -> float:
     """cephes lgam (scipy.special.gammaln) at an integer-valued x >= 1, on
@@ -188,42 +124,17 @@ def _horner(x, coefficients):
     return out
 
 
-def _erf_core(x: np.ndarray) -> np.ndarray:
-    """cephes erf for |x| <= 1."""
-    z = x * x
-    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
-
-
 def ndtr(a):
-    """Standard normal distribution function, bit for bit scipy.special.ndtr.
+    """Standard normal distribution function, erfc(-a / sqrt(2)) / 2 point by
+    point in libm (math.erfc).
 
-    The cephes branches of ndtr, erf and erfc at z = |a| / sqrt(2): erf below
-    sqrt(1/2), 1 - erf below 1, and above it exp(-z^2) times the P/Q rational
-    function below 8 and R/S from 8, until exp(-z^2) underflows.  The rational
-    functions run in numpy and exp point by point in libm (math.exp), since
-    np.exp's SIMD kernels may round differently.
+    The error is within 2**-52 absolute and (a**2 + 2) 2**-52 relative, the
+    a**2 from rounding a / sqrt(2) where the tail decays as exp(-a**2 / 2).
+    NaN in, NaN out; a scalar gives a 0-d result.
     """
     a = np.asarray(a, dtype=float)
-    x = a.reshape(-1) * _SQRT1_2
-    z = np.abs(x)
-    # y = erfc(z) / 2 for z >= sqrt(1/2); NaN in, NaN out
-    y = np.where(np.isnan(z), z, 0.0)
-    mid = (z >= _SQRT1_2) & (z < 1.0)
-    y[mid] = 0.5 * (1.0 - _erf_core(z[mid]))
-    # cephes' underflow test on z^2, with z capped so the square cannot overflow
-    capped = np.minimum(z, 1e100)
-    tail = np.flatnonzero((z >= 1.0) & (capped * capped <= _MAXLOG))
-    zt = z[tail]
-    decay = np.array([math.exp(v) for v in (-(zt * zt)).tolist()])
-    near = zt < 8.0
-    top, bottom = np.empty_like(zt), np.empty_like(zt)
-    top[near], bottom[near] = _horner(zt[near], _ERFC_P), _horner(zt[near], _ERFC_Q)
-    top[~near], bottom[~near] = _horner(zt[~near], _ERFC_R), _horner(zt[~near], _ERFC_S)
-    y[tail] = 0.5 * (decay * top / bottom)
-    out = np.where(x > 0.0, 1.0 - y, y)
-    small = z < _SQRT1_2
-    out[small] = 0.5 + 0.5 * _erf_core(x[small])
-    return out.reshape(a.shape)[()]
+    values = [0.5 * math.erfc(-v / _SQRT_2) for v in a.reshape(-1).tolist()]
+    return np.array(values).reshape(a.shape)[()]
 
 
 def hermite_h(n: int, x: float) -> float:
@@ -538,19 +449,17 @@ class DensityTable:
 
 
 def build_inverse_cdf(
-    density, domain: tuple[float, float], tol: float = 1e-6, *, cdf=None, panels: int = 64
+    cdf, domain: tuple[float, float], tol: float = 1e-6, *, panels: int = 64
 ) -> DensityTable:
-    """Inverse-CDF table of a law on a finite domain, from its exact CDF or its density.
+    """Inverse-CDF table of a law on a finite domain, from its exact CDF.
 
-    cdf, when given, evaluates the distribution function on arrays (pass None
-    as density).  Otherwise density must accept arrays, be nonnegative and
-    integrate to 1 on the domain within tol; a panel's masses are then the
-    integrals of the cubic through the density at its four points, a negative
-    mass counting as 0.  The domain starts as `panels` equal panels.  A panel is
-    split at its check points, the golden sections, until linear interpolation
-    between its ends matches the CDF there to within tol / 2, so the table
-    tracks the law to about Kolmogorov-Smirnov distance tol.  Split panels keep
-    their end values: a round evaluates the law at new check points only.
+    cdf evaluates the distribution function on arrays; it must rise by 1 over
+    the domain within tol, a falling step counting as 0.  The domain starts as
+    `panels` equal panels.  A panel is split at its check points, the golden
+    sections, until linear interpolation between its ends matches the CDF there
+    to within tol / 2, so the table tracks the law to about Kolmogorov-Smirnov
+    distance tol.  Split panels keep their end values: a round evaluates the CDF
+    at new check points only.
     """
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
@@ -559,24 +468,19 @@ def build_inverse_cdf(
         raise ValidationError(
             f"build_inverse_cdf: tol and panels must be positive (got {tol}, {panels})"
         )
-    law = cdf if cdf is not None else density
     edges = np.linspace(lo, hi, panels + 1)
-    ends = np.asarray(law(edges), dtype=float)
+    ends = np.asarray(cdf(edges), dtype=float)
     a, b, at_a, at_b = edges[:-1], edges[1:], ends[:-1], ends[1:]
     lefts, leaf_masses = [], []
     while a.size:
         if sum(map(len, lefts)) + a.size > _MAX_PANELS:
             raise IntegrationError(f"build_inverse_cdf: tol not met within {_MAX_PANELS} panels")
-        # each row: a panel's ends and its check points in between, and the law there
+        # each row: a panel's ends and its check points in between, and the CDF there
         points = a[:, None] + (b - a)[:, None] * _PANEL_POINTS
         points[:, -1] = b
-        inner = np.asarray(law(points[:, 1:3].ravel()), dtype=float).reshape(-1, 2)
+        inner = np.asarray(cdf(points[:, 1:3].ravel()), dtype=float).reshape(-1, 2)
         values = np.column_stack([at_a, inner, at_b])
-        if cdf is None:
-            parts = (b - a)[:, None] * (values @ _PANEL_RULE.T)
-        else:
-            parts = np.diff(values, axis=1)
-        parts = np.maximum(parts, 0.0)
+        parts = np.maximum(np.diff(values, axis=1), 0.0)
         whole = parts.sum(axis=1)
         miss = np.cumsum(parts[:, :2], axis=1) - whole[:, None] * _PANEL_POINTS[1:3]
         done = (np.abs(miss).max(axis=1) <= 0.5 * tol) | (b - a < 1e-12 * (hi - lo))
@@ -590,7 +494,7 @@ def build_inverse_cdf(
     total = np.concatenate([[0.0], np.cumsum(np.concatenate(leaf_masses)[order])])
     if abs(total[-1] - 1.0) > max(10.0 * tol, 1e-9):
         raise ValidationError(
-            f"build_inverse_cdf: mass on domain is {total[-1]:.12g}, not 1 within tolerance"
+            f"build_inverse_cdf: the CDF rises by {total[-1]:.12g} over the domain, not 1"
         )
     return DensityTable(grid=np.append(lefts[order], hi), cdf=total / total[-1], domain=(lo, hi))
 

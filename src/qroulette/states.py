@@ -284,6 +284,8 @@ def photon_distribution(spec: StateSpec, tail_bound: float = DEFAULT_TAIL) -> Ph
         rho[spec.fock_n] = 1.0
         return PhotonStatistics(rho=rho, tail_bound=tail_bound)
     if spec.kind == "custom":
+        if len(spec.weights) - 1 > HARD_CAP:
+            raise TruncationError(f"custom state needs n_max={len(spec.weights) - 1} > {HARD_CAP}")
         w = np.asarray(spec.weights, dtype=float)
         return PhotonStatistics(rho=w / w.sum(), tail_bound=tail_bound)
     if spec.kind == "coherent":

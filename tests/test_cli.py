@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 
 import qroulette
 from qroulette import montecarlo
-from qroulette.cli import main, parse_state
+from qroulette.cli import MAX_TRIALS, main, parse_state
 from qroulette.errors import ValidationError
+from qroulette.naimark import MAX_DIM, MAX_M, MAX_TRUNC
 from qroulette.noise import MAX_POINTS, NoiseReport, zero_line
-from qroulette.states import StateSpec
+from qroulette.states import HARD_CAP, StateSpec
 
 
 def run_cli(*argv):
@@ -725,6 +727,22 @@ WRONG_JSON = st.one_of(
 )
 # a size: values beyond 400 only cost proportionally more time
 N_POINTS = st.integers(-3, 400)
+# naimark sizes: small ones that run in milliseconds, and ones past their bounds
+TRIALS = st.one_of(st.integers(-2, 3), st.sampled_from([MAX_TRIALS + 1, 10**30]))
+DIM = st.one_of(st.integers(-1, 8), st.sampled_from([MAX_DIM + 1, 200_000, 10**30]))
+FAMILIES = st.one_of(st.integers(-1, 5), st.sampled_from([MAX_M + 1, 10**30]))
+SEED = st.one_of(st.integers(0, 2**64), st.sampled_from([-1, 10**30]))
+# amplitudes whose truncation passes MAX_TRUNC: 63.9 just, 3e4 far, |z|^2 = inf from 1e200
+FAR_AMPLITUDES = ["63.9", "30000", "1e200", "1.7e308"]
+ALPHA_TEXT = st.one_of(
+    st.floats(-6.0, 6.0).map(repr), st.sampled_from([*FAR_AMPLITUDES, "-1e200", "nan", "abc"])
+)
+ALPHA_JSON = st.one_of(st.floats(-6.0, 6.0), st.sampled_from([*map(float, FAR_AMPLITUDES), "abc"]))
+AMPLITUDES_TEXT = st.lists(
+    st.one_of(st.floats(0.0, 8.0).map(repr), st.sampled_from([*FAR_AMPLITUDES, "-1", "inf"])),
+    max_size=3,
+).map(",".join)
+TRUNC = st.one_of(st.integers(-2, 80), st.sampled_from([MAX_TRUNC + 1, 100_000, 10**30]))
 
 
 def manifest_params(**fields):
@@ -800,6 +818,13 @@ class TestAcceptedInputSweep:
     def test_noise_manifest(self, params):
         self.check_noise(None, params)
 
+    def check_naimark(self, flags, params):
+        code, out, err, _ = _sweep_run("naimark", flags, params)
+        _check_contract(code, err)
+        if code == 0:
+            figures = [line.split()[-1] for line in out.splitlines() if line]
+            assert all(math.isfinite(float(figure)) for figure in figures), out
+
     @given(etas=ETAS_TEXT, n_points=N_POINTS, n_max=N_MAX_TEXT)
     @settings(max_examples=100, deadline=None)
     def test_threshold_flags(self, etas, n_points, n_max):
@@ -822,6 +847,49 @@ class TestAcceptedInputSweep:
     @settings(max_examples=100, deadline=None)
     def test_threshold_manifest(self, params):
         self.check_threshold(None, params)
+
+    @given(trials=TRIALS, seed=SEED, max_dim=DIM, max_m=FAMILIES)
+    @settings(max_examples=60, deadline=None)
+    def test_naimark_discrete_flags(self, trials, seed, max_dim, max_m):
+        flags = [f"--trials={trials}", f"--seed={seed}", f"--max-dim={max_dim}"]
+        self.check_naimark(["discrete-random", *flags, f"--max-m={max_m}"], None)
+
+    @given(
+        params=manifest_params(
+            mode=st.just("discrete-random"), trials=TRIALS, seed=SEED, max_dim=DIM, max_m=FAMILIES
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_naimark_discrete_manifest(self, params):
+        self.check_naimark(None, params)
+
+    @given(
+        alpha_re=ALPHA_TEXT,
+        alpha_im=ALPHA_TEXT,
+        amplitudes=AMPLITUDES_TEXT,
+        truncs=st.lists(st.one_of(st.none(), TRUNC), min_size=2, max_size=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_naimark_semiclassical_flags(self, alpha_re, alpha_im, amplitudes, truncs):
+        flags = [f"--alpha-re={alpha_re}", f"--alpha-im={alpha_im}", f"--amplitudes={amplitudes}"]
+        for flag, trunc in zip(("--system-trunc", "--probe-trunc"), truncs):
+            flags += [] if trunc is None else [f"{flag}={trunc}"]
+        self.check_naimark(["semiclassical", *flags], None)
+
+    @given(
+        params=manifest_params(
+            mode=st.just("semiclassical"),
+            alpha_re=ALPHA_JSON,
+            alpha_im=ALPHA_JSON,
+            phi=st.floats(-10.0, 10.0),
+            amplitudes=AMPLITUDES_TEXT,
+            system_trunc=st.one_of(st.none(), TRUNC),
+            probe_trunc=st.one_of(st.none(), TRUNC),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_naimark_semiclassical_manifest(self, params):
+        self.check_naimark(None, params)
 
 
 class TestSizeBounds:
@@ -860,3 +928,56 @@ class TestSizeBounds:
         params = dict(TestManifestParamTypes.BASE["simulate"], n_samples=n_samples)
         assert self.replay("simulate", params, tmp_path) == 1
         assert "n_samples" in capsys.readouterr().err
+
+    def run_traced(self, *argv):
+        """run_cli, and the peak of what it allocated through Python and numpy."""
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6, peak
+        return code
+
+    @pytest.mark.parametrize(
+        "argv, field, bound",
+        [
+            (("discrete-random", "--trials", str(MAX_TRIALS + 1)), "trials", MAX_TRIALS),
+            (("discrete-random", "--max-dim", str(MAX_DIM + 1)), "max_dim", MAX_DIM),
+            (("discrete-random", "--max-m", str(MAX_M + 1)), "max_m", MAX_M),
+            (("semiclassical", "--system-trunc", str(MAX_TRUNC + 1)), "system_trunc", MAX_TRUNC),
+            (("semiclassical", "--probe-trunc", str(MAX_TRUNC + 1)), "probe_trunc", MAX_TRUNC),
+            (("discrete-random", "--max-dim", "200000"), "max_dim", MAX_DIM),
+            (("semiclassical", "--system-trunc", "100000"), "system_trunc", MAX_TRUNC),
+        ],
+    )
+    def test_naimark_size_past_the_bound(self, argv, field, bound, capsys):
+        assert self.run_traced("naimark", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{field}'" in err and str(bound) in err
+
+    @pytest.mark.parametrize(
+        "argv, field, needed",
+        [
+            (("--alpha-re", "63.9"), "system_trunc", "4870"),
+            (("--alpha-re", "30000"), "system_trunc", "900360020"),
+            (("--alpha-re", "1e200"), "system_trunc", "inf"),
+            (("--alpha-re", "1.7e308", "--alpha-im", "1.7e308"), "system_trunc", "inf"),
+            (("--amplitudes", "2,1e200"), "probe_trunc", "inf"),
+        ],
+    )
+    def test_naimark_truncation_past_the_bound(self, argv, field, needed, capsys):
+        assert self.run_traced("naimark", "semiclassical", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {field} of about {needed} is needed")
+        assert str(MAX_TRUNC) in err
+
+    def test_custom_weights_past_the_cap(self, tmp_path, capsys):
+        weights = ",".join(["0"] * (HARD_CAP + 1) + ["1"])
+        state = f"kind=custom weights={weights}"
+        params = dict(TestManifestParamTypes.BASE["simulate"], state=state)
+        assert self.replay("simulate", params, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: custom state needs n_max={HARD_CAP + 1}")
+        assert not (tmp_path / "summary.json").exists()

@@ -248,13 +248,13 @@ class TestZeroLine:
         assert zero_contour_n(eta, 0.0) == 1.0 / eta
 
     def test_flagged_points_carry_no_root(self):
-        # with the gap near 1/eta^2 = 1e6, brentq's best root may leave |gap| > 1e-10;
-        # such a point is flagged, and a flagged point has no beta
+        # a point whose gap keeps one sign on [0, 1] is flagged, and a flagged
+        # point has no beta
         points = zero_line(1e-3, n_points=64, n_max=2000.0)
         assert all(math.isnan(p.beta) for p in points if not p.converged)
 
     def test_bracketed_points_converge(self):
-        # brentq finds these roots to the last bit, though the gap's terms near
+        # bisection finds these roots to adjacent floats, though the gap's terms near
         # 1/eta^2 = 1e6 leave |gap| above 1e-10 at some of them
         eta = 1e-3
         points = zero_line(eta, n_points=64, n_max=2000.0)

@@ -49,27 +49,47 @@ class TestLogFactorials:
 
 
 def ndtr_grid():
-    """A dense grid and both sides of every cephes branch edge of ndtr: |a| / sqrt(2)
-    at sqrt(1/2), 1 and 8, and the exp(-a^2 / 2) underflow near |a| = 37.68."""
+    """A grid on [-45, 45], both sides of every edge where cephes' ndtr switches
+    branch (|a| / sqrt(2) at sqrt(1/2), 1 and 8, and the exp(-a^2 / 2) underflow
+    near |a| = 37.68), and the special values."""
     edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 709.782712893384)]
-    near = [e * (1.0 + k * 2.0**-52) for e in edges for k in range(-300, 301)]
-    near += [e * (1.0 + k * 1e-9) for e in edges for k in range(-1000, 1001)]
+    near = [e * (1.0 + k * 2.0**-52) for e in edges for k in range(-16, 17)]
+    near += [e * (1.0 + k * 1e-7) for e in edges for k in range(-50, 51)]
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, 1e-300]
-    points = np.concatenate([np.linspace(-45.0, 45.0, 200_001), near, special])
+    points = np.concatenate([np.linspace(-45.0, 45.0, 2001), near, special])
     return np.concatenate([points, -points])
 
 
 class TestNdtr:
-    def test_bitwise_scipy_across_every_branch(self):
+    def test_libm_error_bounds_against_mpmath(self):
+        # absolute: half of erfc's error, an ulp of its value in [0, 2], plus the
+        # rounding of a / sqrt(2) carried through phi(a) |a| <= 0.25, at most
+        # 1.5 * 2**-53 (1.08 * 2**-53 seen near a = 0.71); relative: that
+        # rounding carried through the tail's exp(-a^2 / 2), against the value
+        # or, in the subnormal range, against the smallest normal float
         a = ndtr_grid()
+        a = a[np.abs(a) <= 45.0]  # the special values far out are checked below
+        tiny = np.finfo(float).tiny
+        with mpmath.workdps(40):
+            for point, value in zip(a.tolist(), ndtr(a).tolist()):
+                exact = mpmath.ncdf(point)
+                error = float(abs(mpmath.mpf(value) - exact))
+                assert error <= 2.0**-52, point
+                assert error <= (point * point + 2.0) * 2.0**-52 * max(float(exact), tiny), point
+
+    def test_special_values_raise_no_warning(self):
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert same_bits(ndtr(a), scipy.special.ndtr(a))
+            values = ndtr(np.array(special))
+        expected = [0.5, 0.5, 1.0, 0.0, math.nan, 1.0, 0.0, 0.5]
+        np.testing.assert_array_equal(values, expected)
 
     def test_scalars_and_shapes(self):
         assert ndtr(0.0) == 0.5 and np.ndim(ndtr(0.0)) == 0
         grid = np.linspace(-9.0, 9.0, 12).reshape(3, 4)
-        assert same_bits(ndtr(grid), scipy.special.ndtr(grid))
+        points = [ndtr(float(a)) for a in grid.ravel()]
+        assert same_bits(ndtr(grid), np.reshape(points, (3, 4)))
 
 
 class TestHermite:
@@ -310,8 +330,10 @@ class TestIntegrate:
 class TestInverseCdf:
     def table(self, n, tol=1e-6):
         limit = math.sqrt((2 * n + 1) / 2) + 8.0
+        weights = np.zeros(n + 1)
+        weights[n] = 1.0
         return build_inverse_cdf(
-            lambda x, n=n: oscillator_density(n, x), (-limit, limit), tol
+            lambda x: oscillator_mixture_cdf(weights, x), (-limit, limit), tol
         )
 
     def test_even_density_has_zero_median(self):
@@ -340,12 +362,14 @@ class TestInverseCdf:
         assert second == pytest.approx((2 * n + 1) / 4, rel=1e-5)
 
     def test_unnormalized_density_rejected(self):
+        # a CDF rising by 2 over the domain
         with pytest.raises(ValidationError):
-            build_inverse_cdf(lambda x: 2.0 * oscillator_density(0, x), (-9.0, 9.0), 1e-6)
+            build_inverse_cdf(lambda x: 2.0 * oscillator_mixture_cdf([1.0], x), (-9.0, 9.0), 1e-6)
 
     def test_negative_density_rejected(self):
+        # a CDF falling over the domain
         with pytest.raises(ValidationError):
-            build_inverse_cdf(lambda x: np.full_like(x, -0.1), (0.0, 1.0), 1e-6)
+            build_inverse_cdf(lambda x: -0.1 * x, (0.0, 1.0), 1e-6)
 
     def test_refinement_budget_raises(self):
         # every panel misses tol, so each round triples the panels until the budget ends
@@ -353,7 +377,7 @@ class TestInverseCdf:
             return x + 1e-4 * np.sin(1e7 * x)
 
         with pytest.raises(IntegrationError, match="panels"):
-            build_inverse_cdf(None, (0.0, 1.0), 1e-9, cdf=wobbly, panels=1000)
+            build_inverse_cdf(wobbly, (0.0, 1.0), 1e-9, panels=1000)
 
     @pytest.mark.parametrize("n", range(21))
     def test_kolmogorov_smirnov_draws(self, n):

@@ -89,6 +89,13 @@ class TestDistributions:
         with pytest.raises(TruncationError):
             photon_distribution(StateSpec.fock(HARD_CAP + 1))
 
+    def test_custom_hard_cap(self):
+        at_cap = np.zeros(HARD_CAP + 1)
+        at_cap[-1] = 1.0
+        assert photon_distribution(StateSpec.custom(at_cap)).n_max == HARD_CAP
+        with pytest.raises(TruncationError, match=f"n_max={HARD_CAP + 1} > {HARD_CAP}"):
+            photon_distribution(StateSpec.custom(np.append(at_cap, 0.0)))
+
     def test_custom_weights(self):
         stats = photon_distribution(StateSpec.custom([0.25, 0.5, 0.25]))
         assert stats.rho.tolist() == [0.25, 0.5, 0.25]
