@@ -285,6 +285,8 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
         text = "\n".join(f"{key} = {value}" for key, value in payload.items()) + "\n"
     else:
         amplitudes = _float_list(params["amplitudes"], "field 'amplitudes'")
+        if not amplitudes:
+            raise ValidationError("field 'amplitudes' must name at least one probe amplitude")
         alpha_re, alpha_im, phi = (_number(params, key) for key in ("alpha_re", "alpha_im", "phi"))
         system_trunc, probe_trunc = (
             None if params.get(key) is None else _number(params, key, int)

@@ -23,6 +23,17 @@ end bins take the outcomes beyond them), and the rows are merged in chunk
 order (Chan, Golub & LeVeque, 1979).  So a process holds one chunk's outcomes
 at a time, but the run keeps every row, 3 + bins floats per chunk, until the
 merge: about 31 MB at 10^9 roulette or heterodyne draws.
+
+A chunk holds one chunk-size array: its uniforms are drawn into it, mapped to
+outcomes in place and binned in blocks of BLOCK_SIZE points, and only the mean
+and the sum of squared deviations run over the whole array, as the
+Chan-Golub-LeVeque rows need.  Mapping and binning the whole chunk at once
+peaked at three to four chunk-size arrays, which the allocator handed back to
+the kernel after every chunk and faulted in again for the next: 600 to 1500
+minor page faults per 2^17-draw chunk.  The block temporaries stay in cache and
+are reused from chunk to chunk.  Every step is elementwise or the same
+full-array sum, so the rows are bit for bit those of the whole-array
+arithmetic.
 """
 
 from __future__ import annotations
@@ -66,6 +77,9 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 17
+# the points a chunk maps and bins at a time: its temporaries (128 KB each) stay
+# in cache and in the allocator's heap, where chunk-size ones go back to the kernel
+BLOCK_SIZE = 1 << 14
 # the draws of one run: the chunk rows count them in float64, exactly up to 2**53
 MAX_SAMPLES = 1 << 53
 MAX_HISTOGRAM_BINS = 512
@@ -162,13 +176,26 @@ def _chunk_outcomes(
     law, scheme: str, eta: float, seed: int, chunk_index: int, size: int
 ) -> np.ndarray:
     """Outcomes for one chunk, a pure function of its arguments; law is the
-    run's sampling table, or its thinned photon-number pmf for direct detection."""
+    run's sampling table, or its thinned photon-number pmf for direct detection.
+
+    The chunk's uniforms are drawn into the one array returned, which the
+    caller owns, and each block of BLOCK_SIZE of them is mapped to its outcomes
+    in place, so that array is the chunk's only chunk-size allocation; the
+    mapping is elementwise, so the outcomes are those of mapping the whole
+    array at once."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=int(seed), spawn_key=(_SCHEME_INDEX[scheme], chunk_index))
     )
+    x = rng.random(size)
     if scheme == "direct":
-        return GuideTable(_choice_cdf(law)).rank(rng.random(size)) / eta
-    return _outcome(law.sample(rng.random(size)), scheme, eta)
+        guide = GuideTable(_choice_cdf(law))
+    for start in range(0, size, BLOCK_SIZE):
+        u = x[start : start + BLOCK_SIZE]
+        if scheme == "direct":
+            u[:] = guide.rank(u) / eta
+        else:
+            u[:] = _outcome(law.sample(u), scheme, eta)
+    return x
 
 
 def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -207,16 +234,23 @@ def _chunk_reduction(
 ) -> np.ndarray:
     """One chunk reduced where it is drawn: (count, mean, M2, bin counts...).
     Bin i holds edges[i] <= x < edges[i + 1], up to the rounding of
-    (x - edges[0]) / width; outcomes beyond the edges count in the end bins."""
+    (x - edges[0]) / width; outcomes beyond the edges count in the end bins.
+
+    The mean is taken over the whole chunk, the bin counts are summed block by
+    block, and the deviations from the mean are then formed in place in the
+    chunk's one array, so no second chunk-size array is made."""
     x = _chunk_outcomes(law, scheme, eta, seed, chunk_index, size)
     mean = x.mean()
-    deviation = x - mean
     bins = len(edges) - 1
-    x -= edges[0]
-    x *= bins / (edges[-1] - edges[0])
-    row = np.empty(3 + bins)
-    row[:3] = size, mean, np.sum(np.square(deviation, out=deviation))
-    row[3:] = np.bincount(np.clip(x, 0, bins - 1, out=x).astype(np.intp), minlength=bins)
+    scale = bins / (edges[-1] - edges[0])
+    row = np.zeros(3 + bins)
+    for start in range(0, size, BLOCK_SIZE):
+        index = x[start : start + BLOCK_SIZE] - edges[0]
+        index *= scale
+        np.clip(index, 0, bins - 1, out=index)
+        row[3:] += np.bincount(index.astype(np.intp), minlength=bins)
+    x -= mean
+    row[:3] = size, mean, np.sum(np.square(x, out=x))
     return row
 
 

@@ -370,6 +370,28 @@ class TestNaimarkCommand:
         assert run_cli("naimark", *argv) == 1
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amplitudes", ["", ","])
+    @pytest.mark.parametrize("form", ["flags", "manifest"])
+    def test_empty_amplitudes_name_the_field(self, form, amplitudes, tmp_path, capsys):
+        if form == "flags":
+            argv = ["--output-dir", str(tmp_path), "naimark", "semiclassical"]
+            code = run_cli(*argv, "--amplitudes", amplitudes, "--json", "ladder.json")
+        else:
+            params = {"mode": "semiclassical", "alpha_re": 1.0, "alpha_im": 0.0, "phi": 0.0}
+            manifest = {
+                "command": "naimark",
+                "output_dir": str(tmp_path),
+                "params": params | {"amplitudes": amplitudes, "json": "ladder.json"},
+            }
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps(manifest), encoding="ascii")
+            code = run_cli("--manifest", str(path))
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error:") and "'amplitudes'" in err
+        assert out == ""
+        assert not (tmp_path / "ladder.json").exists()
+
 
 class TestTopLevel:
     def test_missing_command(self, capsys):

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from qroulette.montecarlo import (
     sample_roulette,
 )
 from qroulette.noise import direct_variance, heterodyne_variance, roulette_variance
-from qroulette.numerics import build_inverse_cdf, gauss_legendre_grid
+from qroulette.numerics import DensityTable, GuideTable, build_inverse_cdf, gauss_legendre_grid
 from qroulette.pom import (
     DetectorConfig,
     direct_detection_pmf,
@@ -527,6 +529,90 @@ class TestGuideLookupDraws:
     def test_bad_pmf_is_a_numerical_failure(self, pmf, scheme):
         with pytest.raises(NumericalError):
             montecarlo._chunk_outcomes(np.array(pmf), scheme, 0.5, SEED, 0, 100)
+
+
+def full_array_reduction(law, scheme, eta, seed, chunk_index, size, edges):
+    """One chunk mapped and reduced as whole arrays: the arithmetic that the
+    block loops of _chunk_outcomes and _chunk_reduction split up."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(
+            entropy=int(seed), spawn_key=(montecarlo._SCHEME_INDEX[scheme], chunk_index)
+        )
+    )
+    if scheme == "direct":
+        x = GuideTable(montecarlo._choice_cdf(law)).rank(rng.random(size)) / eta
+    else:
+        x = montecarlo._outcome(law.sample(rng.random(size)), scheme, eta)
+    mean = x.mean()
+    bins = len(edges) - 1
+    index = (x - edges[0]) * (bins / (edges[-1] - edges[0]))
+    counts = np.bincount(np.clip(index, 0, bins - 1).astype(np.intp), minlength=bins)
+    row = np.concatenate(([size, mean, np.sum(np.square(x - mean))], counts))
+    return x, row
+
+
+# a segment whose np.interp slope overflows (1.5e308 / 0.001): draws inside it are inf
+STEEP_TABLE = DensityTable(
+    grid=np.array([0.0, 1.0, 2.0, 1.5e308]),
+    cdf=np.array([0.0, 0.5, 0.999, 1.0]),
+    domain=(0.0, 1.5e308),
+)
+BLOCK = montecarlo.BLOCK_SIZE
+CHUNK_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, montecarlo.CHUNK_SIZE - 1, montecarlo.CHUNK_SIZE]
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne", "direct"])
+    def test_rows_match_the_full_array_arithmetic_bitwise(self, scheme, size):
+        for spec, eta in [(StateSpec.coherent(4.0), 0.5), (StateSpec.squeezed(2.0, 0.5), 1.0)]:
+            cfg = config(spec, scheme, eta)
+            law, (edges, _) = run_law(cfg), montecarlo._histogram_bins(cfg)
+            expected, row = full_array_reduction(law, scheme, eta, SEED, 3, size, edges)
+            actual = montecarlo._chunk_outcomes(law, scheme, eta, SEED, 3, size)
+            assert actual.tobytes() == expected.tobytes()
+            reduced = montecarlo._chunk_reduction(law, scheme, eta, SEED, 3, size, edges)
+            assert reduced.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("size", CHUNK_SIZES)
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne"])
+    def test_steep_segment_matches_bitwise(self, scheme, size):
+        edges = np.linspace(-1.0, 3.0, 65)
+        # the inf draws make the mean inf and the deviations nan, alike on both sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, row = full_array_reduction(STEEP_TABLE, scheme, 0.5, SEED, 0, size, edges)
+            actual = montecarlo._chunk_outcomes(STEEP_TABLE, scheme, 0.5, SEED, 0, size)
+            reduced = montecarlo._chunk_reduction(STEEP_TABLE, scheme, 0.5, SEED, 0, size, edges)
+        if size >= BLOCK:
+            assert np.isinf(expected).any() and np.isfinite(expected).any()
+        assert actual.tobytes() == expected.tobytes()
+        assert reduced.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne", "direct"])
+    def test_run_matches_interp_and_choice_bitwise(self, scheme, monkeypatch):
+        n = montecarlo.CHUNK_SIZE + BLOCK + 17
+        configs = [
+            config(spec, scheme, eta, n=n, seed=5)
+            for spec in (StateSpec.fock(3), StateSpec.thermal(1.0), StateSpec.coherent(100.0))
+            for eta in (1.0, 0.5)
+        ]
+        actual = [montecarlo.draw_outcomes(cfg).tobytes() for cfg in configs]
+        monkeypatch.setattr(montecarlo, "_chunk_outcomes", reference_chunk_outcomes)
+        assert [montecarlo.draw_outcomes(cfg).tobytes() for cfg in configs] == actual
+
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne", "direct"])
+    def test_chunk_holds_one_chunk_size_array(self, scheme):
+        cfg = config(StateSpec.squeezed(2.0, 0.5), scheme, 0.5)
+        law, (edges, _) = run_law(cfg), montecarlo._histogram_bins(cfg)
+        reduce_chunk = partial(montecarlo._chunk_reduction, law, scheme, 0.5, SEED)
+        reduce_chunk(0, montecarlo.CHUNK_SIZE, edges)
+        tracemalloc.start()
+        try:
+            reduce_chunk(1, montecarlo.CHUNK_SIZE, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * montecarlo.CHUNK_SIZE, peak / (8 * montecarlo.CHUNK_SIZE)
 
 
 class TestTinyEfficiency:
