@@ -1,128 +1,89 @@
 """qroulette: random-phase homodyne measurement of the field intensity.
 
-A numpy toolkit (scipy only for adaptive quadrature, the Naimark checks'
-coherent tail and the error of a state too bright for the photon-number cap)
-for the "quantum roulette" view of random-phase homodyne detection: outcome
-densities of roulette, heterodyne and direct photodetection under nonunit
-quantum efficiency, unbiased intensity estimators, closed-form noise
-comparisons, seeded Monte Carlo validation, and Naimark extensions of
+A numpy toolkit (scipy only for adaptive quadrature, a Naimark coherent tail
+that the Chernoff bound cannot settle, and the error of a state too bright for
+the photon-number cap) for the "quantum roulette" view of random-phase homodyne
+detection: outcome densities of roulette, heterodyne and direct photodetection
+under nonunit quantum efficiency, unbiased intensity estimators, closed-form
+noise comparisons, seeded Monte Carlo validation, and Naimark extensions of
 projector-mixture measurements.
+
+Each public name loads its module on first access, so ``import qroulette``
+loads no numpy; ``noise`` and a state's closed-form moments need none either.
 """
 
-from .errors import (
-    IntegrationError,
-    NumericalError,
-    QRouletteError,
-    TruncationError,
-    ValidationError,
-)
-from .estimators import heterodyne_estimator, intensity_estimator, richter_kernel
-from .montecarlo import (
-    ExperimentConfig,
-    SampleSummary,
-    run_comparison,
-    run_sampling,
-    sample_direct,
-    sample_heterodyne,
-    sample_roulette,
-)
-from .naimark import (
-    ExtensionReport,
-    RouletteSpec,
-    build_extension,
-    random_roulette_spec,
-    semiclassical_check,
-    two_mode_photocurrent,
-    verify_extension,
-)
-from .noise import (
-    NoiseReport,
-    ZeroLinePoint,
-    added_noise,
-    delta_rh,
-    direct_variance,
-    heterodyne_variance,
-    noise_report,
-    roulette_variance,
-    squeezed_delta_rh,
-    threshold_n,
-    zero_contour_n,
-    zero_line,
-)
-from .numerics import (
-    DensityTable,
-    build_inverse_cdf,
-    hermite_h,
-    integrate,
-    oscillator_density,
-    oscillator_mixture,
-)
-from .pom import (
-    DetectorConfig,
-    direct_detection_pmf,
-    heterodyne_density_I,
-    heterodyne_outcome_moment,
-    roulette_density_x,
-    roulette_density_y,
-    roulette_outcome_moment,
-    thinned_distribution,
-)
-from .states import PhotonStatistics, StateSpec, exact_moments, moments, photon_distribution
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DensityTable",
-    "DetectorConfig",
-    "ExperimentConfig",
-    "ExtensionReport",
-    "IntegrationError",
-    "NoiseReport",
-    "NumericalError",
-    "PhotonStatistics",
-    "QRouletteError",
-    "RouletteSpec",
-    "SampleSummary",
-    "StateSpec",
-    "TruncationError",
-    "ValidationError",
-    "ZeroLinePoint",
-    "added_noise",
-    "build_extension",
-    "build_inverse_cdf",
-    "delta_rh",
-    "direct_detection_pmf",
-    "direct_variance",
-    "exact_moments",
-    "heterodyne_density_I",
-    "heterodyne_estimator",
-    "heterodyne_outcome_moment",
-    "heterodyne_variance",
-    "hermite_h",
-    "integrate",
-    "intensity_estimator",
-    "moments",
-    "noise_report",
-    "oscillator_density",
-    "oscillator_mixture",
-    "photon_distribution",
-    "random_roulette_spec",
-    "richter_kernel",
-    "roulette_density_x",
-    "roulette_density_y",
-    "roulette_outcome_moment",
-    "roulette_variance",
-    "run_comparison",
-    "run_sampling",
-    "sample_direct",
-    "sample_heterodyne",
-    "sample_roulette",
-    "semiclassical_check",
-    "squeezed_delta_rh",
-    "thinned_distribution",
-    "threshold_n",
-    "two_mode_photocurrent",
-    "verify_extension",
-    "zero_contour_n",
-    "zero_line",
-]
+# each public name and the module that defines it
+_HOMES = {
+    "DensityTable": "numerics",
+    "DetectorConfig": "pom",
+    "ExperimentConfig": "montecarlo",
+    "ExtensionReport": "naimark",
+    "IntegrationError": "errors",
+    "NoiseReport": "noise",
+    "NumericalError": "errors",
+    "PhotonStatistics": "states",
+    "QRouletteError": "errors",
+    "RouletteSpec": "naimark",
+    "SampleSummary": "montecarlo",
+    "StateSpec": "states",
+    "TruncationError": "errors",
+    "ValidationError": "errors",
+    "ZeroLinePoint": "noise",
+    "added_noise": "noise",
+    "build_extension": "naimark",
+    "build_inverse_cdf": "numerics",
+    "delta_rh": "noise",
+    "direct_detection_pmf": "pom",
+    "direct_variance": "noise",
+    "exact_moments": "states",
+    "heterodyne_density_I": "pom",
+    "heterodyne_estimator": "estimators",
+    "heterodyne_outcome_moment": "pom",
+    "heterodyne_variance": "noise",
+    "hermite_h": "numerics",
+    "integrate": "numerics",
+    "intensity_estimator": "estimators",
+    "moments": "states",
+    "noise_report": "noise",
+    "oscillator_density": "numerics",
+    "oscillator_mixture": "numerics",
+    "photon_distribution": "states",
+    "random_roulette_spec": "naimark",
+    "richter_kernel": "estimators",
+    "roulette_density_x": "pom",
+    "roulette_density_y": "pom",
+    "roulette_outcome_moment": "pom",
+    "roulette_variance": "noise",
+    "run_comparison": "montecarlo",
+    "run_sampling": "montecarlo",
+    "sample_direct": "montecarlo",
+    "sample_heterodyne": "montecarlo",
+    "sample_roulette": "montecarlo",
+    "semiclassical_check": "naimark",
+    "squeezed_delta_rh": "noise",
+    "thinned_distribution": "pom",
+    "threshold_n": "noise",
+    "two_mode_photocurrent": "naimark",
+    "verify_extension": "naimark",
+    "zero_contour_n": "noise",
+    "zero_line": "noise",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -33,22 +33,17 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .errors import NumericalError, ValidationError, check_eta
-from .montecarlo import ExperimentConfig, run_sampling
-from .naimark import (
+from .errors import (
     MAX_DIM,
     MAX_M,
     MAX_TRUNC,
-    build_extension,
-    random_roulette_spec,
-    semiclassical_check,
-    verify_extension,
+    SCHEMES,
+    NumericalError,
+    ValidationError,
+    check_eta,
 )
 from .noise import MAX_POINTS, noise_report, zero_line
-from .pom import SCHEMES, DetectorConfig
 from .states import StateSpec, exact_moments
 
 OUTPUT_DIR_ENV = "QROULETTE_OUTPUT_DIR"
@@ -232,6 +227,9 @@ def _run_threshold(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
 
 
 def _run_simulate(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
+    from .montecarlo import ExperimentConfig, run_sampling
+    from .pom import DetectorConfig
+
     config = ExperimentConfig(
         state=parse_state(_text(params, "state")),
         detector=DetectorConfig(scheme=_text(params, "scheme"), eta=check_eta(params["eta"])),
@@ -256,6 +254,15 @@ def _run_simulate(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
 
 
 def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
+    import numpy as np
+
+    from .naimark import (
+        build_extension,
+        random_roulette_spec,
+        semiclassical_check,
+        verify_extension,
+    )
+
     mode = _text(params, "mode")
     if mode not in ("discrete-random", "semiclassical"):
         raise ValidationError(f"field 'mode' has unknown value '{mode}'")
@@ -399,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_nai.add_argument("--phi", type=float, default=0.0)
     p_nai.add_argument("--amplitudes", default="2,4,8", help="comma list of probe |z| values")
     for flag in ("--system-trunc", "--probe-trunc"):
-        p_nai.add_argument(flag, type=int, help=f"Fock cutoff, at most {MAX_TRUNC}")
+        p_nai.add_argument(
+            flag, type=int, help=f"Fock cutoff, at most {MAX_TRUNC}: the check's time grows with it"
+        )
     p_nai.add_argument("--json", help="also write the result as JSON with this file name")
     return parser
 

@@ -1,4 +1,18 @@
-"""Exception hierarchy shared by all qroulette modules, and the one efficiency check."""
+"""Exception hierarchy shared by all qroulette modules, the one efficiency check,
+and the scheme names and size bounds the command line prints, kept here so that
+printing them loads no numpy."""
+
+SCHEMES = ("roulette", "heterodyne", "direct")
+
+# The largest Naimark sizes accepted.  A random spec of dimension d <= MAX_DIM
+# with M <= MAX_M families extends to projectors of 16 d^3 M^2 bytes (1.07 GB at
+# both bounds).  The semiclassical check works on amplitude vectors, so its
+# memory is small at any truncation; MAX_TRUNC bounds its time, which grows
+# linearly with the system and probe truncations (about 1.6 ms per probe
+# amplitude at 4096 on a 2-core x86-64 host).
+MAX_DIM = 64
+MAX_M = 16
+MAX_TRUNC = 4096
 
 
 class QRouletteError(Exception):

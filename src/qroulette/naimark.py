@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import TruncationError, ValidationError
+from .errors import MAX_DIM, MAX_M, MAX_TRUNC, TruncationError, ValidationError
 
 __all__ = [
     "MAX_DIM",
@@ -31,14 +31,6 @@ __all__ = [
 ]
 
 PROJECTOR_TOL = 1e-12
-# The largest sizes accepted, so that a run stays near 1 GB: a random spec of
-# dimension d <= MAX_DIM with M <= MAX_M families extends to projectors of
-# 16 d^3 M^2 bytes (1.07 GB at both bounds), and the semiclassical check's
-# dense ladder matrices take about 24 s^2 + 32 p^2 bytes at system and probe
-# truncations s, p <= MAX_TRUNC (0.94 GB at both bounds).
-MAX_DIM = 64
-MAX_M = 16
-MAX_TRUNC = 4096
 
 
 @dataclass(frozen=True)
@@ -252,6 +244,23 @@ def _coherent_tail(z_abs: float, trunc: int) -> float:
     return 1.0 if trunc < 1 else float(pdtrc(trunc - 1, z_abs * z_abs))
 
 
+def _chernoff_below(mu, trunc, level):
+    """Whether the Chernoff bound exp(k - mu - k ln(k/mu)) on the Poisson(mu)
+    mass at n >= k = trunc > mu lies below level / e, for k >= 1 (True at mu = 0).
+    Elementwise on arrays."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = trunc - mu - trunc * (np.log(trunc) - np.log(mu))
+    return (trunc > mu) & (exponent < math.log(level) - 1.0)
+
+
+def _tail_reaches(z_abs: float, trunc: int, level: float) -> bool:
+    """_coherent_tail(z_abs, trunc) >= level, settled without scipy wherever the
+    Chernoff bound lies below level / e."""
+    if trunc >= 1 and _chernoff_below(z_abs * z_abs, trunc, level):
+        return False
+    return _coherent_tail(z_abs, trunc) >= level
+
+
 def default_truncation(z_abs: float, tail: float = 1e-11, field: str = "truncation") -> int:
     """Smallest Fock cutoff keeping the coherent-state tail below `tail`.
 
@@ -262,7 +271,7 @@ def default_truncation(z_abs: float, tail: float = 1e-11, field: str = "truncati
     need = mu + 12.0 * math.sqrt(mu + 1.0) + 20.0
     if need <= MAX_TRUNC:
         need = max(16, int(need))
-        while need <= MAX_TRUNC and _coherent_tail(z_abs, need) >= tail:
+        while need <= MAX_TRUNC and _tail_reaches(z_abs, need, tail):
             need += 16
         if need <= MAX_TRUNC:
             return need
@@ -302,25 +311,24 @@ def semiclassical_check(
             trunc = default_truncation(z_abs, field=field)
         elif trunc > MAX_TRUNC:
             raise ValidationError(f"field '{field}' must be at most {MAX_TRUNC} (got {trunc})")
-        tail = _coherent_tail(z_abs, trunc)
-        if tail >= 1e-10:
+        if _tail_reaches(z_abs, trunc, 1e-10):
+            tail = _coherent_tail(z_abs, trunc)
             raise TruncationError(
                 f"{field}: truncation {trunc} leaves coherent tail mass {tail:.3e} >= 1e-10"
             )
         truncations.append(trunc)
     system_trunc, probe_trunc = truncations
 
-    a = _annihilation(system_trunc)
-    e_plus, e_minus = _phase_ladder(probe_trunc)
+    # From the amplitudes c_n: <a> = sum_n sqrt(n) c*_{n-1} c_n, <e_minus> =
+    # sum_n c*_{n-1} c_n, and <e_plus> = <e_minus>*, so the photocurrent mean
+    # <a>* <e_minus> + <a> <e_plus> is 2 Re(<a>* <e_minus>).
     sys_vec = _coherent_vector(alpha, system_trunc)
-    mean_a = complex(sys_vec.conj() @ (a @ sys_vec))
+    mean_a = complex(sys_vec[:-1].conj() @ (np.sqrt(np.arange(1.0, system_trunc)) * sys_vec[1:]))
     target = 2.0 * (alpha * np.exp(-1j * phi)).real
 
     deviations = []
     for z_abs in amplitudes:
         probe_vec = _coherent_vector(z_abs * np.exp(1j * phi), probe_trunc)
-        mean_minus = complex(probe_vec.conj() @ (e_minus @ probe_vec))
-        mean_plus = complex(probe_vec.conj() @ (e_plus @ probe_vec))
-        photocurrent = mean_a.conjugate() * mean_minus + mean_a * mean_plus
-        deviations.append(abs(photocurrent.real - target))
+        mean_minus = complex(probe_vec[:-1].conj() @ probe_vec[1:])
+        deviations.append(abs(2.0 * (mean_a.conjugate() * mean_minus).real - target))
     return deviations

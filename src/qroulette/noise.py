@@ -13,8 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError, check_eta
 
 # the points one zero contour may sample
@@ -230,7 +228,14 @@ def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[Zero
         raise ValidationError(f"n_points must lie in [1, {MAX_POINTS}] (got {n_points})")
     if not 0.0 < n_max < math.inf:
         raise ValidationError(f"n_max must be positive and finite (got {n_max})")
-    points = [_root_beta(float(n), eta) for n in np.linspace(n_max / n_points, n_max, n_points)]
+    n_max = float(n_max)
+    start = n_max / n_points
+    delta, div = n_max - start, n_points - 1
+    step = delta / div if div else 0.0
+    # np.linspace(start, n_max, n_points) value for value: i step + start, or
+    # (i / div) delta + start where step underflows to 0, and n_max last
+    grid = [(i * step if step else i / div * delta) + start for i in range(div)] + [n_max]
+    points = [_root_beta(n, eta) for n in grid]
     intercept = 1.0 / eta
     if squeezed_delta_rh(n_max, 0.0, eta) > 0.0 and not any(
         p.converged and p.beta == 0.0 and abs(p.total_n - intercept) < 1e-12 for p in points

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import IntegrationError, ValidationError
 
@@ -321,6 +320,8 @@ def integrate(f, lower: float, upper: float, tol: float = 1e-10) -> float:
 def gauss_legendre_grid(lower: float, upper: float, panels: int, order: int = 12):
     """Composite Gauss-Legendre nodes/weights on [lower, upper]: flat arrays
     covering `panels` equal panels with an `order`-point rule each."""
+    from numpy.polynomial.legendre import leggauss  # on first use: only the moments need it
+
     glx, glw = leggauss(order)
     edges = np.linspace(lower, upper, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError, check_eta
+from .errors import SCHEMES, ValidationError, check_eta
 from .estimators import intensity_estimator
 from .numerics import (
     gauss_legendre_grid,
@@ -43,8 +43,6 @@ __all__ = [
     "roulette_outcome_moment",
     "thinned_distribution",
 ]
-
-SCHEMES = ("roulette", "heterodyne", "direct")
 
 # cells of one block of the thinning sum: a few MB of temporaries at any n_max
 _THIN_BLOCK_CELLS = 1 << 16

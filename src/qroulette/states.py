@@ -2,7 +2,8 @@
 
 Only the number-diagonal part of a state is represented: every outcome
 density in this package is a function of the number operator alone, so
-off-diagonal density-matrix elements never enter.
+off-diagonal density-matrix elements never enter.  numpy loads on the first
+truncated law, so a spec and its closed-form moments cost no numpy import.
 """
 
 from __future__ import annotations
@@ -10,10 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NumericalError, TruncationError, ValidationError
-from .numerics import log_factorials
 
 __all__ = [
     "PhotonStatistics",
@@ -69,6 +67,8 @@ class StateSpec:
                     f"state field 'n' must be a nonnegative integer (got {self.fock_n})"
                 )
         if self.kind == "custom":
+            import numpy as np
+
             if not self.weights:
                 raise ValidationError("state field 'weights' must be a nonempty list")
             w = np.asarray(self.weights, dtype=float)
@@ -134,6 +134,8 @@ class PhotonStatistics:
     tail_bound: float
 
     def __post_init__(self):
+        import numpy as np
+
         rho = np.asarray(self.rho, dtype=float)
         if rho.ndim != 1 or rho.size == 0:
             raise ValidationError("PhotonStatistics: rho must be a nonempty 1-d array")
@@ -159,6 +161,8 @@ def _trim(pmf: np.ndarray, tail_bound: float) -> np.ndarray:
     of the truncated law stay well inside the declared tolerance; the tail
     is accumulated back-to-front to dodge cancellation.
     """
+    import numpy as np
+
     tail_after = np.concatenate([np.cumsum(pmf[::-1])[::-1][1:], [0.0]])
     strict = int(np.argmax(tail_after <= tail_bound))
     if strict > HARD_CAP:
@@ -185,6 +189,10 @@ def _bulk_end(mean: float, deviation: float, tail_bound: float) -> float:
 
 
 def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
+    import numpy as np
+
+    from .numerics import log_factorials
+
     if mean_photons == 0.0:
         return np.array([1.0])
     if mean_photons > _ZERO_TAIL_MEAN:
@@ -208,6 +216,8 @@ def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
 
 
 def _thermal_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
+    import numpy as np
+
     if mean_photons == 0.0:
         return np.array([1.0])
     # geometric tail after n is q^(n+1), with log q = -log1p(1/N) even where q rounds to 1
@@ -223,6 +233,8 @@ def _thermal_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
 
 
 def _squeezed_pmf(mean_photons: float, beta: float, tail_bound: float) -> np.ndarray:
+    import numpy as np
+
     if mean_photons == 0.0:
         return np.array([1.0])
     n_sq = beta * mean_photons          # sinh^2 r
@@ -275,6 +287,8 @@ def _squeezed_pmf(mean_photons: float, beta: float, tail_bound: float) -> np.nda
 
 def photon_distribution(spec: StateSpec, tail_bound: float = DEFAULT_TAIL) -> PhotonStatistics:
     """Truncated photon-number distribution of a state, tail mass <= tail_bound."""
+    import numpy as np
+
     if not 0.0 < tail_bound <= 1e-6:
         raise ValidationError(f"tail_bound must lie in (0, 1e-6] (got {tail_bound})")
     if spec.kind == "fock":
@@ -299,6 +313,8 @@ def photon_distribution(spec: StateSpec, tail_bound: float = DEFAULT_TAIL) -> Ph
 
 def moments(stats: PhotonStatistics) -> tuple[float, float, float]:
     """(mean, second moment, variance) of the photon number under stats."""
+    import numpy as np
+
     n = np.arange(len(stats.rho), dtype=float)
     mean = float(np.dot(n, stats.rho))
     mean_sq = float(np.dot(n * n, stats.rho))
@@ -330,6 +346,8 @@ def exact_moments(spec: StateSpec) -> tuple[float, float]:
         var = n_coh * e2r + 2.0 * n_sq * (1.0 + n_sq)
         mean_nsq = var + n * n
     else:
+        import numpy as np
+
         w = np.asarray(spec.weights, dtype=float)
         w = w / w.sum()
         k = np.arange(len(w), dtype=float)

@@ -464,6 +464,65 @@ class TestTopLevel:
         assert result.stdout.splitlines()[-1] == str([[]] * 5)
 
 
+def fresh_interpreter(probe: str, cwd) -> str:
+    """stdout of `probe` run by a new interpreter on this checkout's sources."""
+    src = str(Path(qroulette.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return result.stdout
+
+
+class TestColdImports:
+    def test_closed_form_commands_load_no_numpy(self, tmp_path):
+        probe = (
+            "import sys\n"
+            "import qroulette.cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "def run(*argv):\n"
+            "    assert qroulette.cli.main(list(argv)) == 0, argv\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "for state in ('kind=coherent N=1', 'kind=thermal N=0.7',\n"
+            "              'kind=squeezed N=2.0 beta=0.5', 'kind=fock n=3'):\n"
+            "    run('noise', '--state', state, '--eta', '0.5', '--json', 'noise.json')\n"
+            "run('threshold')\n"
+            "run('threshold', '--etas', '1,0.1', '--n-points', '7', '--n-max', '1e-320')\n"
+            "print(loaded)\n"
+        )
+        assert fresh_interpreter(probe, tmp_path).splitlines()[-1] == str([False] * 7)
+
+    def test_semiclassical_defaults_load_no_scipy(self, tmp_path):
+        probe = (
+            "import sys\n"
+            "import qroulette.cli\n"
+            "assert qroulette.cli.main(['naimark', 'semiclassical', '--json', 's.json']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert fresh_interpreter(probe, tmp_path).splitlines()[-1] == "[]"
+
+    def test_every_export_is_its_defining_modules_object(self, tmp_path):
+        probe = (
+            "import importlib, qroulette\n"
+            "names = list(qroulette.__all__)\n"
+            "ok = []\n"
+            "for name in names:\n"
+            "    value = getattr(qroulette, name)\n"
+            "    home = importlib.import_module(value.__module__)\n"
+            "    ok.append(home.__name__.startswith('qroulette.')\n"
+            "              and getattr(home, name) is value)\n"
+            "star = {}\n"
+            "exec('from qroulette import *', star)\n"
+            "print(len(names), all(ok), set(star) - {'__builtins__'} == set(names),\n"
+            "      set(names) <= set(dir(qroulette)), hasattr(qroulette, 'no_such_name'))\n"
+        )
+        assert fresh_interpreter(probe, tmp_path).splitlines()[-1] == "53 True True True False"
+
+
 class TestManifestReplayErrors:
     def replay(self, path, capsys):
         code = run_cli("--manifest", str(path))

@@ -1,12 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.special import pdtrc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qroulette import naimark
 from qroulette.errors import TruncationError, ValidationError
 from qroulette.naimark import (
+    MAX_TRUNC,
     RouletteSpec,
     build_extension,
     default_truncation,
@@ -192,3 +197,84 @@ class TestSemiclassical:
     def test_non_finite_inputs_rejected(self, alpha, phi, amplitudes):
         with pytest.raises(ValidationError):
             semiclassical_check(alpha, phi, amplitudes)
+
+
+def dense_semiclassical(alpha, phi, amplitudes, system_trunc, probe_trunc):
+    """The photocurrent deviations from the dense truncated ladder matrices."""
+    a = naimark._annihilation(system_trunc)
+    e_plus, e_minus = naimark._phase_ladder(probe_trunc)
+    sys_vec = naimark._coherent_vector(alpha, system_trunc)
+    mean_a = complex(sys_vec.conj() @ (a @ sys_vec))
+    target = 2.0 * (alpha * np.exp(-1j * phi)).real
+    deviations = []
+    for z_abs in amplitudes:
+        probe_vec = naimark._coherent_vector(z_abs * np.exp(1j * phi), probe_trunc)
+        mean_minus = complex(probe_vec.conj() @ (e_minus @ probe_vec))
+        mean_plus = complex(probe_vec.conj() @ (e_plus @ probe_vec))
+        deviations.append(abs((mean_a.conjugate() * mean_minus + mean_a * mean_plus).real - target))
+    return deviations
+
+
+class TestSemiclassicalVectors:
+    @pytest.mark.parametrize("truncations", [(None, None), (60, 180), (200, 320), (100, 512)])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 0.8 + 0.3j, -1.2 + 1.0j, 1.5j])
+    def test_vector_means_equal_the_dense_ladders(self, alpha, truncations):
+        amplitudes = [0.0, 0.5, 2.0, 4.0, 8.0]
+        for phi in (0.0, 0.9, 2.4, -1.0, 3.1):
+            vector = semiclassical_check(complex(alpha), phi, amplitudes, *truncations)
+            system_trunc, probe_trunc = (
+                trunc if trunc is not None else default_truncation(z_abs)
+                for trunc, z_abs in zip(truncations, (abs(alpha), max(amplitudes)))
+            )
+            dense = dense_semiclassical(complex(alpha), phi, amplitudes, system_trunc, probe_trunc)
+            np.testing.assert_allclose(vector, dense, rtol=0.0, atol=1e-15)
+
+    def test_memory_at_both_bounds_is_small(self):
+        tracemalloc.start()
+        try:
+            deviations = semiclassical_check(
+                1.0, 0.0, [2.0, 4.0, 8.0], system_trunc=MAX_TRUNC, probe_trunc=MAX_TRUNC
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deviations[0] >= deviations[1] >= deviations[2]
+        assert peak < 5e6
+
+
+class TestChernoffBound:
+    """The bound may only settle a tail as below a level where the exact tail is."""
+
+    LEVELS = (1e-10, 1e-11)
+
+    def test_never_below_where_the_tail_reaches_the_level(self):
+        trunc = np.arange(1, MAX_TRUNC + 1)
+        z_abs = np.linspace(0.0, 64.0, 1281)
+        for rows in np.array_split(z_abs, 10):
+            mu = (rows * rows)[:, None]
+            exact = pdtrc(trunc - 1, mu)  # _coherent_tail, elementwise
+            for level in self.LEVELS:
+                wrong = naimark._chernoff_below(mu, trunc, level) & (exact >= level)
+                assert not wrong.any(), (rows[wrong.any(axis=1)][:3], level)
+
+    def test_default_truncations_are_the_exact_tails(self):
+        """Around every default truncation the bound agrees with the exact tail
+        wherever it decides, and the truncation is the exact loop's."""
+        for z_abs in np.arange(0.0, 58.0, 0.01):
+            mu = z_abs * z_abs
+            need = max(16, int(mu + 12.0 * math.sqrt(mu + 1.0) + 20.0))
+            exact = need
+            while naimark._coherent_tail(z_abs, exact) >= 1e-11:
+                exact += 16
+            assert default_truncation(z_abs) == exact, z_abs
+            trunc = np.arange(max(1, exact - 16), exact + 17)
+            tails = pdtrc(trunc - 1, mu)
+            for level in self.LEVELS:
+                assert not (naimark._chernoff_below(mu, trunc, level) & (tails >= level)).any()
+            assert naimark._chernoff_below(mu, exact, 1e-11), z_abs
+
+    def test_error_messages_keep_the_exact_tail(self):
+        with pytest.raises(TruncationError, match="leaves coherent tail mass 6.953e-06 >= 1e-10"):
+            semiclassical_check(1.0, 0.0, [5.0], probe_trunc=50)
+        with pytest.raises(TruncationError, match="mass 1.000e[+]00"):
+            semiclassical_check(1.0, 0.0, [5.0], system_trunc=-(10**40))

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from qroulette import noise
 from qroulette.errors import NumericalError, ValidationError
 from qroulette.noise import (
     MAX_POINTS,
+    ZeroLinePoint,
     _bisect,
     _root_beta,
     added_noise,
@@ -296,6 +298,31 @@ class TestZeroLine:
             zero_line(1.0, n_points=0)
         with pytest.raises(ValidationError):
             zero_line(1.0, n_max=-1.0)
+
+
+class TestZeroLineGrid:
+    N_MAX = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 1.0 / 3.0, 12.0, 1e5, 1e300]
+
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 160, MAX_POINTS])
+    def test_grid_is_numpy_linspace_bit_for_bit(self, n_points, monkeypatch):
+        # stubs: every N gets a flagged point and no intercept is added (a gap past
+        # N = 1e154 overflows), so the points are the grid, sorted: with subnormal
+        # steps numpy's points can pass n_max before its end
+        monkeypatch.setattr(noise, "_root_beta", lambda n, eta: ZeroLinePoint(n, math.nan, False))
+        monkeypatch.setattr(noise, "squeezed_delta_rh", lambda *args, **kwargs: -1.0)
+        for n_max in self.N_MAX:
+            points = zero_line(1.0, n_points=n_points, n_max=n_max)
+            grid = np.array([p.total_n for p in points])
+            expected = np.sort(np.linspace(n_max / n_points, n_max, n_points))
+            assert grid.view(np.int64).tolist() == expected.view(np.int64).tolist(), n_max
+            assert all(type(p.total_n) is float for p in points)
+
+    def test_grids_take_both_numpy_branches(self):
+        # numpy scales i / (n - 1) when the step underflows to 0 (gh-5437)
+        steps = [
+            (n_max - n_max / n) / (n - 1) for n in (2, 3, 160, MAX_POINTS) for n_max in self.N_MAX
+        ]
+        assert 0.0 in steps and any(step > 0.0 for step in steps)
 
 
 class TestBisection:
