@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
@@ -62,6 +61,7 @@ from .pom import (
     direct_detection_cdf,
     direct_detection_pmf,
     heterodyne_cdf_v,
+    poisson_window,
     roulette_cdf_abs_x,
 )
 from .states import StateSpec, exact_moments, photon_distribution
@@ -151,9 +151,9 @@ def _sampling_table(spec: StateSpec, scheme: str, eta: float) -> DensityTable:
         # seeded with two panels per order: a few per lobe of the density
         cdf = partial(roulette_cdf_abs_x, stats, eta=eta)
         return build_inverse_cdf(cdf, (0.0, limit), 1e-6, panels=2 * (stats.n_max + 1))
-    size = len(stats.rho)
+    # up to the top of the window of the mean len(rho), past every order
     cdf = partial(heterodyne_cdf_v, stats, eta=eta)
-    return build_inverse_cdf(cdf, (0.0, size + 10.0 * math.sqrt(size) + 40.0), 1e-6)
+    return build_inverse_cdf(cdf, (0.0, poisson_window(len(stats.rho))[1]), 1e-6)
 
 
 def _outcome(q, scheme: str, eta: float):
@@ -289,6 +289,15 @@ def _summarize(rows: np.ndarray, config: ExperimentConfig) -> SampleSummary:
         bin_centers=tuple(centres.tolist()),
         bin_counts=tuple(int(c) for c in rows[:, 3:].sum(axis=0)),
     )
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported when a run first starts
+    more than one process: a run of one loads neither it nor multiprocessing.
+    It keeps the class's name, so a pool of another kind can be patched in under it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MAX_DIM, MAX_M, MAX_TRUNC, TruncationError, ValidationError
+from .numerics import log_factorials
 
 __all__ = [
     "MAX_DIM",
@@ -229,11 +230,10 @@ def two_mode_photocurrent(system_trunc: int, probe_trunc: int) -> np.ndarray:
 
 
 def _coherent_vector(z: complex, trunc: int) -> np.ndarray:
-    amps = np.empty(trunc, dtype=complex)
-    amps[0] = 1.0
-    for n in range(1, trunc):
-        amps[n] = amps[n - 1] * z / math.sqrt(n)
-    amps *= math.exp(-0.5 * abs(z) ** 2)
+    """Normalised coherent amplitudes on n < trunc from logs, as z^n / sqrt(n!) overflows."""
+    n, r = np.arange(trunc), abs(z)
+    logs = n * math.log(r) - 0.5 * (log_factorials(trunc) + r * r) if r else np.where(n, -np.inf, 0)
+    amps = np.exp(logs + 1j * cmath.phase(z) * n)
     return amps / np.linalg.norm(amps)
 
 

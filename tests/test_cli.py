@@ -496,6 +496,20 @@ class TestColdImports:
         )
         assert fresh_interpreter(probe, tmp_path).splitlines()[-1] == str([False] * 7)
 
+    def test_single_process_simulate_loads_no_pool(self, tmp_path):
+        probe = (
+            "import sys\n"
+            "import qroulette.cli\n"
+            "for scheme in ('roulette', 'heterodyne', 'direct'):\n"
+            "    argv = ['--output-dir', scheme, 'simulate', '--state', 'kind=coherent N=4',\n"
+            "            '--scheme', scheme, '--eta', '0.5', '--n-samples', '20000',\n"
+            "            '--seed', '3', '--workers', '1']\n"
+            "    assert qroulette.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+            "             if m in sys.modules))\n"
+        )
+        assert fresh_interpreter(probe, tmp_path).splitlines()[-1] == "[]"
+
     def test_semiclassical_defaults_load_no_scipy(self, tmp_path):
         probe = (
             "import sys\n"

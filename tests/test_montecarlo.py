@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from qroulette import montecarlo
+from qroulette import montecarlo, pom
 from qroulette.errors import NumericalError, ValidationError
 from qroulette.estimators import intensity_estimator
 from qroulette.montecarlo import (
@@ -34,7 +34,7 @@ from qroulette.pom import (
 )
 from qroulette.states import StateSpec, exact_moments, photon_distribution
 
-from conftest import MATRIX_STATES, MC_ETAS
+from conftest import MATRIX_STATES, MC_ETAS, full_order_poisson_mixture
 
 SEED = 424242
 
@@ -188,6 +188,23 @@ class TestHeterodyneTable:
         # the tables stay out of the cache the other tests share
         table = montecarlo._sampling_table.__wrapped__(spec, "heterodyne", eta)
         assert dense_ks(table, spec, eta, lambda stats, v, eta: law(v, eta)) <= 1e-6
+
+
+class TestWindowedHeterodyneTables:
+    """Seeded heterodyne bytes: the windowed Poisson mixture builds the tables
+    the sum over every order builds, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec, eta",
+        [(spec, eta) for _, spec in MATRIX_STATES for eta in MC_ETAS]
+        + [(StateSpec.coherent(100.0), 0.5), (StateSpec.fock(200), 0.5)],
+    )
+    def test_tables_match_the_every_order_sum(self, spec, eta, monkeypatch):
+        windowed = montecarlo._sampling_table.__wrapped__(spec, "heterodyne", eta)
+        monkeypatch.setattr(pom, "_poisson_mixture", full_order_poisson_mixture)
+        full = montecarlo._sampling_table.__wrapped__(spec, "heterodyne", eta)
+        np.testing.assert_array_equal(windowed.grid, full.grid)
+        np.testing.assert_array_equal(windowed.cdf, full.cdf)
 
 
 class TestHeterodyne:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,22 @@ class TestSemiclassicalVectors:
             )
             dense = dense_semiclassical(complex(alpha), phi, amplitudes, system_trunc, probe_trunc)
             np.testing.assert_allclose(vector, dense, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("z_abs", [40.0, 57.0])
+    def test_bright_amplitudes_give_finite_deviations(self, z_abs):
+        # z^n / sqrt(n!) overflows past |z| = 37.7; 57 is near the largest |z|
+        # whose default truncation fits MAX_TRUNC (about 58.1)
+        z = z_abs * np.exp(0.7j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bright_probe = semiclassical_check(1.0 + 0.5j, 0.4, [2.0, z_abs])
+            bright_system = semiclassical_check(z, 0.4, [2.0, 8.0])
+            vector = naimark._coherent_vector(z, default_truncation(z_abs))
+        assert all(math.isfinite(d) for d in bright_probe + bright_system)
+        assert bright_probe[1] < bright_probe[0]
+        # the amplitudes are the coherent state's: <a> = z
+        mean_a = vector[:-1].conj() @ (np.sqrt(np.arange(1.0, len(vector))) * vector[1:])
+        assert abs(mean_a - z) <= 1e-12 * z_abs
 
     def test_memory_at_both_bounds_is_small(self):
         tracemalloc.start()

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as scipy_stats
 from scipy.special import eval_laguerre, i0e
 
-from conftest import DENSITY_ETAS, MATRIX_STATES, MC_ETAS
+from conftest import DENSITY_ETAS, MATRIX_STATES, MC_ETAS, full_order_poisson_mixture
 from qroulette import pom
 from qroulette.errors import ValidationError
 from qroulette.numerics import gauss_legendre_grid, integrate
@@ -172,6 +172,67 @@ class TestPoissonMixture:
             np.testing.assert_allclose(
                 pom._poisson_mixture(rho, u), expected, rtol=1e-14, atol=0.0, err_msg=label
             )
+
+
+BRIGHT_STATES = [
+    ("coherent2000", StateSpec.coherent(2000.0)),
+    ("thermal50", StateSpec.thermal(50.0)),
+    ("fock4000", StateSpec.fock(4000)),
+]
+
+
+class TestPoissonWindow:
+    """Each point summed over the orders of its Fox-Glynn window, against the
+    sum over every order, in the order the mixture sums the points."""
+
+    @staticmethod
+    def every_order(monkeypatch, law, stats, points, eta):
+        with monkeypatch.context() as patched:
+            patched.setattr(pom, "_poisson_mixture", full_order_poisson_mixture)
+            return law(stats, points, eta)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    @pytest.mark.parametrize("label, spec", MATRIX_STATES + BRIGHT_STATES)
+    def test_error_is_below_1e_20(self, label, spec, eta, monkeypatch):
+        # increasing v from 0 to far beyond n_max, as quadrature nodes come, and
+        # single points, as adaptive quadrature asks for them
+        stats = photon_distribution(spec)
+        v = np.linspace(0.0, 3.0 * stats.n_max + 300.0, 4001)
+        for law, points in ((heterodyne_density_I, (v - 1.0) / eta), (heterodyne_cdf_v, v)):
+            full = self.every_order(monkeypatch, law, stats, points, eta)
+            assert np.abs(law(stats, points, eta) - full).max() <= 1e-20, law.__name__
+            for point in points[::80]:
+                single = self.every_order(monkeypatch, law, stats, float(point), eta)
+                assert abs(law(stats, float(point), eta) - single) <= 1e-20, (law.__name__, point)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    @pytest.mark.parametrize("label, spec", BRIGHT_STATES)
+    def test_shuffled_points_are_summed_in_increasing_order(self, label, spec, eta, monkeypatch):
+        # points about the mean in no order, as a table's refinement rounds ask
+        # for them: their window leaves out orders, so the mixture sorts them
+        stats = photon_distribution(spec)
+        mean = eta * moments(stats)[0] + 1.0
+        v = np.linspace(0.9 * mean, 1.1 * mean + 20.0, 1500)
+        shuffle = np.random.default_rng(7).permutation(len(v))
+        for law, points in ((heterodyne_density_I, (v - 1.0) / eta), (heterodyne_cdf_v, v)):
+            full = self.every_order(monkeypatch, law, stats, points, eta)[shuffle]
+            assert np.abs(law(stats, points[shuffle], eta) - full).max() <= 1e-20, law.__name__
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    @pytest.mark.parametrize("label, spec", MATRIX_STATES + BRIGHT_STATES)
+    def test_infinite_and_nan_points(self, label, spec, eta):
+        stats = photon_distribution(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert heterodyne_density_I(stats, math.inf, eta) == 0.0
+            assert math.isnan(heterodyne_density_I(stats, math.nan, eta))
+            assert heterodyne_cdf_v(stats, math.inf, eta) == 1.0
+            assert math.isnan(heterodyne_cdf_v(stats, math.nan, eta))
+            # increasing, so windowed, with inf at the end
+            assert heterodyne_density_I(stats, np.array([1.0, math.inf]), eta)[1] == 0.0
+            assert heterodyne_cdf_v(stats, np.array([1.0, math.inf]), eta)[1] == 1.0
+            assert np.isnan(heterodyne_density_I(stats, np.array([1.0, math.nan]), eta)[1])
+            assert np.isnan(heterodyne_cdf_v(stats, np.array([math.nan, 1.0]), eta)[0])
 
 
 class TestHeterodyneFockClosedForm:
