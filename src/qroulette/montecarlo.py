@@ -54,14 +54,13 @@ from .noise import (
     noise_report,
     roulette_variance,
 )
-from .numerics import DensityTable, GuideTable, build_inverse_cdf
+from .numerics import DensityTable, GuideTable, build_inverse_cdf, poisson_window
 from .pom import (
     SCHEMES,
     DetectorConfig,
     direct_detection_cdf,
     direct_detection_pmf,
     heterodyne_cdf_v,
-    poisson_window,
     roulette_cdf_abs_x,
 )
 from .states import StateSpec, exact_moments, photon_distribution

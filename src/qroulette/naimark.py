@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MAX_DIM, MAX_M, MAX_TRUNC, TruncationError, ValidationError
-from .numerics import log_factorials
+from .numerics import log_factorials, poisson_tail
 
 __all__ = [
     "MAX_DIM",
@@ -237,30 +237,6 @@ def _coherent_vector(z: complex, trunc: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _coherent_tail(z_abs: float, trunc: int) -> float:
-    """Poisson mass at n >= trunc of the coherent state |z|, all of it when trunc < 1."""
-    from scipy.special import pdtrc  # on first use: no other command needs scipy.special
-
-    return 1.0 if trunc < 1 else float(pdtrc(trunc - 1, z_abs * z_abs))
-
-
-def _chernoff_below(mu, trunc, level):
-    """Whether the Chernoff bound exp(k - mu - k ln(k/mu)) on the Poisson(mu)
-    mass at n >= k = trunc > mu lies below level / e, for k >= 1 (True at mu = 0).
-    Elementwise on arrays."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exponent = trunc - mu - trunc * (np.log(trunc) - np.log(mu))
-    return (trunc > mu) & (exponent < math.log(level) - 1.0)
-
-
-def _tail_reaches(z_abs: float, trunc: int, level: float) -> bool:
-    """_coherent_tail(z_abs, trunc) >= level, settled without scipy wherever the
-    Chernoff bound lies below level / e."""
-    if trunc >= 1 and _chernoff_below(z_abs * z_abs, trunc, level):
-        return False
-    return _coherent_tail(z_abs, trunc) >= level
-
-
 def default_truncation(z_abs: float, tail: float = 1e-11, field: str = "truncation") -> int:
     """Smallest Fock cutoff keeping the coherent-state tail below `tail`.
 
@@ -271,7 +247,7 @@ def default_truncation(z_abs: float, tail: float = 1e-11, field: str = "truncati
     need = mu + 12.0 * math.sqrt(mu + 1.0) + 20.0
     if need <= MAX_TRUNC:
         need = max(16, int(need))
-        while need <= MAX_TRUNC and _tail_reaches(z_abs, need, tail):
+        while need <= MAX_TRUNC and poisson_tail(mu, need) >= tail:
             need += 16
         if need <= MAX_TRUNC:
             return need
@@ -311,8 +287,8 @@ def semiclassical_check(
             trunc = default_truncation(z_abs, field=field)
         elif trunc > MAX_TRUNC:
             raise ValidationError(f"field '{field}' must be at most {MAX_TRUNC} (got {trunc})")
-        if _tail_reaches(z_abs, trunc, 1e-10):
-            tail = _coherent_tail(z_abs, trunc)
+        tail = poisson_tail(z_abs * z_abs, trunc)
+        if tail >= 1e-10:
             raise TruncationError(
                 f"{field}: truncation {trunc} leaves coherent tail mass {tail:.3e} >= 1e-10"
             )

@@ -2,12 +2,13 @@
 
 Everything here is a pure function of its inputs; GuideTable and DensityTable
 instances are immutable after construction and safe to share across workers.
-scipy.integrate is imported by `integrate` on its first call; no other function
-here needs scipy.  The normal distribution function `ndtr` is libm's erfc
+`integrate` loads scipy.integrate on its first call, and nothing else in the
+package needs scipy.  The normal distribution function `ndtr` is libm's erfc
 (math.erfc), and the log-factorial table `log_factorials` ports the cephes
 routine behind scipy.special.gammaln bit for bit with libm's log, because the
-coherent photon-number law is pinned to scipy's Poisson pmf.  Sampling tables
-are built from a law's exact CDF alone.
+coherent photon-number law is pinned to scipy's Poisson pmf.  `poisson_tail`
+sums a Poisson law over its window (`poisson_window`; Fox & Glynn, CACM 31
+(1988) 440).  Sampling tables are built from a law's exact CDF alone.
 
 The oscillator mixture has two paths with the same bits: arrays run the
 rescaled Hermite recurrence as numpy operations, and a single point, as
@@ -39,6 +40,8 @@ __all__ = [
     "oscillator_density",
     "oscillator_mixture",
     "oscillator_mixture_cdf",
+    "poisson_tail",
+    "poisson_window",
 ]
 
 _SQRT_2 = math.sqrt(2.0)
@@ -70,9 +73,9 @@ _PANEL_POINTS = np.array([0.0, (3.0 - math.sqrt(5.0)) / 2.0, (math.sqrt(5.0) - 1
 # table panels one build may hold
 _MAX_PANELS = 500_000
 
-# ln n! is tabulated for n up to states.WINDOW_CAP + 1 at least, which every
-# photon-number window fits; a longer request builds a longer table
-_LOG_FACTORIALS = 4610
+# ln n! is tabulated for n < 5400, past every photon-number window and every
+# Poisson tail's (the widest ends at 5327.9); a longer request builds a longer table
+_LOG_FACTORIALS = 5400
 # cephes lgam: log sqrt(2 pi) and the Stirling series in 1/x^2 below x = 1000
 _LS2PI = 0.91893853320467274178
 _STIRLING = (
@@ -97,7 +100,11 @@ def _lgam(x: float) -> float:
         return math.log(math.factorial(int(x) - 1))
     q = (x - 0.5) * math.log(x) - x + _LS2PI
     p = 1.0 / (x * x)
-    return q + _horner(p, _STIRLING_FAR if x >= 1000.0 else _STIRLING) / x
+    coefficients = _STIRLING_FAR if x >= 1000.0 else _STIRLING
+    series = coefficients[0]
+    for c in coefficients[1:]:  # cephes polevl: Horner's rule, highest power first
+        series = series * p + c
+    return q + series / x
 
 
 @lru_cache(maxsize=2)
@@ -115,12 +122,29 @@ def log_factorials(count: int) -> np.ndarray:
     return _log_factorial_table(max(count, _LOG_FACTORIALS))[:count]
 
 
-def _horner(x, coefficients):
-    """cephes polevl: the polynomial with these coefficients, highest power first."""
-    out = coefficients[0]
-    for c in coefficients[1:]:
-        out = out * x + c
-    return out
+def poisson_window(v: float) -> tuple[float, float]:
+    """Fox & Glynn's window (v - 10 sqrt(v) - 40, v + 10 sqrt(v) + 40) of Poisson(v)."""
+    spread = 10.0 * math.sqrt(v)
+    return v - spread - 40.0, v + spread + 40.0
+
+
+def poisson_tail(mu: float, k: int) -> float:
+    """P(N >= k) for N ~ Poisson(mu), summing the terms e^(n ln mu - mu - ln n!):
+    from k to the top of the window of k where k > mu, else 1 minus those from
+    the bottom of the window of mu to k - 1 (none where it lies above k, mu = inf
+    included).  Within 2**-52 (k |ln mu| + mu + ln k! + 1) relative."""
+    if k <= 0 or mu == 0.0:
+        return float(k <= 0)
+    if k > mu:
+        first, stop = k, int(poisson_window(k)[1]) + 1
+    else:
+        low = poisson_window(mu)[0]
+        if not low < k:
+            return 1.0
+        first, stop = max(int(low), 0), k
+    n = np.arange(first, stop)
+    mass = float(np.exp(n * math.log(mu) - mu - log_factorials(stop)[first:]).sum())
+    return mass if k > mu else 1.0 - mass
 
 
 def ndtr(a):
@@ -182,7 +206,7 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray, ladder=None):
         return _weighted_hermite_sq_scalar(float(t), weights)
     shape, t = t.shape, np.clip(t, -_T_FAR, _T_FAR).reshape(-1)
     ln0 = -0.5 * t * t
-    count = np.ceil(np.maximum(0.0, (-ln0 - 600.0) / _RESCALE_LN)).astype(np.int64)
+    count = np.ceil(np.fmax(0.0, (-ln0 - 600.0) / _RESCALE_LN)).astype(np.int64)  # 0 at NaN
     factor = np.take(_COUNT_FACTORS, np.minimum(count, 3))
     mant_prev, mant_cur = np.zeros_like(t), np.exp(ln0 + count * _RESCALE_LN)  # g_-1, g_0
     acc = weights[0] * np.square(mant_cur * factor)
@@ -317,12 +341,20 @@ def integrate(f, lower: float, upper: float, tol: float = 1e-10) -> float:
     return value
 
 
-def gauss_legendre_grid(lower: float, upper: float, panels: int, order: int = 12):
-    """Composite Gauss-Legendre nodes/weights on [lower, upper]: flat arrays
-    covering `panels` equal panels with an `order`-point rule each."""
+@lru_cache(maxsize=8)
+def _gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(order) once per order, as read-only arrays."""
     from numpy.polynomial.legendre import leggauss  # on first use: only the moments need it
 
     glx, glw = leggauss(order)
+    glx.flags.writeable = glw.flags.writeable = False
+    return glx, glw
+
+
+def gauss_legendre_grid(lower: float, upper: float, panels: int, order: int = 12):
+    """Composite Gauss-Legendre nodes/weights on [lower, upper]: flat arrays
+    covering `panels` equal panels with an `order`-point rule each."""
+    glx, glw = _gauss_legendre_rule(order)
     edges = np.linspace(lower, upper, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]

@@ -29,6 +29,7 @@ from .numerics import (
     log_factorials,
     oscillator_mixture,
     oscillator_mixture_cdf,
+    poisson_window,
 )
 from .states import PhotonStatistics
 
@@ -165,12 +166,6 @@ def roulette_density_y(stats: PhotonStatistics, y, eta: float = 1.0):
         origin = roulette_density_x(stats, 0.0, eta)
         out[at_floor] = math.inf if origin > 0.0 else 0.0
     return float(out[0]) if scalar else out
-
-
-def poisson_window(v: float) -> tuple[float, float]:
-    """Fox & Glynn's window (v - 10 sqrt(v) - 40, v + 10 sqrt(v) + 40) of Poisson(v)."""
-    spread = 10.0 * math.sqrt(v)
-    return v - spread - 40.0, v + spread + 40.0
 
 
 def _poisson_mixture(rho: np.ndarray, u: np.ndarray) -> np.ndarray:

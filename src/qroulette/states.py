@@ -27,8 +27,6 @@ WINDOW_CAP = HARD_CAP + 512
 DEFAULT_TAIL = 1e-12
 # rounding slack on both edges of the accepted mass band [1 - tail_bound, 1]
 MASS_SLACK = 1e-13
-# up to this mean the Poisson tail beyond WINDOW_CAP, pdtrc(WINDOW_CAP, N), is exactly 0.0
-_ZERO_TAIL_MEAN = 2000.0
 
 
 @dataclass(frozen=True)
@@ -183,27 +181,25 @@ def _too_bright(needed: float, tail_bound: float) -> TruncationError:
 def _bulk_end(mean: float, deviation: float, tail_bound: float) -> float:
     """mean + z deviation with the normal upper tail_bound quantile z: the n_max
     a bright state would need."""
-    from scipy.special import ndtri  # only a state too bright for the cap gets here
+    from statistics import NormalDist  # only a state too bright for the cap gets here
 
-    return mean - ndtri(tail_bound) * deviation
+    return mean - NormalDist().inv_cdf(tail_bound) * deviation
 
 
 def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
     import numpy as np
 
-    from .numerics import log_factorials
+    from .numerics import log_factorials, poisson_tail
 
     if mean_photons == 0.0:
         return np.array([1.0])
-    if mean_photons > _ZERO_TAIL_MEAN:
-        from scipy.special import pdtrc
-
-        if pdtrc(WINDOW_CAP, mean_photons) > tail_bound:
+    n_hi = int(mean_photons + 30.0 * math.sqrt(mean_photons + 1.0) + 30.0)
+    if n_hi > WINDOW_CAP:
+        if poisson_tail(mean_photons, WINDOW_CAP + 1) > tail_bound:
             # the Poisson quantile, by its normal approximation
             needed = _bulk_end(mean_photons, math.sqrt(mean_photons), tail_bound)
             raise _too_bright(needed, tail_bound)
-    n_hi = int(mean_photons + 30.0 * math.sqrt(mean_photons + 1.0) + 30.0)
-    n_hi = min(n_hi, WINDOW_CAP)
+        n_hi = WINDOW_CAP
     # the Poisson pmf in the log domain, exactly as scipy.stats.poisson.pmf computes it
     log_mean = math.log(mean_photons)
     raw = np.exp(np.arange(n_hi + 1) * log_mean - log_factorials(n_hi + 1) - mean_photons)

@@ -1,7 +1,9 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -324,6 +326,38 @@ class TestNaimarkCommand:
         payload = json.loads((tmp_path / "n.json").read_text())
         assert payload["max_partial_trace_residual"] <= 1e-12
 
+    def test_trial_memory_stays_flat(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        from qroulette import naimark
+
+        # stubs, so that a trial costs only the loop around them
+        spec = naimark.random_roulette_spec(np.random.default_rng(1), 2, 1)
+        report = naimark.ExtensionReport
+        cycle = itertools.cycle([report(1e-16, 5e-16, 2e-16), report(4e-16, 0.0, 3e-16)])
+        monkeypatch.setattr(naimark, "random_roulette_spec", lambda rng, **sizes: spec)
+        monkeypatch.setattr(naimark, "build_extension", lambda spec: (None, None))
+        monkeypatch.setattr(naimark, "verify_extension", lambda spec, ext, probe: next(cycle))
+        argv = ("--output-dir", str(tmp_path), "naimark", "discrete-random", "--json", "n.json")
+        peaks = []
+        for trials in (10, 10, 10_000):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv, "--trials", str(trials)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one report kept per trial adds about 2 MB; garbage awaiting the
+        # collector, about 0.2 MB
+        assert peaks[2] <= peaks[1] + 500_000, peaks
+        assert json.loads((tmp_path / "n.json").read_text()) == {
+            "trials": 10_000,
+            "max_orthogonality_residual": 4e-16,
+            "max_completeness_residual": 5e-16,
+            "max_partial_trace_residual": 3e-16,
+        }
+
     def test_corrupted_family_fails(self, capsys):
         code = run_cli("naimark", "discrete-random", "--trials", "2", "--corrupt")
         assert code == 1
@@ -515,6 +549,23 @@ class TestColdImports:
             "import sys\n"
             "import qroulette.cli\n"
             "assert qroulette.cli.main(['naimark', 'semiclassical', '--json', 's.json']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert fresh_interpreter(probe, tmp_path).splitlines()[-1] == "[]"
+
+    def test_exact_tails_and_too_bright_states_load_no_scipy(self, tmp_path):
+        probe = (
+            "import sys\n"
+            "import qroulette.cli\n"
+            "runs = [(2, ['naimark', 'semiclassical', '--amplitudes', '5',\n"
+            "             '--probe-trunc', '50'])]\n"
+            "for state, code in (('kind=coherent N=3000', 0), ('kind=coherent N=4500', 2),\n"
+            "                    ('kind=squeezed N=1e16 beta=0.5', 2)):\n"
+            "    runs.append((code, ['--output-dir', 'out', 'simulate', '--state', state,\n"
+            "                        '--scheme', 'direct', '--eta', '0.5', '--n-samples', '1000',\n"
+            "                        '--seed', '3', '--workers', '1']))\n"
+            "for code, argv in runs:\n"
+            "    assert qroulette.cli.main(argv) == code, argv\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         assert fresh_interpreter(probe, tmp_path).splitlines()[-1] == "[]"

@@ -2,10 +2,10 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
-from scipy.special import pdtrc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +22,8 @@ from qroulette.naimark import (
     two_mode_photocurrent,
     verify_extension,
 )
+from qroulette.numerics import poisson_tail
+from qroulette.states import WINDOW_CAP
 
 
 def two_family_spec():
@@ -175,10 +177,35 @@ class TestSemiclassical:
         assert poisson.sf(trunc - 1, 64.0) < 1e-10
 
     def test_coherent_tail_is_the_poisson_survival(self):
-        for z_abs in np.linspace(0.0, 30.0, 301):
-            for trunc in (-2, 0, 1, 2, 16, 40, 100, 300, 1000):
-                expected = float(scipy_stats.poisson.sf(trunc - 1, z_abs * z_abs))
-                assert naimark._coherent_tail(z_abs, trunc) == expected, (z_abs, trunc)
+        """poisson_tail against P(N >= k) = P(k, mu), the regularised lower incomplete
+        gamma function, in 40 digits: within 2**-51 (k |ln mu| + mu + ln k! + 1)
+        relative wherever the tail is at least 1e-300."""
+        points = [
+            (z_abs * z_abs, trunc)
+            for z_abs in np.linspace(0.0, 30.0, 301).tolist()
+            for trunc in (-2, 0, 1, 2, 16, 40, 100, 300, 1000)
+        ]
+        points += [(mu, WINDOW_CAP + 1) for mu in np.linspace(2000.0, 4700.0, 55).tolist()]
+        points += [
+            (mu, trunc)
+            for mu in (1.0, 500.0, 2000.0, 3000.0, 3900.0, 4096.0, 4200.0, 4700.0)
+            for trunc in (1500, 2000, 3000, 3500, 3900, 4000, MAX_TRUNC)
+        ]
+        for mu, trunc in points:
+            tail = poisson_tail(mu, trunc)
+            if trunc <= 0 or mu == 0.0:
+                assert tail == float(trunc <= 0), (mu, trunc)
+                continue
+            scale = trunc * abs(math.log(mu)) + mu + math.lgamma(trunc + 1.0) + 1.0
+            with mpmath.workdps(40):
+                exact = mpmath.gammainc(trunc, 0, mpmath.mpf(mu), regularized=True)
+                error = abs(tail - exact) / exact
+            if exact < 1e-300:
+                assert tail <= 1e-290, (mu, trunc, tail)
+            else:
+                assert error <= 2.0**-51 * scale, (mu, trunc, tail)
+        # the window of mu lies above the cut, or mu is inf: all of the mass
+        assert poisson_tail(1e300, MAX_TRUNC) == poisson_tail(math.inf, 1) == 1.0
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValidationError):
@@ -259,36 +286,18 @@ class TestSemiclassicalVectors:
         assert peak < 5e6
 
 
-class TestChernoffBound:
-    """The bound may only settle a tail as below a level where the exact tail is."""
-
-    LEVELS = (1e-10, 1e-11)
-
-    def test_never_below_where_the_tail_reaches_the_level(self):
-        trunc = np.arange(1, MAX_TRUNC + 1)
-        z_abs = np.linspace(0.0, 64.0, 1281)
-        for rows in np.array_split(z_abs, 10):
-            mu = (rows * rows)[:, None]
-            exact = pdtrc(trunc - 1, mu)  # _coherent_tail, elementwise
-            for level in self.LEVELS:
-                wrong = naimark._chernoff_below(mu, trunc, level) & (exact >= level)
-                assert not wrong.any(), (rows[wrong.any(axis=1)][:3], level)
+class TestCoherentTail:
+    """Truncations and their errors follow the exact Poisson tail."""
 
     def test_default_truncations_are_the_exact_tails(self):
-        """Around every default truncation the bound agrees with the exact tail
-        wherever it decides, and the truncation is the exact loop's."""
+        """Every default truncation is the loop's over scipy's Poisson survival."""
         for z_abs in np.arange(0.0, 58.0, 0.01):
             mu = z_abs * z_abs
             need = max(16, int(mu + 12.0 * math.sqrt(mu + 1.0) + 20.0))
             exact = need
-            while naimark._coherent_tail(z_abs, exact) >= 1e-11:
+            while scipy_stats.poisson.sf(exact - 1, mu) >= 1e-11:
                 exact += 16
             assert default_truncation(z_abs) == exact, z_abs
-            trunc = np.arange(max(1, exact - 16), exact + 17)
-            tails = pdtrc(trunc - 1, mu)
-            for level in self.LEVELS:
-                assert not (naimark._chernoff_below(mu, trunc, level) & (tails >= level)).any()
-            assert naimark._chernoff_below(mu, exact, 1e-11), z_abs
 
     def test_error_messages_keep_the_exact_tail(self):
         with pytest.raises(TruncationError, match="leaves coherent tail mass 6.953e-06 >= 1e-10"):

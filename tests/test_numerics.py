@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qroulette import numerics
 from qroulette.errors import IntegrationError, ValidationError
 from qroulette.numerics import (
     DensityTable,
@@ -22,6 +23,7 @@ from qroulette.numerics import (
     oscillator_density,
     oscillator_mixture,
     oscillator_mixture_cdf,
+    poisson_window,
 )
 from qroulette.states import HARD_CAP, WINDOW_CAP
 
@@ -46,6 +48,11 @@ class TestLogFactorials:
         assert short.base is full.base is not None
         assert not full.flags.writeable
         assert log_factorials(0).shape == (0,)
+
+    def test_every_poisson_tail_fits_the_table(self):
+        # the widest window poisson_tail sums ends at the top of that of WINDOW_CAP + 1
+        top = int(poisson_window(WINDOW_CAP + 1)[1]) + 1
+        assert log_factorials(top).base is log_factorials(5).base
 
 
 def ndtr_grid():
@@ -295,6 +302,31 @@ class TestMixtureBits:
         for x, value in zip(points, row):
             assert oscillator_mixture_cdf(weights, float(x)).tobytes() == value.tobytes()
         assert row[0] == 0.0 and row[-1] == pytest.approx(1.0, abs=1e-15)
+
+
+class TestGaussLegendreGrid:
+    def test_one_rule_per_order_and_the_same_grids(self, monkeypatch):
+        from numpy.polynomial import legendre
+
+        leggauss, built = legendre.leggauss, []
+        monkeypatch.setattr(
+            legendre, "leggauss", lambda order: built.append(order) or leggauss(order)
+        )
+        numerics._gauss_legendre_rule.cache_clear()
+        try:
+            grids = [gauss_legendre_grid(-1.0, 2.5, 7, order) for order in (12, 10, 12, 10, 12)]
+        finally:
+            numerics._gauss_legendre_rule.cache_clear()
+        assert built == [12, 10]
+        edges = np.linspace(-1.0, 2.5, 8)
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        for order, (nodes, weights) in zip((12, 10, 12, 10, 12), grids):
+            glx, glw = leggauss(order)
+            assert same_bits(nodes, (mid + half * glx).ravel())
+            assert same_bits(weights, (half * glw).ravel())
+        rule = numerics._gauss_legendre_rule(12)
+        assert not (rule[0].flags.writeable or rule[1].flags.writeable)
 
 
 class TestIntegrate:

@@ -92,6 +92,18 @@ class TestRouletteDensityX:
             assert roulette_density_x(stats, x, eta) == 0.0
             assert roulette_density_x(stats, np.array([x, -x]), eta).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_nan_points_give_nan_without_warnings(self, eta):
+        stats = photon_distribution(StateSpec.coherent(4.0))
+        finite = roulette_density_x(stats, np.array([1.0]), eta)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(roulette_density_x(stats, math.nan, eta))
+            density = roulette_density_x(stats, np.array([math.nan, 1.0]), eta)
+            assert math.isnan(density[0]) and density[1] == finite
+            assert math.isnan(roulette_cdf_abs_x(stats, math.nan, eta))
+            assert np.isnan(roulette_cdf_abs_x(stats, np.array([math.nan, 1.0]), eta)[0])
+
 
 class TestRouletteDensityY:
     def test_vacuum_closed_form(self):

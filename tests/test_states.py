@@ -11,7 +11,6 @@ from scipy.special import pdtrc
 
 from qroulette.errors import NumericalError, TruncationError, ValidationError
 from qroulette.states import (
-    _ZERO_TAIL_MEAN,
     HARD_CAP,
     WINDOW_CAP,
     StateSpec,
@@ -154,13 +153,29 @@ class TestBrightStates:
         with pytest.raises(TruncationError, match=re.escape(f"about {needed:.4g} > {HARD_CAP}")):
             photon_distribution(spec)
 
-    def test_no_poisson_tail_beyond_the_window_below_the_skip_threshold(self):
-        # _coherent_pmf skips its pdtrc test up to this mean, where it reads exactly 0.0
-        assert pdtrc(WINDOW_CAP, _ZERO_TAIL_MEAN) == 0.0
-        means = np.concatenate([np.logspace(-300, np.log10(_ZERO_TAIL_MEAN), 20_000), [5e-324]])
-        assert not pdtrc(WINDOW_CAP, means).any()
-        stats = photon_distribution(StateSpec.coherent(_ZERO_TAIL_MEAN))
-        assert 1.0 - 1e-12 - 1e-13 <= stats.rho.sum() <= 1.0 + 1e-13
+    def test_too_bright_exactly_where_the_poisson_tail_beyond_the_window_is(self):
+        # pdtrc(WINDOW_CAP, N) crosses 1e-12 at N = 4147.4686
+        near = 4147.4686 + np.arange(-5, 6) * 1e-4
+        means = np.concatenate([np.linspace(2000.0, 5000.0, 6001), near])
+        for mean in means.tolist():
+            try:
+                photon_distribution(StateSpec.coherent(mean))
+                too_bright = False
+            except TruncationError as error:
+                too_bright = "n_max of about" in str(error)
+            assert too_bright == (pdtrc(WINDOW_CAP, mean) > 1e-12), mean
+
+    def test_only_a_clipped_window_takes_the_tail(self, monkeypatch):
+        from qroulette import numerics
+
+        taken = []
+        monkeypatch.setattr(numerics, "poisson_tail", lambda mu, k: taken.append((mu, k)) or 0.0)
+        # the window N + 30 sqrt(N + 1) + 30 passes WINDOW_CAP from N = 2949.457 on
+        for mean in [1e-300, 0.5, 10.0, 500.0, 2000.0, 2900.0, 2949.45]:
+            photon_distribution(StateSpec.coherent(mean))
+        assert taken == []
+        photon_distribution(StateSpec.coherent(2949.46))
+        assert taken == [(2949.46, WINDOW_CAP + 1)]
 
     def test_squeezed_tail_beyond_the_window_names_the_needed_n_max(self):
         # 2.1 % of this law lies beyond the widest window, and its tail falls
