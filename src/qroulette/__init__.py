@@ -1,11 +1,10 @@
 """qroulette: random-phase homodyne measurement of the field intensity.
 
-A numpy toolkit (scipy only for adaptive quadrature) for the "quantum
-roulette" view of random-phase homodyne detection: outcome densities of
-roulette, heterodyne and direct photodetection under nonunit quantum
-efficiency, unbiased intensity estimators, closed-form noise comparisons,
-seeded Monte Carlo validation, and Naimark extensions of projector-mixture
-measurements.
+A numpy toolkit, with no other dependency, for the "quantum roulette" view
+of random-phase homodyne detection: outcome densities of roulette, heterodyne
+and direct photodetection under nonunit quantum efficiency, unbiased intensity
+estimators, closed-form noise comparisons, seeded Monte Carlo validation, and
+Naimark extensions of projector-mixture measurements.
 
 Each public name loads its module on first access, so ``import qroulette``
 loads no numpy; ``noise`` and a state's closed-form moments need none either.

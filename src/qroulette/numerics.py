@@ -2,8 +2,8 @@
 
 Everything here is a pure function of its inputs; GuideTable and DensityTable
 instances are immutable after construction and safe to share across workers.
-`integrate` loads scipy.integrate on its first call, and nothing else in the
-package needs scipy.  The normal distribution function `ndtr` is libm's erfc
+Nothing here needs scipy: `integrate` runs QUADPACK's Gauss-Kronrod rule on
+whole arrays of nodes.  The normal distribution function `ndtr` is libm's erfc
 (math.erfc), and the log-factorial table `log_factorials` ports the cephes
 routine behind scipy.special.gammaln bit for bit with libm's log, because the
 coherent photon-number law is pinned to scipy's Poisson pmf.  `poisson_tail`
@@ -11,11 +11,11 @@ sums a Poisson law over its window (`poisson_window`; Fox & Glynn, CACM 31
 (1988) 440).  Sampling tables are built from a law's exact CDF alone.
 
 The oscillator mixture has two paths with the same bits: arrays run the
-rescaled Hermite recurrence as numpy operations, and a single point, as
-adaptive quadrature asks for it, runs the same operations in the same order on
-Python floats (g_0 from np.exp), without the numpy dispatches that dominate
-one point's cost.  Both clamp the point to |t| <= 1e9, where every order's
-density is 0.0.  The array path also sums the ladder terms of the mixture's CDF.
+rescaled Hermite recurrence as numpy operations, and a single point runs the
+same operations in the same order on Python floats (g_0 from np.exp), without
+the numpy dispatches that dominate one point's cost.  Both clamp the point to
+|t| <= 1e9, where every order's density is 0.0.  The array path also sums the
+ladder terms of the mixture's CDF.
 """
 
 from __future__ import annotations
@@ -72,6 +72,20 @@ _FAR = float(np.finfo(float).max)
 _PANEL_POINTS = np.array([0.0, (3.0 - math.sqrt(5.0)) / 2.0, (math.sqrt(5.0) - 1.0) / 2.0, 1.0])
 # table panels one build may hold
 _MAX_PANELS = 500_000
+
+# QUADPACK's qk21 on [-1, 1] from 1 down to 0: Kronrod nodes and weights, Gauss weights
+_QK21_HALF = np.array([
+    (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+     0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+     0.2943928627014602, 0.14887433898163122, 0.0),
+    (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+     0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+     0.14277593857706009, 0.14773910490133849, 0.1494455540029169),
+    (0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
+     0.0, 0.26926671930999635, 0.0, 0.29552422471475287, 0.0),
+])
+_QK21 = (_QK21_HALF[:, :-1] * [[-1.0], [1.0], [1.0]], _QK21_HALF[:, ::-1])
+_KRONROD_NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS = np.concatenate(_QK21, axis=1)
 
 # ln n! is tabulated for n < 5400, past every photon-number window and every
 # Poisson tail's (the widest ends at 5327.9); a longer request builds a longer table
@@ -311,34 +325,74 @@ def oscillator_mixture_cdf(weights, x):
     return tails[0] * ndtr(2.0 * x) - pairs
 
 
+def _on_unit_interval(f, lower: float, upper: float):
+    """g on (0, 1) integrating as f over [lower, upper], by x = a + (b - a) u^2 (3 - 2 u),
+    a + s^2, b - s^2 or +-s^2 with s = (1 - t) / t: smooth at an inverse square root at
+    an end.  f gets 1-d arrays until a TypeError, ValueError or other shape, then floats."""
+    whole = True
+
+    def values(x: np.ndarray) -> np.ndarray:
+        nonlocal whole
+        try:
+            y = np.asarray(f(x), dtype=float) if whole else None
+        except (TypeError, ValueError):
+            y = None
+        whole = y is not None and y.shape == x.shape
+        return y if whole else np.array([float(f(point)) for point in x.tolist()])
+
+    if math.isfinite(lower) and math.isfinite(upper):
+        width = upper - lower
+        return lambda u: values(lower + width * u * u * (3 - 2 * u)) * (6 * width * u * (1 - u))
+    end = lower if math.isfinite(lower) else upper if math.isfinite(upper) else 0.0
+    sides = [1.0] if math.isfinite(lower) else [-1.0] if math.isfinite(upper) else [1.0, -1.0]
+
+    def g(t):
+        s = (1.0 - t) / t
+        y = values(np.concatenate([end + side * (s * s) for side in sides]))
+        return y.reshape(len(sides), -1).sum(axis=0) * (2.0 * s / (t * t))
+
+    return g
+
+
 def integrate(f, lower: float, upper: float, tol: float = 1e-10) -> float:
-    """Adaptive quadrature of f over [lower, upper].
+    """Adaptive quadrature of f over [lower, upper], either end possibly infinite,
+    by QUADPACK's 21-point Gauss-Kronrod rule and error estimate, in numpy.
 
-    Semi-infinite and doubly infinite ranges are accepted; they are mapped
-    to finite intervals by the library's algebraic transform.  Returns an
-    estimate with absolute error <= tol on smooth integrands; raises
-    IntegrationError (carrying the best estimate) when the refinement
-    budget is exhausted without convergence.
-    """
-    if tol <= 0.0:
-        raise ValidationError(f"integrate: tol must be positive (got {tol})")
-    from scipy import integrate as _quadpack  # on first use: most runs never integrate
-
-    result = _quadpack.quad(
-        f, lower, upper, epsabs=tol, epsrel=max(tol, 1e-12), limit=600, full_output=True
-    )
-    value, abserr = result[0], result[1]
-    if len(result) > 3:
-        raise IntegrationError(
-            f"quadrature did not converge on [{lower}, {upper}]: {str(result[3]).strip()}",
-            best_estimate=value,
-        )
-    if abserr > max(100.0 * tol, 1e-10 * max(1.0, abs(value))):
-        raise IntegrationError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance {tol:.3e}",
-            best_estimate=value,
-        )
-    return value
+    The range maps onto 16 equal panels of (0, 1).  A round evaluates the nodes of
+    every new panel in one call of f, then bisects the panels of largest error
+    until those left whole hold at most half the bound max(tol, max(tol, 1e-12) |I|)
+    on the summed estimate.  IntegrationError, carrying the estimate, follows past
+    600 panels, and at a NaN or infinite value of f."""
+    if not tol > 0.0 or math.isnan(lower) or math.isnan(upper):
+        raise ValidationError(f"integrate: tol must be > 0, ends not NaN ({tol}, {lower}, {upper})")
+    if lower >= upper:
+        return -integrate(f, upper, lower, tol) if lower > upper else 0.0
+    g = _on_unit_interval(f, float(lower), float(upper))
+    a, b = np.arange(16.0) / 16.0, np.arange(1.0, 17.0) / 16.0  # the panels to evaluate
+    kept = [np.empty(0)] * 4  # the panels left whole: ends, Kronrod sums, errors
+    while True:
+        half = 0.5 * (b - a)
+        with np.errstate(all="ignore"):
+            y = g((a + half + half * _KRONROD_NODES[:, None]).T.ravel()).reshape(a.size, -1)
+            if not np.isfinite(y).all():
+                raise IntegrationError(f"integrate: f not finite at a node in [{lower}, {upper}]")
+            kronrod = y @ _KRONROD_WEIGHTS
+            spread = np.abs(y - 0.5 * kronrod[:, None]) @ _KRONROD_WEIGHTS
+            error = spread * np.fmin(1, (200 * abs(kronrod - y @ _GAUSS_WEIGHTS) / spread) ** 1.5)
+        error = np.maximum(error, 50.0 * np.finfo(float).eps * (np.abs(y) @ _KRONROD_WEIGHTS))
+        a, b, values, errors = map(np.concatenate, zip(kept, (a, b, kronrod * half, error * half)))
+        total = float(values.sum())
+        bound = max(tol, max(tol, 1e-12) * abs(total))
+        if errors.sum() <= bound:
+            return total
+        order = np.argsort(errors)
+        stays = np.cumsum(errors[order]) <= 0.5 * bound
+        keep, split = order[stays], order[~stays]
+        if a.size + split.size > 600:
+            raise IntegrationError(f"integrate: 600 panels miss tol on [{lower}, {upper}]", total)
+        kept = [column[keep] for column in (a, b, values, errors)]
+        mid = 0.5 * (a[split] + b[split])
+        a, b = np.concatenate((a[split], mid)), np.concatenate((mid, b[split]))
 
 
 @lru_cache(maxsize=8)

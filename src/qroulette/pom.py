@@ -112,7 +112,7 @@ def _thinned_law(rho_bytes: bytes, eta: float) -> np.ndarray:
 
 def _thinned(stats: PhotonStatistics, eta: float) -> np.ndarray:
     """Read-only thinned weights, computed once per (state content, eta)."""
-    return stats.rho if eta == 1.0 else _thinned_law(stats.rho.tobytes(), eta)
+    return stats.rho if eta == 1.0 else _thinned_law(stats.rho_bytes, eta)
 
 
 def direct_detection_pmf(stats: PhotonStatistics, eta: float) -> np.ndarray:

@@ -146,6 +146,7 @@ class PhotonStatistics:
             )
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho_bytes", rho.tobytes())  # the key of cached laws
 
     @property
     def n_max(self) -> int:
@@ -193,7 +194,14 @@ def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
 
     if mean_photons == 0.0:
         return np.array([1.0])
+    log_mean = math.log(mean_photons)
     n_hi = int(mean_photons + 30.0 * math.sqrt(mean_photons + 1.0) + 30.0)
+    # grown while p(n_hi) N / (n_hi + 1 - N), over the tail past n_hi, tops _trim's margin
+    while n_hi <= WINDOW_CAP and (
+        n_hi * log_mean - mean_photons - log_factorials(n_hi + 1)[n_hi]
+        + math.log(mean_photons / (n_hi + 1.0 - mean_photons)) > math.log(1e-3 * tail_bound)
+    ):
+        n_hi += int(math.sqrt(mean_photons)) + 1
     if n_hi > WINDOW_CAP:
         if poisson_tail(mean_photons, WINDOW_CAP + 1) > tail_bound:
             # the Poisson quantile, by its normal approximation
@@ -201,7 +209,6 @@ def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
             raise _too_bright(needed, tail_bound)
         n_hi = WINDOW_CAP
     # the Poisson pmf in the log domain, exactly as scipy.stats.poisson.pmf computes it
-    log_mean = math.log(mean_photons)
     raw = np.exp(np.arange(n_hi + 1) * log_mean - log_factorials(n_hi + 1) - mean_photons)
     pmf = _trim(raw, tail_bound)
     # for bright states the rounded mass can leave the band PhotonStatistics

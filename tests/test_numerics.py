@@ -25,7 +25,8 @@ from qroulette.numerics import (
     oscillator_mixture_cdf,
     poisson_window,
 )
-from qroulette.states import HARD_CAP, WINDOW_CAP
+from qroulette.pom import heterodyne_density_I, roulette_density_x, roulette_density_y
+from qroulette.states import HARD_CAP, WINDOW_CAP, StateSpec, photon_distribution
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -357,6 +358,133 @@ class TestIntegrate:
         with pytest.raises(IntegrationError) as info:
             integrate(lambda x: math.sin(1e5 * x), 0.0, 1.0, 1e-13)
         assert info.value.best_estimate is not None
+
+    def test_the_rule_is_gauss_kronrod_21(self):
+        nodes = numerics._KRONROD_NODES
+        assert np.all(np.diff(nodes) > 0.0) and np.array_equal(nodes, -nodes[::-1])
+        assert np.count_nonzero(numerics._GAUSS_WEIGHTS) == 10
+        # exact on polynomials up to degree 31 (Kronrod) and 19 (Gauss), to a few ulp
+        for k in range(0, 32, 2):
+            exact = 2.0 / (k + 1)
+            assert abs(numerics._KRONROD_WEIGHTS @ nodes**k - exact) <= 2e-16, k
+            if k < 20:
+                assert abs(numerics._GAUSS_WEIGHTS @ nodes**k - exact) <= 2e-16, k
+
+    # the analytic normalisations: (state, eta) pairs of the paper's check that
+    # the outcome densities integrate to 1
+    ANALYTIC_STATES = [
+        StateSpec.coherent(4.0),
+        StateSpec.squeezed(2.0, 0.5),
+        StateSpec.thermal(1.0),
+        StateSpec.fock(3),
+    ]
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("spec", ANALYTIC_STATES, ids=StateSpec.describe)
+    def test_a_density_on_arrays_takes_a_few_calls(self, spec, eta):
+        stats = photon_distribution(spec)
+        for density, lower in ((roulette_density_x, -math.inf), (heterodyne_density_I, -1.0 / eta)):
+            shapes = []
+
+            def counted(x):
+                shapes.append(np.shape(x))
+                return density(stats, x, eta)
+
+            assert integrate(counted, lower, math.inf, 1e-9) == pytest.approx(1.0, abs=1e-9)
+            assert 1 <= len(shapes) <= 4 and all(len(shape) == 1 for shape in shapes), shapes
+
+    @pytest.mark.parametrize(
+        "lower, upper", [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.7), (-2.0, 3.0)]
+    )
+    def test_scalar_and_array_integrands_agree(self, lower, upper):
+        points = []
+
+        def scalar(x):
+            points.append(x)
+            return math.exp(-x * x)
+
+        by_point = integrate(scalar, lower, upper, 1e-12)
+        by_array = integrate(lambda x: np.exp(-x * x), lower, upper, 1e-12)
+        assert by_point == pytest.approx(by_array, abs=1e-13)
+        # math.exp refuses the first array; every later call is one float
+        assert isinstance(points[0], np.ndarray) and points[0].ndim == 1
+        assert len(points) > 1 and all(type(x) is float for x in points[1:])
+
+    def test_a_constant_result_goes_point_by_point(self):
+        assert integrate(lambda x: 1.5, -2.0, 3.0) == pytest.approx(7.5, abs=1e-14)
+        assert integrate(lambda x: np.float64(1.5), -2.0, 3.0) == pytest.approx(7.5, abs=1e-14)
+
+    def test_inverse_square_root_ends(self):
+        total = integrate(lambda x: 1.0 / np.sqrt(x + 0.5), -0.5, 0.5, 1e-10)
+        assert total == pytest.approx(2.0, abs=1e-9)
+        for spec in self.ANALYTIC_STATES + [StateSpec.vacuum()]:
+            stats = photon_distribution(spec)
+            for eta in (1.0, 0.5, 0.1):
+                density = lambda y: roulette_density_y(stats, y, eta)  # noqa: E731
+                total = integrate(density, -0.5 / eta, math.inf, 1e-10)
+                assert total == pytest.approx(1.0, abs=1e-9), (spec, eta)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: np.full_like(x, math.nan),
+            lambda x: x / (x - x),
+            lambda x: np.log(x - 0.5),
+            lambda x: math.inf,
+            lambda x: math.nan,
+            lambda x: np.where(x > 0.9, math.inf, 1.0),
+        ],
+    )
+    def test_nan_or_infinite_values_raise(self, f):
+        # warnings fail the suite: none may escape on the way
+        for lower, upper in ((0.0, 1.0), (0.0, math.inf)):
+            with pytest.raises(IntegrationError, match="not finite"):
+                integrate(f, lower, upper)
+
+    def test_reversed_and_empty_ranges(self):
+        assert integrate(np.exp, 1.0, 0.0) == pytest.approx(1.0 - math.e, abs=1e-14)
+        half_line = integrate(lambda x: np.exp(-x * x), math.inf, 0.0)
+        assert half_line == pytest.approx(-math.sqrt(math.pi) / 2.0, abs=1e-14)
+        for end in (2.0, math.inf, -math.inf):
+            assert integrate(np.cos, end, end) == 0.0
+
+    @pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.inf)])
+    def test_nan_ends_rejected(self, lower, upper):
+        with pytest.raises(ValidationError):
+            integrate(np.cos, lower, upper)
+
+
+class TestIntegrateAgainstQuadpack:
+    """A differential panel: scipy's QUADPACK, a test-only dependency, as oracle."""
+
+    CASES = {
+        "gaussian": (lambda x: np.exp(-x * x), -math.inf, math.inf),
+        "shifted gaussian": (lambda x: np.exp(-((x - 30.0) ** 2)), -math.inf, math.inf),
+        "gaussian from 0.3": (lambda x: np.exp(-x * x), 0.3, math.inf),
+        "gaussian to -0.7": (lambda x: np.exp(-x * x), -math.inf, -0.7),
+        "lorentzian": (lambda x: 1.0 / (1.0 + x * x), -math.inf, math.inf),
+        "lorentzian tail": (lambda x: 1.0 / (1.0 + x * x), 2.0, math.inf),
+        "damped sine": (lambda x: np.exp(-x) * np.sin(x), 0.0, math.inf),
+        "inverse square roots": (lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0),
+        "x^-0.9": (lambda x: x**-0.9, 0.0, 1.0),
+        "logarithm": (np.log, 0.0, 1.0),
+        "kink": (lambda x: np.abs(x - 0.3), -1.0, 1.0),
+        "step": (lambda x: np.where(np.asarray(x) > 0.3, 1.0, 0.0), 0.0, 1.0),
+        "cos 20x": (lambda x: np.cos(20.0 * x), 0.0, 2.0),
+        "quintic": (lambda x: x**5 - 3.0 * x**2, -2.0, 3.0),
+        "Fock 40": (lambda x: oscillator_density(40, x), -math.inf, math.inf),
+        "Fock 200": (lambda x: oscillator_density(200, x), -20.0, 20.0),
+    }
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_within_both_error_bounds(self, name, tol):
+        from scipy.integrate import quad
+
+        f, lower, upper = self.CASES[name]
+        expected, error = quad(f, lower, upper, epsabs=tol, epsrel=max(tol, 1e-12), limit=600)
+        bound = max(tol, max(tol, 1e-12) * abs(expected))
+        assert integrate(f, lower, upper, tol) == pytest.approx(expected, abs=bound + error)
 
 
 class TestInverseCdf:

@@ -307,6 +307,20 @@ class TestThinning:
             assert total == pytest.approx(1.0, abs=1e-7)
         assert calls == [0.5, 0.1]
 
+    def test_a_cached_law_copies_no_rho(self):
+        import tracemalloc
+
+        stats = photon_distribution(StateSpec.fock(4000))
+        first = pom._thinned(stats, 0.5)
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                assert pom._thinned(stats, 0.5) is first
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stats.rho.nbytes // 4, peak
+
     def test_shared_law_is_read_only_and_pmf_is_fresh(self):
         stats = photon_distribution(StateSpec.coherent(4.0))
         assert not pom._thinned(stats, 0.5).flags.writeable

@@ -72,6 +72,14 @@ class TestDistributions:
         assert 1.0 - 1e-12 <= stats.rho.sum() <= 1.0 + 1e-13
         assert moments(stats)[0] == pytest.approx(n_bar, rel=1e-12)
 
+    @pytest.mark.parametrize("n_bar", [100.0, 1000.0])
+    @pytest.mark.parametrize("tail_bound", [1e-300, 1e-200, 1e-100])
+    def test_coherent_honours_a_small_tail_bound(self, n_bar, tail_bound):
+        # the Poisson mass beyond n_max, P(N > n_max), by scipy's pdtrc
+        stats = photon_distribution(StateSpec.coherent(n_bar), tail_bound)
+        assert pdtrc(stats.n_max, n_bar) <= tail_bound
+        assert 1.0 - tail_bound - 1e-13 <= stats.rho.sum() <= 1.0 + 1e-13
+
     def test_coherent_within_slack_is_the_raw_poisson_pmf(self):
         # N = 10 sums to 1 + 1.8e-15: valid as computed, so it is left unscaled
         stats = photon_distribution(StateSpec.coherent(10.0))
