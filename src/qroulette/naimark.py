@@ -79,24 +79,24 @@ class RouletteSpec:
     def n_outcomes(self) -> int:
         return self.families[0].shape[0]
 
-    def validate(self, tol: float = PROJECTOR_TOL) -> None:
-        """Check the orthogonal-projector axioms family by family."""
+    def validate(self) -> None:
+        """Check the orthogonal-projector axioms family by family, to PROJECTOR_TOL."""
         eye = np.eye(self.system_dim)
         for k, fam in enumerate(self.families):
             herm = max(np.max(np.abs(p - p.conj().T)) for p in fam)
-            if herm > tol:
+            if herm > PROJECTOR_TOL:
                 raise ValidationError(
-                    f"family {k}: projector Hermiticity residual {herm:.3e} > {tol:g}"
+                    f"family {k}: projector Hermiticity residual {herm:.3e} > {PROJECTOR_TOL:g}"
                 )
             complete = np.max(np.abs(fam.sum(axis=0) - eye))
-            if complete > tol:
+            if complete > PROJECTOR_TOL:
                 raise ValidationError(
-                    f"family {k}: completeness residual {complete:.3e} > {tol:g}"
+                    f"family {k}: completeness residual {complete:.3e} > {PROJECTOR_TOL:g}"
                 )
             ortho = _orthogonality_residual(fam)
-            if ortho > tol:
+            if ortho > PROJECTOR_TOL:
                 raise ValidationError(
-                    f"family {k}: orthogonality residual {ortho:.3e} > {tol:g}"
+                    f"family {k}: orthogonality residual {ortho:.3e} > {PROJECTOR_TOL:g}"
                 )
 
 
@@ -137,11 +137,9 @@ def build_extension(spec: RouletteSpec) -> tuple[np.ndarray, np.ndarray]:
     spec.validate()
     dim, n_obs, n_out = spec.system_dim, spec.n_observables, spec.n_outcomes
     projectors = np.zeros((n_out, dim * n_obs, dim * n_obs), dtype=complex)
+    blocks = projectors.reshape(n_out, dim, n_obs, dim, n_obs)  # [m, i, k, j, l]: <i k|P_m|j l>
     for k, fam in enumerate(spec.families):
-        probe_proj = np.zeros((n_obs, n_obs))
-        probe_proj[k, k] = 1.0
-        for m in range(n_out):
-            projectors[m] += np.kron(fam[m], probe_proj)
+        blocks[:, :, k, :, k] = fam
     probe = np.sqrt(spec.weights).astype(complex)
     return projectors, probe
 
@@ -237,8 +235,8 @@ def _coherent_vector(z: complex, trunc: int) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def default_truncation(z_abs: float, tail: float = 1e-11, field: str = "truncation") -> int:
-    """Smallest Fock cutoff keeping the coherent-state tail below `tail`.
+def default_truncation(z_abs: float, field: str = "truncation") -> int:
+    """Smallest Fock cutoff keeping the coherent-state tail below 1e-11.
 
     A cutoff past MAX_TRUNC, |z|^2 = inf included, is a TruncationError naming
     `field` and the cutoff needed; it is raised before anything is allocated.
@@ -247,7 +245,7 @@ def default_truncation(z_abs: float, tail: float = 1e-11, field: str = "truncati
     need = mu + 12.0 * math.sqrt(mu + 1.0) + 20.0
     if need <= MAX_TRUNC:
         need = max(16, int(need))
-        while need <= MAX_TRUNC and poisson_tail(mu, need) >= tail:
+        while need <= MAX_TRUNC and poisson_tail(mu, need) >= 1e-11:
             need += 16
         if need <= MAX_TRUNC:
             return need

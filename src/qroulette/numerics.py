@@ -10,11 +10,10 @@ coherent photon-number law is pinned to scipy's Poisson pmf.  `poisson_tail`
 sums a Poisson law over its window (`poisson_window`; Fox & Glynn, CACM 31
 (1988) 440).  Sampling tables are built from a law's exact CDF alone.
 
-The oscillator mixture has two paths with the same bits: arrays run the
-rescaled Hermite recurrence as numpy operations, and a single point runs the
-same operations in the same order on Python floats (g_0 from np.exp), without
-the numpy dispatches that dominate one point's cost.  Both clamp the point to
-|t| <= 1e9, where every order's density is 0.0.  The array path also sums the
+The oscillator mixture is one rescaled Hermite recurrence run as numpy
+operations over all points at once; a single point runs it as a 0-d array, so
+it has the bits of the same point in any array.  Points are clamped to
+|t| <= 1e9, where every order's density is 0.0.  The same pass also sums the
 ladder terms of the mixture's CDF.
 """
 
@@ -216,8 +215,6 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray, ladder=None):
     ``sum_{k>=1} ladder[k] g_k g_{k-1}``, leaving the first sum's bits alone.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim == 0 and ladder is None:
-        return _weighted_hermite_sq_scalar(float(t), weights)
     shape, t = t.shape, np.clip(t, -_T_FAR, _T_FAR).reshape(-1)
     ln0 = -0.5 * t * t
     count = np.ceil(np.fmax(0.0, (-ln0 - 600.0) / _RESCALE_LN)).astype(np.int64)  # 0 at NaN
@@ -226,7 +223,8 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray, ladder=None):
     acc = weights[0] * np.square(mant_cur * factor)
     # A point's pair terms count from its last rescale on: before it its g are
     # below 1e-10, so the terms dropped are under 1e-20 and none is subnormal.
-    settled = factor == 1.0
+    # With count 0 everywhere, every factor is 1.0 and no rescale can come.
+    settled, rescaling = factor == 1.0, bool(count.any())
     term, pairs = np.empty_like(t), np.zeros_like(t)
     scaled, below = mant_cur * settled, np.empty_like(t)
     links = [None] * (len(weights) - 1) if ladder is None else ladder[1:].tolist()
@@ -239,7 +237,7 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray, ladder=None):
         mant_prev, mant_cur = mant_cur, np.subtract(term, mant_prev, out=mant_prev)
         # only a point with count > 0 passes _MANT_HIGH: at count 0 its
         # mantissa is g_k, and |g_k| <= 1.09 (Cramer's bound)
-        if np.abs(mant_cur, out=term).max(initial=0.0) > _MANT_HIGH:
+        if rescaling and np.abs(mant_cur, out=term).max(initial=0.0) > _MANT_HIGH:
             big = (term > _MANT_HIGH).nonzero()[0]
             mant_cur[big] *= _RESCALE
             mant_prev[big] *= _RESCALE
@@ -247,43 +245,19 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray, ladder=None):
             factor[big] = np.take(_COUNT_FACTORS, np.minimum(count[big], 3))
             settled[big] = factor[big] == 1.0
         if weight != 0.0:
-            acc = acc + weight * np.square(mant_cur * factor)
+            acc += weight * np.square(mant_cur * factor if rescaling else mant_cur)
         if link is not None:
             below, scaled = scaled, np.multiply(mant_cur, settled, out=below)
             np.multiply(scaled, below, out=term)
             term *= link
             pairs += term
-    return acc.reshape(shape) if ladder is None else (acc.reshape(shape), pairs.reshape(shape))
+    return acc.reshape(shape)[()] if ladder is None else (acc.reshape(shape), pairs.reshape(shape))
 
 
 @lru_cache(maxsize=16)
 def _recurrence_coefficients(n_terms: int) -> tuple[tuple[float, float], ...]:
     """(sqrt(2/(k+1)), sqrt(k/(k+1))) for k = 0 .. n_terms - 2: the step to g_{k+1}."""
     return tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(n_terms - 1))
-
-
-def _weighted_hermite_sq_scalar(t: float, weights: np.ndarray) -> np.float64:
-    """_weighted_hermite_sq at one point, bitwise equal to the array path:
-    the same IEEE operations in the same order, with g_0 from np.exp."""
-    t = min(max(t, -_T_FAR), _T_FAR)
-    ln0 = -0.5 * t * t
-    count = math.ceil(max(0.0, (-ln0 - 600.0) / _RESCALE_LN))
-    factor = _COUNT_FACTORS[min(count, 3)]
-    w = weights.tolist()
-    mant_prev, mant_cur = 0.0, float(np.exp(ln0 + count * _RESCALE_LN))
-    scaled = mant_cur * factor
-    acc = w[0] * (scaled * scaled)
-    for (step, damp), weight in zip(_recurrence_coefficients(len(w)), w[1:]):
-        mant_prev, mant_cur = mant_cur, t * step * mant_cur - damp * mant_prev
-        if count > 0 and abs(mant_cur) > _MANT_HIGH:
-            mant_cur *= _RESCALE
-            mant_prev *= _RESCALE
-            count -= 1
-            factor = _COUNT_FACTORS[min(count, 3)]
-        if weight != 0.0:
-            scaled = mant_cur * factor
-            acc = acc + weight * (scaled * scaled)
-    return np.float64(acc)
 
 
 def oscillator_density(n: int, x):

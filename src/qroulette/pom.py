@@ -154,8 +154,8 @@ def roulette_density_y(stats: PhotonStatistics, y, eta: float = 1.0):
     eta = check_eta(eta)
     floor = -0.5 / eta
     scalar = np.isscalar(y)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.zeros_like(y)
+    y = np.asarray(y, dtype=float)
+    out = np.where(np.isnan(y), math.nan, 0.0)
 
     inside = y > floor
     if inside.any():
@@ -165,7 +165,7 @@ def roulette_density_y(stats: PhotonStatistics, y, eta: float = 1.0):
     if at_floor.any():
         origin = roulette_density_x(stats, 0.0, eta)
         out[at_floor] = math.inf if origin > 0.0 else 0.0
-    return float(out[0]) if scalar else out
+    return float(out) if scalar else out[()]
 
 
 def _poisson_mixture(rho: np.ndarray, u: np.ndarray) -> np.ndarray:

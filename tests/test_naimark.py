@@ -73,6 +73,30 @@ class TestBuildExtension:
         assert report.max_completeness_residual <= 1e-14
         assert report.max_partial_trace_residual <= 1e-14
 
+    @staticmethod
+    def kron_projectors(spec):
+        """sum_k E_m^(k) (x) |k><k| by one np.kron per family and outcome."""
+        n_obs = spec.n_observables
+        ext = spec.system_dim * n_obs
+        projectors = np.zeros((spec.n_outcomes, ext, ext), dtype=complex)
+        for k, fam in enumerate(spec.families):
+            probe_proj = np.zeros((n_obs, n_obs))
+            probe_proj[k, k] = 1.0
+            for m in range(spec.n_outcomes):
+                projectors[m] += np.kron(fam[m], probe_proj)
+        return projectors
+
+    def test_probe_blocks_are_the_kron_construction(self):
+        rng = np.random.default_rng(2024)
+        specs = [two_family_spec()] + [random_roulette_spec(rng) for _ in range(200)]
+        for spec in specs:
+            projectors, probe = build_extension(spec)
+            expected = self.kron_projectors(spec)
+            assert projectors.shape == expected.shape and np.array_equal(projectors, expected)
+            assert verify_extension(spec, projectors, probe) == verify_extension(
+                spec, expected, probe
+            )
+
     def test_partial_trace_recovers_mixture(self):
         rng = np.random.default_rng(77)
         spec = random_roulette_spec(rng)

@@ -120,6 +120,23 @@ class TestRouletteDensityY:
         assert roulette_density_y(FOCK1, -0.5) == 0.0
         assert roulette_density_y(VACUUM, -1.0, 0.5) == math.inf
 
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_nan_and_zero_d_points_match_the_other_densities(self, eta):
+        stats, floor = photon_distribution(StateSpec.coherent(4.0)), -0.5 / eta
+        points = [math.nan, floor - 1.0, floor, 0.3, math.inf]
+        ones = roulette_density_y(stats, np.array(points), eta)
+        assert ones.shape == (5,) and math.isnan(ones[0])
+        assert ones[1:].tolist() == [0.0, math.inf, ones[3], 0.0] and ones[3] > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y, expected in zip(points, ones):
+                scalar = roulette_density_y(stats, y, eta)
+                zero_d = roulette_density_y(stats, np.array(y), eta)
+                assert type(scalar) is float and np.shape(zero_d) == ()
+                assert np.array([scalar, zero_d]).tobytes() == np.array([expected] * 2).tobytes(), y
+        assert math.isnan(roulette_density_x(stats, math.nan, eta))
+        assert np.shape(heterodyne_density_I(stats, np.array(0.3), eta)) == ()
+
     def test_fock_mean_is_unbiased(self):
         for n in (0, 1, 2, 5):
             stats = photon_distribution(StateSpec.fock(n))
