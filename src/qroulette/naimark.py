@@ -51,18 +51,20 @@ class RouletteSpec:
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise ValidationError("RouletteSpec: weights must be a nonempty 1-d array")
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > PROJECTOR_TOL:
-            raise ValidationError("RouletteSpec: weights must be >= 0 and sum to 1")
+        if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= PROJECTOR_TOL):  # NaN fails
+            raise ValidationError("RouletteSpec: weights must be finite, >= 0 and sum to 1")
         if len(self.families) != weights.size:
             raise ValidationError("RouletteSpec: one projector family per weight required")
         families = tuple(np.asarray(fam, dtype=complex) for fam in self.families)
         dim = families[0].shape[-1]
         n_out = families[0].shape[0]
-        for fam in families:
+        for k, fam in enumerate(families):
             if fam.ndim != 3 or fam.shape != (n_out, dim, dim):
                 raise ValidationError(
                     "RouletteSpec: families must share one (n_outcomes, d, d) shape"
                 )
+            if not np.all(np.isfinite(fam)):
+                raise ValidationError(f"RouletteSpec: family {k} has a non-finite entry")
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "families", families)
@@ -83,21 +85,16 @@ class RouletteSpec:
         """Check the orthogonal-projector axioms family by family, to PROJECTOR_TOL."""
         eye = np.eye(self.system_dim)
         for k, fam in enumerate(self.families):
-            herm = max(np.max(np.abs(p - p.conj().T)) for p in fam)
-            if herm > PROJECTOR_TOL:
-                raise ValidationError(
-                    f"family {k}: projector Hermiticity residual {herm:.3e} > {PROJECTOR_TOL:g}"
-                )
-            complete = np.max(np.abs(fam.sum(axis=0) - eye))
-            if complete > PROJECTOR_TOL:
-                raise ValidationError(
-                    f"family {k}: completeness residual {complete:.3e} > {PROJECTOR_TOL:g}"
-                )
-            ortho = _orthogonality_residual(fam)
-            if ortho > PROJECTOR_TOL:
-                raise ValidationError(
-                    f"family {k}: orthogonality residual {ortho:.3e} > {PROJECTOR_TOL:g}"
-                )
+            residuals = {
+                "projector Hermiticity": np.max(np.abs(fam - fam.conj().swapaxes(-1, -2))),
+                "completeness": np.max(np.abs(fam.sum(axis=0) - eye)),
+                "orthogonality": _orthogonality_residual(fam),
+            }
+            for name, residual in residuals.items():
+                if not residual <= PROJECTOR_TOL:  # NaN fails
+                    raise ValidationError(
+                        f"family {k}: {name} residual {residual:.3e} > {PROJECTOR_TOL:g}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -113,13 +110,15 @@ class ExtensionReport:
 
 
 def _orthogonality_residual(projectors: np.ndarray) -> float:
-    """max |P_i P_j - delta_ij P_j| over every ordered pair of projectors."""
-    residuals = [
-        float(np.max(np.abs(p_i @ p_j - (p_j if i == j else 0.0))))
-        for i, p_i in enumerate(projectors)
-        for j, p_j in enumerate(projectors)
-    ]
-    return max(residuals, default=0.0)
+    """max |P_i P_j - delta_ij P_j| over every ordered pair of projectors, by one
+    batched product P_i [P_0, P_1, ...] per projector; NaN propagates."""
+    projectors = np.ascontiguousarray(projectors)  # strided probe blocks would miss BLAS
+    residual = np.float64(0.0)
+    for i, p_i in enumerate(projectors):
+        products = p_i @ projectors
+        products[i] -= p_i
+        residual = np.maximum(residual, np.max(np.abs(products)))
+    return float(residual)
 
 
 def mixed_pom(spec: RouletteSpec) -> np.ndarray:
@@ -144,33 +143,28 @@ def build_extension(spec: RouletteSpec) -> tuple[np.ndarray, np.ndarray]:
     return projectors, probe
 
 
-def _partial_trace_probe(matrix: np.ndarray, dim: int, n_obs: int) -> np.ndarray:
-    return np.einsum("ipjp->ij", matrix.reshape(dim, n_obs, dim, n_obs))
-
-
 def verify_extension(
     spec: RouletteSpec, projectors: np.ndarray, probe: np.ndarray
 ) -> ExtensionReport:
-    """Residuals of the extension identities in max-absolute-entry norm:
-    orthogonality P_m P_n = delta_mn P_n, completeness sum_m P_m = 1, and the
-    probe partial trace recovering the mixed measurement."""
-    dim, n_obs = spec.system_dim, spec.n_observables
+    """Max-absolute-entry residuals of the probe-block form P_m = sum_k E_m^(k) (x) |k><k|
+    that build_extension returns: orthogonality P_m P_n = delta_mn P_n, as the largest
+    off-block entry <i k|P_m|j l> (k != l, all 0 in that form) or residual within a
+    diagonal block; completeness sum_m P_m = 1; and the probe partial trace recovering
+    the mixed measurement.  A NaN in the inputs reads as a NaN residual."""
+    dim, n_obs, n_out = spec.system_dim, spec.n_observables, spec.n_outcomes
     ext_dim = dim * n_obs
     projectors = np.asarray(projectors, dtype=complex)
     probe = np.asarray(probe, dtype=complex)
-    if projectors.shape != (spec.n_outcomes, ext_dim, ext_dim) or probe.shape != (n_obs,):
+    if projectors.shape != (n_out, ext_dim, ext_dim) or probe.shape != (n_obs,):
         raise ValidationError("verify_extension: dimension mismatch with the spec")
-
-    ortho = _orthogonality_residual(projectors)
-    complete = float(np.max(np.abs(projectors.sum(axis=0) - np.eye(ext_dim))))
-
-    weight_op = np.kron(np.eye(dim), np.outer(probe, probe.conj()))
-    target_pom = mixed_pom(spec)
-    pt = 0.0
-    for m in range(len(projectors)):
-        reduced = _partial_trace_probe(weight_op @ projectors[m], dim, n_obs)
-        pt = max(pt, float(np.max(np.abs(reduced - target_pom[m]))))
-    return ExtensionReport(ortho, complete, pt)
+    blocks = projectors.reshape(n_out, dim, n_obs, dim, n_obs)  # [m, i, k, j, l]: <i k|P_m|j l>
+    off_block = ~np.eye(n_obs, dtype=bool)[:, None, :]  # over [k, j, l], one outcome at a time
+    off = [np.max(np.abs(block), where=off_block, initial=0.0) for block in blocks]
+    ortho = np.max(off + [_orthogonality_residual(blocks[:, :, k, :, k]) for k in range(n_obs)])
+    complete = np.max(np.abs(projectors.sum(axis=0) - np.eye(ext_dim)))
+    reduced = np.einsum("mikjl,k,l->mij", blocks, probe.conj(), probe)
+    pt = np.max(np.abs(reduced - mixed_pom(spec)))
+    return ExtensionReport(float(ortho), float(complete), float(pt))
 
 
 def random_roulette_spec(

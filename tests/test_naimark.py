@@ -47,6 +47,25 @@ class TestRouletteSpec:
         with pytest.raises(ValidationError):
             spec.validate()
 
+    @pytest.mark.parametrize("weights", [[np.nan], [0.5, np.nan], [np.inf, 0.5]])
+    def test_non_finite_weights_rejected(self, weights):
+        family = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            RouletteSpec(weights=np.array(weights), families=(family,) * len(weights))
+
+    @pytest.mark.parametrize("entry", [np.nan, complex(0.0, np.inf)])
+    def test_non_finite_family_entry_rejected(self, entry):
+        families = [f.copy() for f in two_family_spec().families]
+        families[1][0, 1, 0] = entry
+        with pytest.raises(ValidationError, match="family 1 has a non-finite entry"):
+            RouletteSpec(weights=np.array([0.5, 0.5]), families=tuple(families))
+
+    def test_nan_written_after_construction_fails_validation(self):
+        spec = two_family_spec()
+        spec.families[1][1, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match="family 1: projector Hermiticity residual nan"):
+            spec.validate()
+
     def test_shape_mismatch_rejected(self):
         fam2 = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
         fam3 = np.eye(3, dtype=complex).reshape(3, 1, 3)
@@ -139,11 +158,86 @@ class TestBuildExtension:
         report = verify_extension(spec, projectors, probe)
         assert report.max_orthogonality_residual >= 1e-4
 
+    def test_perturbed_off_block_entry_is_the_orthogonality_residual(self):
+        spec = two_family_spec()
+        projectors, probe = build_extension(spec)
+        projectors.reshape(2, 2, 2, 2, 2)[0, 0, 0, 1, 1] += 1e-3  # <0 0|P_0|1 1>, k != l
+        report = verify_extension(spec, projectors, probe)
+        assert report.max_orthogonality_residual >= 1e-3
+
+    @pytest.mark.parametrize("where", ["projector", "probe"])
+    def test_nan_inputs_give_nan_residuals(self, where):
+        spec = two_family_spec()
+        projectors, probe = build_extension(spec)
+        if where == "projector":
+            projectors[1, 3, 2] = np.nan
+        else:
+            probe[1] = np.nan
+        report = verify_extension(spec, projectors, probe)
+        assert math.isnan(report.max_partial_trace_residual)
+        nan_expected = where == "projector"
+        assert math.isnan(report.max_orthogonality_residual) == nan_expected
+        assert math.isnan(report.max_completeness_residual) == nan_expected
+
     def test_dimension_mismatch_detected(self):
         spec = two_family_spec()
         projectors, probe = build_extension(spec)
         with pytest.raises(ValidationError):
             verify_extension(spec, projectors[:, :2, :2], probe)
+
+
+def dense_report(spec, projectors, probe):
+    """The three residuals from whole (dM) x (dM) matrices: one product per ordered
+    pair of projectors, and the partial trace through the kron weight operator."""
+    dim, n_obs = spec.system_dim, spec.n_observables
+    ortho = max(
+        float(np.max(np.abs(p_i @ p_j - (p_j if i == j else 0.0))))
+        for i, p_i in enumerate(projectors)
+        for j, p_j in enumerate(projectors)
+    )
+    complete = float(np.max(np.abs(projectors.sum(axis=0) - np.eye(dim * n_obs))))
+    weight_op = np.kron(np.eye(dim), np.outer(probe, probe.conj()))
+    reduced = [
+        np.einsum("ipjp->ij", (weight_op @ p).reshape(dim, n_obs, dim, n_obs)) for p in projectors
+    ]
+    partial_trace = max(float(np.max(np.abs(r - e))) for r, e in zip(reduced, mixed_pom(spec)))
+    return ortho, complete, partial_trace
+
+
+class TestBlockVerification:
+    def test_block_residuals_are_the_dense_ones(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            spec = random_roulette_spec(rng, max_dim=16, max_observables=8)
+            projectors, probe = build_extension(spec)
+            report = verify_extension(spec, projectors, probe)
+            block = (
+                report.max_orthogonality_residual,
+                report.max_completeness_residual,
+                report.max_partial_trace_residual,
+            )
+            dense = dense_report(spec, projectors, probe)
+            np.testing.assert_allclose(block, dense, rtol=0.0, atol=1e-15)
+
+    def test_memory_is_a_few_outcomes_not_a_second_copy(self):
+        rng = np.random.default_rng(5)
+        dim, n_obs, n_out = 32, 16, 8
+        families = []
+        for _ in range(n_obs):
+            basis, _r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            groups = basis.T.reshape(n_out, dim // n_out, dim)  # rows: the outcome's basis vectors
+            families.append(np.einsum("mvi,mvj->mij", groups, groups.conj()))
+        spec = RouletteSpec(weights=np.full(n_obs, 1.0 / n_obs), families=tuple(families))
+        projectors, probe = build_extension(spec)
+        tracemalloc.start()
+        try:
+            report = verify_extension(spec, projectors, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(report.to_dict().values()) <= 1e-12
+        # 4.2 MB per outcome, 33.5 MB for all 8; no kron operator, no second copy
+        assert peak <= 3 * projectors[0].nbytes, peak
 
 
 class TestTwoModePhotocurrent:
