@@ -213,9 +213,13 @@ def _phase_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def two_mode_photocurrent(system_trunc: int, probe_trunc: int) -> np.ndarray:
     """Matrix of the photocurrent a^dag e_minus + a e_plus on truncated
-    system (x) probe; Hermitian by construction on the truncation."""
-    if system_trunc < 2 or probe_trunc < 2:
-        raise ValidationError("two_mode_photocurrent: truncations must be >= 2")
+    system (x) probe; Hermitian by construction on the truncation.  The side
+    system_trunc * probe_trunc is at most MAX_DIM * MAX_M, as in build_extension."""
+    if min(system_trunc, probe_trunc) < 2 or system_trunc * probe_trunc > MAX_DIM * MAX_M:
+        raise ValidationError(
+            "two_mode_photocurrent: system_trunc and probe_trunc must be >= 2, with a"
+            f" product of at most {MAX_DIM * MAX_M} (got {system_trunc} and {probe_trunc})"
+        )
     a = _annihilation(system_trunc)
     e_plus, e_minus = _phase_ladder(probe_trunc)
     return np.kron(a.conj().T, e_minus) + np.kron(a, e_plus)

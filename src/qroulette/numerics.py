@@ -10,11 +10,11 @@ coherent photon-number law is pinned to scipy's Poisson pmf.  `poisson_tail`
 sums a Poisson law over its window (`poisson_window`; Fox & Glynn, CACM 31
 (1988) 440).  Sampling tables are built from a law's exact CDF alone.
 
-The oscillator mixture is one rescaled Hermite recurrence run as numpy
-operations over all points at once; a single point runs it as a 0-d array, so
+The oscillator mixture is one rescaled Hermite recurrence over all points at
+once, run to the last nonzero weight; a single point runs it as a 0-d array, so
 it has the bits of the same point in any array.  Points are clamped to
-|t| <= 1e9, where every order's density is 0.0.  The same pass also sums the
-ladder terms of the mixture's CDF.
+|t| <= 1e9, where every order's density is 0.0.  The same pass sums the CDF's
+ladder terms from its two rows, to the last nonzero weight or link.
 """
 
 from __future__ import annotations
@@ -212,7 +212,8 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray, ladder=None):
 
     whose intermediates stay representable for orders well beyond 1e4.  Given
     ``ladder``, as long as weights, the same pass also returns
-    ``sum_{k>=1} ladder[k] g_k g_{k-1}``, leaving the first sum's bits alone.
+    ``sum_{k>=1} ladder[k] g_k g_{k-1}`` from its two rows, leaving the first
+    sum's bits alone.  It stops at the last nonzero weight or link.
     """
     t = np.asarray(t, dtype=float)
     shape, t = t.shape, np.clip(t, -_T_FAR, _T_FAR).reshape(-1)
@@ -221,20 +222,27 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray, ladder=None):
     factor = np.take(_COUNT_FACTORS, np.minimum(count, 3))
     mant_prev, mant_cur = np.zeros_like(t), np.exp(ln0 + count * _RESCALE_LN)  # g_-1, g_0
     acc = weights[0] * np.square(mant_cur * factor)
-    # A point's pair terms count from its last rescale on: before it its g are
+    # A point's pair terms count once it has no rescale left: before, its g are
     # below 1e-10, so the terms dropped are under 1e-20 and none is subnormal.
     # With count 0 everywhere, every factor is 1.0 and no rescale can come.
     settled, rescaling = factor == 1.0, bool(count.any())
     term, pairs = np.empty_like(t), np.zeros_like(t)
-    scaled, below = mant_cur * settled, np.empty_like(t)
-    links = [None] * (len(weights) - 1) if ladder is None else ladder[1:].tolist()
+    used = weights if ladder is None else (weights != 0) | (ladder != 0)
+    stop = 1 + int(np.flatnonzero(used).max(initial=0))  # later terms are 0.0
+    links = [None] * (stop - 1) if ladder is None else ladder[1:stop].tolist()
     for (step, damp), weight, link in zip(
-        _recurrence_coefficients(len(weights)), weights[1:].tolist(), links
+        _recurrence_coefficients(stop), weights[1:stop].tolist(), links
     ):
         np.multiply(t, step, out=term)
         term *= mant_cur
         mant_prev *= damp
         mant_prev, mant_cur = mant_cur, np.subtract(term, mant_prev, out=mant_prev)
+        if link is not None:
+            np.multiply(mant_cur, mant_prev, out=term)
+            if rescaling:
+                term *= settled
+            term *= link
+            pairs += term
         # only a point with count > 0 passes _MANT_HIGH: at count 0 its
         # mantissa is g_k, and |g_k| <= 1.09 (Cramer's bound)
         if rescaling and np.abs(mant_cur, out=term).max(initial=0.0) > _MANT_HIGH:
@@ -246,11 +254,6 @@ def _weighted_hermite_sq(t: np.ndarray, weights: np.ndarray, ladder=None):
             settled[big] = factor[big] == 1.0
         if weight != 0.0:
             acc += weight * np.square(mant_cur * factor if rescaling else mant_cur)
-        if link is not None:
-            below, scaled = scaled, np.multiply(mant_cur, settled, out=below)
-            np.multiply(scaled, below, out=term)
-            term *= link
-            pairs += term
     return acc.reshape(shape)[()] if ladder is None else (acc.reshape(shape), pairs.reshape(shape))
 
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from qroulette import naimark
 from qroulette.errors import TruncationError, ValidationError
 from qroulette.naimark import (
+    MAX_DIM,
+    MAX_M,
     MAX_TRUNC,
     RouletteSpec,
     build_extension,
@@ -267,6 +269,21 @@ class TestTwoModePhotocurrent:
     def test_minimum_truncation(self):
         with pytest.raises(ValidationError):
             two_mode_photocurrent(1, 4)
+
+    @pytest.mark.parametrize("sizes", [(513, 2), (2, 513), (33, 32), (50_000, 2)])
+    def test_a_side_past_the_bound_allocates_nothing(self, sizes):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="system_trunc and probe_trunc"):
+                two_mode_photocurrent(*sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+
+    def test_the_largest_side_is_accepted(self):
+        side = MAX_DIM * MAX_M
+        assert two_mode_photocurrent(side // 2, 2).shape == (side, side)
 
 
 class TestSemiclassical:

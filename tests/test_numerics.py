@@ -231,9 +231,11 @@ class TestScalarMixturePath:
                 assert oscillator_density(n, np.array([x, -x])).tolist() == [0.0, 0.0]
 
 
-def reference_mixture(weights, x):
-    """The mixture density by one array pass of the rescaled recurrence, density
-    terms only: the bits the array and scalar paths must keep."""
+def reference_mixture(weights, x, ladder=None):
+    """The mixture density by one array pass of the rescaled recurrence over every
+    order: the bits the array and scalar paths must keep.  Given ``ladder``, also
+    the pair sum sum_k ladder[k] g_k g_{k-1}, a term counted once its point has no
+    rescale left before step k, and returns (density, pairs)."""
     t = np.clip(math.sqrt(2.0) * np.asarray(x, dtype=float), -1e9, 1e9)
     ln_rescale, factors = math.log(1e150), np.array([1.0, 1e-150, 1e-300, 0.0])
     ln0 = -0.5 * t * t
@@ -241,9 +243,12 @@ def reference_mixture(weights, x):
     factor = factors[np.minimum(count, 3)]
     mant_prev, mant_cur = 0.0, np.exp(ln0 + count * ln_rescale)
     acc = weights[0] * np.square(mant_cur * factor)
+    pairs = np.zeros_like(t)
     for k, weight in enumerate(weights[1:].tolist()):
         step, damp = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))
         mant_prev, mant_cur = mant_cur, t * step * mant_cur - damp * mant_prev
+        if ladder is not None:
+            pairs = pairs + np.where(count == 0, mant_cur * mant_prev * ladder[k + 1], 0.0)
         big = (np.abs(mant_cur) > 1e140) & (count > 0)
         mant_cur = np.where(big, mant_cur * 1e-150, mant_cur)
         mant_prev = np.where(big, mant_prev * 1e-150, mant_prev)
@@ -251,7 +256,13 @@ def reference_mixture(weights, x):
         factor = factors[np.minimum(count, 3)]
         if weight != 0.0:
             acc = acc + weight * np.square(mant_cur * factor)
-    return SQRT_2_OVER_PI * acc
+    return SQRT_2_OVER_PI * acc if ladder is None else (SQRT_2_OVER_PI * acc, pairs)
+
+
+def cdf_ladder(weights):
+    """The ladder oscillator_mixture_cdf gives the pass: T_k / sqrt(2 pi k)."""
+    tails = np.cumsum(weights[::-1])[::-1]
+    return tails / np.sqrt(2.0 * math.pi * np.maximum(np.arange(len(tails)), 1))
 
 
 class TestMixtureBits:
@@ -277,6 +288,47 @@ class TestMixtureBits:
         for weights in (dense / dense.sum(), sparse):
             expected = reference_mixture(weights, self.POINTS)
             assert oscillator_mixture(weights, self.POINTS).tobytes() == expected.tobytes()
+
+    def assert_pass_is_the_reference(self, weights):
+        t = math.sqrt(2.0) * self.POINTS
+        ladder = cdf_ladder(weights)
+        for weights_in in (np.zeros_like(weights), weights):
+            density, expected = reference_mixture(weights_in, self.POINTS, ladder)
+            _, pairs = _weighted_hermite_sq(t, weights_in, ladder)
+            assert pairs.tobytes() == expected.tobytes()
+            assert oscillator_mixture(weights_in, self.POINTS).tobytes() == density.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 64, 301, 1000])
+    def test_cdf_pairs_of_one_hot_orders(self, order):
+        self.assert_pass_is_the_reference(_one_hot(order))
+
+    @pytest.mark.parametrize("length", [2, 40, 513])
+    def test_cdf_pairs_of_dense_sparse_and_padded_weights(self, length):
+        rng = np.random.default_rng(length)
+        dense = rng.random(length)
+        sparse = np.where(rng.random(length) < 0.7, 0.0, dense)
+        for weights in (dense / dense.sum(), sparse, np.concatenate([sparse, np.zeros(500)])):
+            self.assert_pass_is_the_reference(weights)
+
+    def test_the_pass_stops_at_the_last_weight(self, monkeypatch):
+        asked, coefficients = [], numerics._recurrence_coefficients
+        monkeypatch.setattr(
+            numerics, "_recurrence_coefficients", lambda n: asked.append(n) or coefficients(n)
+        )
+        rng = np.random.default_rng(11)
+        for last in (0, 1, 36, 300):
+            weights = np.zeros(last + 1 + 250)
+            weights[: last + 1] = np.where(rng.random(last + 1) < 0.5, 0.0, 1.0)
+            weights[last] = 0.25
+            asked.clear()
+            oscillator_mixture(weights, self.POINTS)
+            oscillator_mixture_cdf(weights, self.POINTS)
+            assert asked == [last + 1, last + 1], last
+        # all-zero weights take no step
+        asked.clear()
+        oscillator_mixture(np.zeros(400), self.POINTS)
+        oscillator_mixture_cdf(np.zeros(400), self.POINTS)
+        assert all(len(coefficients(n)) == 0 for n in asked)
 
     def test_ladder_pass_leaves_the_density_sum(self):
         weights = np.random.default_rng(3).random(120)
