@@ -10,7 +10,7 @@ its sampling law once, before any worker starts: an inverse-CDF table built
 from the exact CDF of the roulette's |x| or of heterodyne's v = eta I + 1, or
 the thinned photon-number law.  Every draw takes one uniform and finds its
 table segment, or its photon number, through a guide table
-(`numerics.GuideTable`) in O(1) expected steps, bitwise np.interp on the table
+(`numerics.GuideTable`), most from one gather, bitwise np.interp on the table
 or Generator.choice on the pmf.  A run whose n_samples times the exact outcome
 variance overflows fails before any draw.
 
@@ -46,7 +46,6 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimators import intensity_estimator
 from .noise import (
     NoiseReport,
     direct_variance,
@@ -155,9 +154,12 @@ def _sampling_table(spec: StateSpec, scheme: str, eta: float) -> DensityTable:
     return build_inverse_cdf(cdf, (0.0, poisson_window(len(stats.rho))[1]), 1e-6)
 
 
-def _outcome(q, scheme: str, eta: float):
-    """The intensity outcome of a table abscissa: 2 |x|^2 - 1/(2 eta) or (v - 1)/eta."""
-    return intensity_estimator(q, eta) if scheme == "roulette" else (q - 1.0) / eta
+def _outcome(q, scheme: str, eta: float, out=None):
+    """The intensity outcome of table abscissae, into out if given: (v - 1)/eta,
+    or 2 |x|^2 - 1/(2 eta) in estimators.intensity_estimator's order, to the bit."""
+    if scheme == "roulette":
+        return np.subtract(np.multiply(np.multiply(q, 2.0, out), q, out), 0.5 / eta, out)
+    return np.divide(np.subtract(q, 1.0, out), eta, out)
 
 
 def _choice_cdf(pmf) -> np.ndarray:
@@ -169,6 +171,12 @@ def _choice_cdf(pmf) -> np.ndarray:
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
+
+
+@lru_cache(maxsize=8)
+def _choice_guide(pmf: bytes) -> GuideTable:
+    """The guide table of a float64 pmf's choice cdf, once per law, not per chunk."""
+    return GuideTable(_choice_cdf(np.frombuffer(pmf)))
 
 
 def _chunk_outcomes(
@@ -187,13 +195,13 @@ def _chunk_outcomes(
     )
     x = rng.random(size)
     if scheme == "direct":
-        guide = GuideTable(_choice_cdf(law))
+        guide = _choice_guide(np.asarray(law, dtype=float).tobytes())
     for start in range(0, size, BLOCK_SIZE):
         u = x[start : start + BLOCK_SIZE]
         if scheme == "direct":
-            u[:] = guide.rank(u) / eta
+            np.divide(guide.rank(u), eta, out=u)
         else:
-            u[:] = _outcome(law.sample(u), scheme, eta)
+            _outcome(law.sample(u), scheme, eta, out=u)
     return x
 
 

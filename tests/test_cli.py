@@ -890,6 +890,49 @@ AMPLITUDES_TEXT = st.lists(
 ).map(",".join)
 TRUNC = st.one_of(st.integers(-2, 80), st.sampled_from([MAX_TRUNC + 1, 100_000, 10**30]))
 
+# simulate inputs, valid three times in four field by field, so that about
+# half the runs draw: states whose tables build in milliseconds, or that fail
+# to parse or truncate, and sizes from below 1 to past their bounds
+def _mostly(valid, anything):
+    return st.integers(0, 3).flatmap(lambda k: anything if k == 3 else valid)
+
+
+SIM_NUMBER_TEXT = st.one_of(
+    st.floats(0.0, 8.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "5e-324", "1e400", "0", "-1", "abc", ""]),
+)
+SIM_STATE_TEXT = _mostly(
+    st.one_of(
+        st.builds("kind=coherent N={}".format, st.floats(0.0, 8.0)),
+        st.builds("kind=thermal N={}".format, st.floats(0.0, 8.0)),
+        st.builds("kind=squeezed N={} beta={}".format, st.floats(0.0, 8.0), st.floats(0.0, 1.0)),
+        st.builds("kind=fock n={}".format, st.integers(0, 8)),
+    ),
+    st.one_of(
+        st.builds("kind=coherent N={}".format, SIM_NUMBER_TEXT),
+        st.builds("kind=thermal N={}".format, SIM_NUMBER_TEXT),
+        st.builds("kind=squeezed N={} beta={}".format, SIM_NUMBER_TEXT, SIM_NUMBER_TEXT),
+        st.builds("kind=fock n={}".format, st.sampled_from(["-1", "2.5", "1e400", "abc"])),
+        st.builds(
+            "kind=custom weights={}".format, st.lists(SIM_NUMBER_TEXT, max_size=4).map(",".join)
+        ),
+    ),
+)
+SCHEME_TEXT = _mostly(
+    st.sampled_from(["roulette", "heterodyne", "direct"]), st.sampled_from(["homodyne", ""])
+)
+SIM_ETA_TEXT = _mostly(st.floats(0.0, 1.0, exclude_min=True).map(repr), NUMBER_TEXT)
+N_SAMPLES = _mostly(
+    st.one_of(st.integers(1, 3000), st.sampled_from([montecarlo.CHUNK_SIZE + 1, 2**53])),
+    st.sampled_from([-1, 0, 2**53 + 1, 10**30]),
+)
+SIM_SEED = _mostly(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64, 10**30]))
+WORKERS = _mostly(
+    st.one_of(st.integers(1, 4), st.sampled_from([10**6, 2**63, 10**30])), st.sampled_from([-1, 0])
+)
+# real draws per process in the simulate sweep
+SWEEP_DRAWS = 4096
+
 
 def manifest_params(**fields):
     """Params drawn field by field, with at most one field given a wrong JSON value."""
@@ -919,6 +962,20 @@ def _sweep_run(command, flags, params):
         curves = Path(out_dir) / "c.csv"
         rows = list(csv.DictReader(io.StringIO(curves.read_text()))) if curves.exists() else []
     return code, out.getvalue(), err.getvalue(), rows
+
+
+def _few_draws(law, scheme, eta, seed, n, edges, first, stop):
+    """montecarlo._batch_reduction from at most SWEEP_DRAWS real draws: one row,
+    scaled up to the batch's draws, stands for its chunks, so n_samples up to
+    2**53 draws and allocates next to nothing.  Below SWEEP_DRAWS it is the
+    real row."""
+    chunk = montecarlo.CHUNK_SIZE
+    draws = min(n, stop * chunk) - first * chunk
+    row = montecarlo._chunk_reduction(law, scheme, eta, seed, first, min(draws, SWEEP_DRAWS), edges)
+    scale = draws / row[0]
+    row[0] = draws
+    row[2:] *= scale
+    return [row]
 
 
 def _check_contract(code, err):
@@ -1036,6 +1093,89 @@ class TestAcceptedInputSweep:
     @settings(max_examples=100, deadline=None)
     def test_naimark_semiclassical_manifest(self, params):
         self.check_naimark(None, params)
+
+    def check_simulate(self, flags, params, requested=None):
+        """Run simulate with few draws and an in-process pool; returns the exit
+        code, stdout and the pool sizes asked for."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_batch_reduction", _few_draws)
+            patch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+            code, out, err, _ = _sweep_run("simulate", flags, params)
+        _check_contract(code, err)
+        # a pool only when more than one process is worth starting, and never
+        # more processes than cores or than were asked for
+        for size in sizes:
+            assert 1 < size <= (os.cpu_count() or 1), size
+            assert requested is None or size <= int(requested), (size, requested)
+        if code == 0:
+            head, figures = out.split(": ", 1)
+            assert int(head.rsplit("n=", 1)[1]) >= 1, out
+            values = figures.replace("(", " ").replace(")", " ").replace("=", " ").split()
+            found = dict(zip(values[0::2], map(float, values[1::2])))
+            assert found.keys() == {"mean", "variance", "stderr"}, out
+            assert all(math.isfinite(value) for value in found.values()), out
+        return code, out, sizes
+
+    @given(
+        state=SIM_STATE_TEXT,
+        scheme=SCHEME_TEXT,
+        eta=SIM_ETA_TEXT,
+        n_samples=N_SAMPLES,
+        seed=SIM_SEED,
+        workers=WORKERS,
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_simulate_flags(self, state, scheme, eta, n_samples, seed, workers):
+        flags = [f"--state={state}", f"--scheme={scheme}", f"--eta={eta}"]
+        flags += [f"--n-samples={n_samples}", f"--seed={seed}", f"--workers={workers}"]
+        self.check_simulate(flags, None, requested=workers)
+
+    @given(
+        params=manifest_params(
+            state=SIM_STATE_TEXT,
+            scheme=SCHEME_TEXT,
+            eta=SIM_ETA_TEXT,
+            n_samples=st.one_of(N_SAMPLES, N_SAMPLES.map(float), N_SAMPLES.map(str)),
+            seed=SIM_SEED,
+            workers=st.one_of(WORKERS, WORKERS.map(str)),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_simulate_manifest(self, params):
+        self.check_simulate(None, params)
+
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne", "direct"])
+    @pytest.mark.parametrize("workers", [1, 3, 10**30])
+    def test_simulate_at_the_largest_n_samples(self, scheme, workers):
+        # 2**36 chunks of draws, stood for by one row per process: the run
+        # merges them, sized by cores, within a few megabytes
+        flags = ["--state=kind=squeezed N=2.0 beta=0.5", f"--scheme={scheme}", "--eta=0.5"]
+        flags += [f"--n-samples={2**53}", "--seed=3", f"--workers={workers}"]
+        tracemalloc.start()
+        try:
+            code, out, sizes = self.check_simulate(flags, None, requested=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6, peak
+        assert code == 0 and f" n={2**53}:" in out, out
+        processes = min(workers, os.cpu_count() or 1)
+        assert sizes == ([] if processes == 1 else [processes])
 
 
 class TestSizeBounds:

@@ -547,6 +547,24 @@ class TestGuideLookupDraws:
         with pytest.raises(NumericalError):
             montecarlo._chunk_outcomes(np.array(pmf), scheme, 0.5, SEED, 0, 100)
 
+    def test_direct_run_builds_one_guide(self, monkeypatch):
+        built = []
+
+        class CountingGuide(GuideTable):
+            def __init__(self, cdf):
+                built.append(len(cdf))
+                super().__init__(cdf)
+
+        monkeypatch.setattr(montecarlo, "GuideTable", CountingGuide)
+        montecarlo._choice_guide.cache_clear()
+        try:
+            cfg = config(StateSpec.thermal(1.0), "direct", 0.5, n=3 * montecarlo.CHUNK_SIZE + 1)
+            summary = run_sampling(cfg)
+        finally:
+            montecarlo._choice_guide.cache_clear()
+        assert summary.n_samples == cfg.n_samples
+        assert len(built) == 1
+
 
 def full_array_reduction(law, scheme, eta, seed, chunk_index, size, edges):
     """One chunk mapped and reduced as whole arrays: the arithmetic that the

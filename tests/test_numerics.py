@@ -668,6 +668,43 @@ def density_tables(draw):
     return DensityTable(grid=grid, cdf=cdf, domain=(grid[0], grid[-1]))
 
 
+# points at and past the ends of [0, 1], where a lookup must still be total
+EXTREME_POINTS = [
+    0.0, -0.0, 5e-324, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, -1.0,
+    1e300, -1e300, 1e308, -1e308, math.inf, -math.inf, math.nan,
+]  # fmt: skip
+
+
+@st.composite
+def crowded_tables(draw):
+    """Tables with nodes spread over [0, 1] and a crowd of nodes in one guide
+    cell: runs of equal cdf values one ulp apart, subnormal ones at 0.  Returns
+    the table and its crowd."""
+    spread = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    at = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2.0**-20]), st.floats(0.0, 0.99)))
+    ulps = draw(st.lists(st.integers(0, 3), min_size=3, max_size=30))
+    crowd = at + np.cumsum(ulps) * np.spacing(at)
+    cdf = np.minimum(np.sort(np.concatenate(([0.0, 1.0], spread, crowd))), 1.0)
+    gaps = st.lists(st.floats(1e-3, 10.0), min_size=len(cdf) - 1, max_size=len(cdf) - 1)
+    grid = np.concatenate(([0.0], np.cumsum(draw(gaps))))
+    assume(np.all(np.diff(grid) > 0.0))
+    return DensityTable(grid=grid, cdf=cdf, domain=(grid[0], grid[-1])), crowd
+
+
+def assert_lookups_match(table, u):
+    """locate is searchsorted's and sample np.interp's, bit for bit, point by
+    point and as an array, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        located, sampled = table.locate(u), table.sample(u)
+        scalars = [table.sample(point) for point in u.tolist()]
+    kept = ~np.isnan(u)
+    np.testing.assert_array_equal(located[kept], np.searchsorted(table.cdf, u[kept], "right") - 1)
+    assert sampled.tobytes() == np.interp(u, table.cdf, table.grid).tobytes()
+    for point, value in zip(u.tolist(), scalars):
+        assert value.tobytes() == np.interp(point, table.cdf, table.grid).tobytes(), point
+
+
 class TestGuideLookup:
     @staticmethod
     def points(table, seed):
@@ -717,3 +754,55 @@ class TestGuideLookup:
         expected = np.random.default_rng(seed).choice(len(p), size=500, p=p)
         rng = np.random.default_rng(seed)
         np.testing.assert_array_equal(GuideTable(cdf).rank(rng.random(500)), expected)
+
+    @pytest.mark.parametrize(
+        "cdf", [[0.0, 0.5, 1.0], [0.0, 5e-324, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
+    )
+    def test_extreme_points_match_searchsorted_and_interp(self, cdf):
+        table = DensityTable(
+            grid=np.array([-1.0, 0.0, 1.0]), cdf=np.array(cdf), domain=(-1.0, 1.0)
+        )
+        assert_lookups_match(table, np.array(EXTREME_POINTS))
+
+    def test_extreme_points_rank_as_generator_choice_cdf(self):
+        # a choice cdf starts above 0 and ends at 1
+        cdf = np.array([0.25, 0.5, 0.5, 1.0])
+        u = np.array(EXTREME_POINTS[:-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranks = GuideTable(cdf).rank(u)
+        np.testing.assert_array_equal(ranks, np.searchsorted(cdf, u, "right"))
+
+    @given(case=crowded_tables(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_crowded_cells_match_searchsorted_and_interp_bitwise(self, case, seed):
+        table, crowd = case
+        nodes = table.cdf
+        u = np.concatenate(
+            (
+                EXTREME_POINTS,
+                nodes,
+                np.nextafter(nodes, -np.inf),
+                np.nextafter(nodes, np.inf),
+                np.nextafter(crowd, np.inf),
+                np.random.default_rng(seed).random(100),
+            )
+        )
+        assert_lookups_match(table, u)
+
+    def test_crowded_cell_takes_every_path(self):
+        # 41 nodes spread evenly and a crowd of 12 in runs one ulp apart at 0.5;
+        # points take the node-free cell, the one step and the binary search
+        crowd = 0.5 + np.arange(12) // 3 * np.spacing(0.5)
+        cdf = np.sort(np.concatenate((np.linspace(0.0, 1.0, 41), crowd)))
+        table = DensityTable(grid=np.arange(len(cdf), dtype=float), cdf=cdf, domain=(0.0, 52.0))
+        u = np.concatenate(
+            (np.random.default_rng(3).random(4000), cdf, np.nextafter(cdf, np.inf))
+        )
+        cells = numerics._GUIDE_CELLS_PER_NODE * len(cdf)
+        cell, node_cell = np.floor(u * cells), np.floor(cdf * cells)
+        before = np.searchsorted(node_cell, cell)
+        held = np.searchsorted(node_cell, cell, "right") > before
+        steps = np.searchsorted(cdf, u, "right") - before
+        assert (~held).any() and (held & (steps <= 1)).any() and (held & (steps >= 2)).any()
+        assert_lookups_match(table, u)
