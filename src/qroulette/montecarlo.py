@@ -173,7 +173,7 @@ def _choice_cdf(pmf) -> np.ndarray:
     return cdf
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=64)
 def _choice_guide(pmf: bytes) -> GuideTable:
     """The guide table of a float64 pmf's choice cdf, once per law, not per chunk."""
     return GuideTable(_choice_cdf(np.frombuffer(pmf)))

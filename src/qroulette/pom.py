@@ -230,30 +230,37 @@ def direct_detection_cdf(stats: PhotonStatistics, eta: float) -> np.ndarray:
     return np.cumsum(_thinned(stats, check_eta(eta)))
 
 
-def roulette_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: int = 1) -> float:
-    """Moment integral(y^order p_eta(y) dy) of the roulette intensity outcome.
+def _check_order(order) -> int:
+    """order as an int; ValidationError unless it is an integer (not a bool) from 0 to 4."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or not 0 <= order <= 4:
+        raise ValidationError(f"moment 'order' must be an integer from 0 to 4 (got {order!r})")
+    return int(order)
 
-    Integrated in the smooth quadrature parameterisation y = 2 x^2 - 1/(2 eta),
-    which removes the inverse-square-root boundary factor of the y density.
-    """
-    eta = check_eta(eta)
-    n_top = stats.n_max
-    x_lim = (math.sqrt((2.0 * n_top + 1.0) / 2.0) + 10.0) / math.sqrt(eta)
-    panels = max(64, 2 * (n_top + 16))
-    nodes, weights = gauss_legendre_grid(-x_lim, x_lim, panels)
+
+def roulette_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: int = 1) -> float:
+    """Moment integral(y^order p_eta(y) dy) of the roulette intensity outcome, order an
+    integer from 0 to 4, in the smooth parameterisation y = 2 x^2 - 1/(2 eta), which has
+    no inverse-square-root factor: twice the integral over [0, x_lim], as p_eta(x) and y
+    are even.  x_lim = (sqrt(n_max + 1/2) + 10) / sqrt(eta), ten past the top order's
+    turning point, is cut into max(32, n_max + 16) 12-point Gauss-Legendre panels, at
+    most 0.44 / sqrt(eta) wide; a panel of width h errs by h^25 (12!)^4 / (25 (24!)^3)
+    max|f^(24)| (Abramowitz & Stegun, section 25.4)."""
+    eta, order = check_eta(eta), _check_order(order)
+    x_lim = (math.sqrt((2.0 * stats.n_max + 1.0) / 2.0) + 10.0) / math.sqrt(eta)
+    nodes, weights = gauss_legendre_grid(0.0, x_lim, max(32, stats.n_max + 16))
     dens = roulette_density_x(stats, nodes, eta)
-    est = intensity_estimator(nodes, eta) ** order if order else np.ones_like(nodes)
-    return float(np.sum(weights * dens * est))
+    return 2.0 * float(np.sum(weights * dens * intensity_estimator(nodes, eta) ** order))
 
 
 def heterodyne_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: int = 1) -> float:
-    """Moment integral(I^order p_eta(I) dI) of the heterodyne intensity outcome,
-    integrated over v = eta I + 1, the unit-efficiency |alpha|^2 of the thinned state,
-    up to the top of the window of the mean len(rho), past every order."""
-    eta = check_eta(eta)
+    """Moment integral(I^order p_eta(I) dI) of the heterodyne intensity outcome, order an
+    integer from 0 to 4, over v = eta I + 1, the unit-efficiency |alpha|^2 of the thinned
+    state, up to `upper`, the top of the window of the mean len(rho), past every order.
+    It is cut into max(16, ceil(upper / 4)) 12-point Gauss-Legendre panels, at most 4 wide,
+    each erring by < 1e-23 max|f^(24)| (Abramowitz & Stegun, section 25.4); no term
+    e^-v v^m / m! has |f^(24)| > C(24, 12) ~ 2.7e6 (m = 12, v = 0): < 3e-17 for the density."""
+    eta, order = check_eta(eta), _check_order(order)
     upper = poisson_window(len(stats.rho))[1]
-    panels = max(64, int(upper) + 2 * stats.n_max)
-    v_nodes, weights = gauss_legendre_grid(0.0, upper, panels)
+    v_nodes, weights = gauss_legendre_grid(0.0, upper, max(16, math.ceil(upper / 4.0)))
     dens = _poisson_mixture(_thinned(stats, eta), v_nodes)
-    est = ((v_nodes - 1.0) / eta) ** order if order else np.ones_like(v_nodes)
-    return float(np.sum(weights * dens * est))
+    return float(np.sum(weights * dens * ((v_nodes - 1.0) / eta) ** order))

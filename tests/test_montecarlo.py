@@ -565,6 +565,31 @@ class TestGuideLookupDraws:
         assert summary.n_samples == cfg.n_samples
         assert len(built) == 1
 
+    def test_guides_of_many_laws_are_built_once_each(self, monkeypatch):
+        # the warm validation matrix cycles through 15 direct laws
+        built = []
+
+        class CountingGuide(GuideTable):
+            def __init__(self, cdf):
+                built.append(len(cdf))
+                super().__init__(cdf)
+
+        laws = {}
+        for _, spec in MATRIX_STATES:
+            for eta in MC_ETAS:
+                pmf = direct_detection_pmf(photon_distribution(spec), eta)
+                laws.setdefault(pmf.tobytes(), (pmf, eta))
+        assert len(laws) >= 9
+        monkeypatch.setattr(montecarlo, "GuideTable", CountingGuide)
+        montecarlo._choice_guide.cache_clear()
+        try:
+            for _ in range(2):
+                for pmf, eta in laws.values():
+                    montecarlo._chunk_outcomes(pmf, "direct", eta, SEED, 0, 100)
+        finally:
+            montecarlo._choice_guide.cache_clear()
+        assert len(built) == len(laws)
+
 
 def full_array_reduction(law, scheme, eta, seed, chunk_index, size, edges):
     """One chunk mapped and reduced as whole arrays: the arithmetic that the

@@ -9,7 +9,7 @@ from scipy.special import eval_laguerre, i0e
 from conftest import DENSITY_ETAS, MATRIX_STATES, MC_ETAS, full_order_poisson_mixture
 from qroulette import pom
 from qroulette.errors import ValidationError
-from qroulette.numerics import gauss_legendre_grid, integrate
+from qroulette.numerics import gauss_legendre_grid, integrate, poisson_window
 from qroulette.pom import (
     DetectorConfig,
     direct_detection_cdf,
@@ -451,6 +451,123 @@ class TestMomentIdentities:
             expected = mean_sq + (2.0 / eta - 1.0) * mean + 1.0 / eta**2
             assert second == pytest.approx(expected, rel=1e-10)
         assert sizes[0] == sizes[1]
+
+
+MOMENTS = [roulette_outcome_moment, heterodyne_outcome_moment]
+MOMENT_STATES = MATRIX_STATES + [
+    ("fock200", StateSpec.fock(200)),
+    ("coherent100", StateSpec.coherent(100.0)),
+    ("thermal50", StateSpec.thermal(50.0)),
+]
+MOMENT_ORDERS = range(5)
+
+
+def roulette_diagonals(length):
+    """<m|Y^k|m> for m < length and k = 0..4, with Y = n + (a^2 + a+^2)/2 = 2 x^2 - 1/2
+    in the vacuum-variance-1/4 convention.  Y is banded, so its powers are applied to
+    the identity, truncated 4 orders past the last m, where Y^2 |m> ends."""
+    dim = length + 4
+    n = np.arange(dim, dtype=float)
+    hop = 0.5 * np.sqrt(n[1:-1] * n[2:])[:, None]  # <i|Y|i+2>
+
+    def apply(cols):
+        out = n[:, None] * cols
+        out[:-2] += hop * cols[2:]
+        out[2:] += hop * cols[:-2]
+        return out
+
+    first = apply(np.eye(dim))
+    second = apply(first)
+    diagonals = [
+        np.ones(dim),
+        np.diag(first),
+        np.diag(second),
+        np.sum(first * second, axis=0),
+        np.sum(second * second, axis=0),
+    ]
+    return [d[:length] for d in diagonals]
+
+
+def exact_heterodyne_moments(pmf, eta):
+    """eta^-k sum_m p_m E[(V - 1)^k] for k = 0..4, V ~ Gamma(m + 1), whose raw
+    moments are the rising factorials (m + 1)_j."""
+    m = np.arange(len(pmf), dtype=float)
+    rising = [np.ones_like(m)]
+    for j in range(4):
+        rising.append(rising[-1] * (m + 1.0 + j))
+    return [
+        float(pmf @ sum(math.comb(k, j) * (-1.0) ** (k - j) * rising[j] for j in range(k + 1)))
+        / eta**k
+        for k in MOMENT_ORDERS
+    ]
+
+
+class TestMomentOracle:
+    """Orders 0-4 of both moments against finite sums over the thinned pmf p:
+    roulette eta^-k sum_m p_m <m|Y^k|m>, heterodyne eta^-k sum_m p_m E[(V - 1)^k]."""
+
+    @pytest.mark.parametrize("label, spec", MOMENT_STATES)
+    def test_orders_match_exact_sums(self, label, spec):
+        stats = photon_distribution(spec)
+        diagonals = roulette_diagonals(len(stats.rho))
+        for eta in (1.0, 0.5, 0.1, 0.01):
+            pmf = direct_detection_pmf(stats, eta)
+            for moment, exact in (
+                (roulette_outcome_moment, [pmf @ d / eta**k for k, d in enumerate(diagonals)]),
+                (heterodyne_outcome_moment, exact_heterodyne_moments(pmf, eta)),
+            ):
+                for order in MOMENT_ORDERS:
+                    value = moment(stats, eta, order)
+                    assert abs(value - exact[order]) <= 1e-12 * max(1.0, abs(exact[order])), (
+                        moment.__name__, eta, order, value, exact[order]
+                    )
+
+
+class TestMomentOrder:
+    COHERENT4 = photon_distribution(StateSpec.coherent(4.0))
+
+    @pytest.mark.parametrize("moment", MOMENTS)
+    @pytest.mark.parametrize("order", [-1, 0.5, 400, 5, "2", None, True, False])
+    def test_bad_order_is_rejected(self, moment, order):
+        with pytest.raises(ValidationError, match="'order'"):
+            moment(self.COHERENT4, 0.5, order)
+
+    @pytest.mark.parametrize("moment", MOMENTS)
+    def test_numpy_integer_order_is_accepted(self, moment):
+        assert moment(self.COHERENT4, 0.5, np.int64(2)) == moment(self.COHERENT4, 0.5, 2)
+
+
+class TestMomentGrids:
+    @pytest.mark.parametrize("label, spec", MOMENT_STATES)
+    def test_roulette_evaluates_the_half_line(self, label, spec, monkeypatch):
+        calls = []
+
+        def recording(stats, x, eta=1.0):
+            calls.append(np.array(x, dtype=float))
+            return roulette_density_x(stats, x, eta)
+
+        monkeypatch.setattr(pom, "roulette_density_x", recording)
+        stats = photon_distribution(spec)
+        for eta in (1.0, 0.1):
+            roulette_outcome_moment(stats, eta, 2)
+        assert len(calls) == 2
+        for points in calls:
+            assert np.all(points >= 0.0)
+            assert len(points) <= 12 * max(32, stats.n_max + 16)
+
+    @pytest.mark.parametrize("label, spec", MOMENT_STATES + [("fock4000", StateSpec.fock(4000))])
+    def test_heterodyne_panels_are_at_most_four_wide(self, label, spec, monkeypatch):
+        grids = []
+
+        def recording(lower, upper, panels, *args):
+            grids.append((lower, upper, panels))
+            return gauss_legendre_grid(lower, upper, panels, *args)
+
+        monkeypatch.setattr(pom, "gauss_legendre_grid", recording)
+        stats = photon_distribution(spec)
+        heterodyne_outcome_moment(stats, 0.5, 2)
+        upper = poisson_window(len(stats.rho))[1]
+        assert grids == [(0.0, upper, max(16, math.ceil(upper / 4.0)))]
 
 
 class TestExactCdfs:
