@@ -374,7 +374,7 @@ def integrate(f, lower: float, upper: float, tol: float = 1e-10) -> float:
 @lru_cache(maxsize=8)
 def _gauss_legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """leggauss(order) once per order, as read-only arrays."""
-    from numpy.polynomial.legendre import leggauss  # on first use: only the moments need it
+    from numpy.polynomial.legendre import leggauss  # on first use: no package code calls it
 
     glx, glw = leggauss(order)
     glx.flags.writeable = glw.flags.writeable = False

@@ -8,7 +8,8 @@ efficiency, rescale.  The number distribution is Bernoulli-thinned once per
   * heterodyne: p_eta(I) = eta p_thinned(eta I + 1) with p_thinned the Husimi
     radial law, a complex Gaussian of per-quadrature variance (1/eta - 1)/2;
   * direct detection: the thinned distribution itself.
-Every CDF is in closed form through the tail sums of the thinned weights.
+Every CDF is in closed form through the tail sums of the thinned weights, and as every
+POM is number-diagonal, every outcome moment of order 0-4 is a finite sum over them.
 A heterodyne law, a Poisson mixture, sums at each v only the orders in the window
 of Fox & Glynn (Commun. ACM 31 (1988) 440), v -+ (10 sqrt(v) + 40): with less than
 e^-50 ~ 2e-22 of the Poisson(v) weight beyond either end, the sum moves by < 4e-22.
@@ -22,15 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SCHEMES, ValidationError, check_eta
-from .estimators import intensity_estimator
-from .numerics import (
-    gauss_legendre_grid,
-    log_factorials,
-    oscillator_mixture,
-    oscillator_mixture_cdf,
-    poisson_window,
-)
+from .errors import SCHEMES, NumericalError, ValidationError, check_eta
+from .numerics import log_factorials, oscillator_mixture, oscillator_mixture_cdf, poisson_window
 from .states import PhotonStatistics
 
 __all__ = [
@@ -237,30 +231,35 @@ def _check_order(order) -> int:
     return int(order)
 
 
-def roulette_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: int = 1) -> float:
-    """Moment integral(y^order p_eta(y) dy) of the roulette intensity outcome, order an
-    integer from 0 to 4, in the smooth parameterisation y = 2 x^2 - 1/(2 eta), which has
-    no inverse-square-root factor: twice the integral over [0, x_lim], as p_eta(x) and y
-    are even.  x_lim = (sqrt(n_max + 1/2) + 10) / sqrt(eta), ten past the top order's
-    turning point, is cut into max(32, n_max + 16) 12-point Gauss-Legendre panels, at
-    most 0.44 / sqrt(eta) wide; a panel of width h errs by h^25 (12!)^4 / (25 (24!)^3)
-    max|f^(24)| (Abramowitz & Stegun, section 25.4)."""
+# For k = 0..4, <m|Y^k|m> with Y = 2 x^2 - 1/2 on the thinned state, and E[(V - 1)^k] with
+# V ~ Gamma(m + 1) the unit-efficiency |alpha|^2 of number state m, as polynomials in m
+# for np.polyval.  No coefficient is negative, so no sum cancels.
+_ROULETTE_DIAGONALS = (
+    (1,), (1, 0), (1.5, 0.5, 0.5), (2.5, 1.5, 3.5, 1), (4.375, 3.75, 16.625, 9.25, 3.75)
+)
+_HETERODYNE_DIAGONALS = ((1,), (1, 0), (1, 1, 1), (1, 3, 5, 2), (1, 6, 17, 20, 9))
+
+
+def _diagonal_moment(name: str, diagonals, stats: PhotonStatistics, eta, order) -> float:
+    """eta^-order sum_m p_m D(m) over the thinned pmf p, D = diagonals[order], divided by
+    eta once per order so that no eta^order underflows; NumericalError if it overflows."""
     eta, order = check_eta(eta), _check_order(order)
-    x_lim = (math.sqrt((2.0 * stats.n_max + 1.0) / 2.0) + 10.0) / math.sqrt(eta)
-    nodes, weights = gauss_legendre_grid(0.0, x_lim, max(32, stats.n_max + 16))
-    dens = roulette_density_x(stats, nodes, eta)
-    return 2.0 * float(np.sum(weights * dens * intensity_estimator(nodes, eta) ** order))
+    pmf = _thinned(stats, eta)
+    value = float(pmf @ np.polyval(diagonals[order], np.arange(len(pmf), dtype=float)))
+    for _ in range(order):
+        value /= eta
+    if not math.isfinite(value):
+        raise NumericalError(f"{name} of order {order} overflows at eta = {eta!r}")
+    return value
+
+
+def roulette_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: int = 1) -> float:
+    """Moment E[y^order], order an integer from 0 to 4, of the roulette intensity outcome
+    y = 2 x^2 - 1/(2 eta) = Y / eta: the thinned pmf summed against <m|Y^order|m>."""
+    return _diagonal_moment("roulette_outcome_moment", _ROULETTE_DIAGONALS, stats, eta, order)
 
 
 def heterodyne_outcome_moment(stats: PhotonStatistics, eta: float = 1.0, order: int = 1) -> float:
-    """Moment integral(I^order p_eta(I) dI) of the heterodyne intensity outcome, order an
-    integer from 0 to 4, over v = eta I + 1, the unit-efficiency |alpha|^2 of the thinned
-    state, up to `upper`, the top of the window of the mean len(rho), past every order.
-    It is cut into max(16, ceil(upper / 4)) 12-point Gauss-Legendre panels, at most 4 wide,
-    each erring by < 1e-23 max|f^(24)| (Abramowitz & Stegun, section 25.4); no term
-    e^-v v^m / m! has |f^(24)| > C(24, 12) ~ 2.7e6 (m = 12, v = 0): < 3e-17 for the density."""
-    eta, order = check_eta(eta), _check_order(order)
-    upper = poisson_window(len(stats.rho))[1]
-    v_nodes, weights = gauss_legendre_grid(0.0, upper, max(16, math.ceil(upper / 4.0)))
-    dens = _poisson_mixture(_thinned(stats, eta), v_nodes)
-    return float(np.sum(weights * dens * ((v_nodes - 1.0) / eta) ** order))
+    """Moment E[I^order], order an integer from 0 to 4, of the heterodyne intensity outcome
+    I = (V - 1) / eta: the thinned pmf summed against E[(V - 1)^order], V ~ Gamma(m + 1)."""
+    return _diagonal_moment("heterodyne_outcome_moment", _HETERODYNE_DIAGONALS, stats, eta, order)

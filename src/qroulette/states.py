@@ -199,7 +199,7 @@ def _coherent_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
     # grown while p(n_hi) N / (n_hi + 1 - N), over the tail past n_hi, tops _trim's margin
     while n_hi <= WINDOW_CAP and (
         n_hi * log_mean - mean_photons - log_factorials(n_hi + 1)[n_hi]
-        + math.log(mean_photons / (n_hi + 1.0 - mean_photons)) > math.log(1e-3 * tail_bound)
+        + log_mean - math.log(n_hi + 1.0 - mean_photons) > math.log(1e-3 * tail_bound)
     ):
         n_hi += int(math.sqrt(mean_photons)) + 1
     if n_hi > WINDOW_CAP:

@@ -7,9 +7,9 @@ from scipy import stats as scipy_stats
 from scipy.special import eval_laguerre, i0e
 
 from conftest import DENSITY_ETAS, MATRIX_STATES, MC_ETAS, full_order_poisson_mixture
-from qroulette import pom
-from qroulette.errors import ValidationError
-from qroulette.numerics import gauss_legendre_grid, integrate, poisson_window
+from qroulette import numerics, pom
+from qroulette.errors import NumericalError, ValidationError
+from qroulette.numerics import integrate
 from qroulette.pom import (
     DetectorConfig,
     direct_detection_cdf,
@@ -29,6 +29,7 @@ from qroulette.states import StateSpec, moments, photon_distribution
 VACUUM = photon_distribution(StateSpec.vacuum())
 FOCK1 = photon_distribution(StateSpec.fock(1))
 FOCK2 = photon_distribution(StateSpec.fock(2))
+FOCK3 = photon_distribution(StateSpec.fock(3))
 
 
 class TestDetectorConfig:
@@ -436,22 +437,6 @@ class TestMomentIdentities:
                 heterodyne_variance(mean, mean_sq, eta), abs=1e-6
             ), label
 
-    def test_heterodyne_grid_does_not_grow_as_eta_falls(self, monkeypatch):
-        sizes = []
-
-        def recording(lower, upper, panels, *args):
-            sizes.append(panels)
-            return gauss_legendre_grid(lower, upper, panels, *args)
-
-        monkeypatch.setattr(pom, "gauss_legendre_grid", recording)
-        stats = photon_distribution(StateSpec.coherent(4.0))
-        mean, mean_sq, _ = moments(stats)
-        for eta in (1.0, 0.01):
-            second = heterodyne_outcome_moment(stats, eta, 2)
-            expected = mean_sq + (2.0 / eta - 1.0) * mean + 1.0 / eta**2
-            assert second == pytest.approx(expected, rel=1e-10)
-        assert sizes[0] == sizes[1]
-
 
 MOMENTS = [roulette_outcome_moment, heterodyne_outcome_moment]
 MOMENT_STATES = MATRIX_STATES + [
@@ -537,37 +522,57 @@ class TestMomentOrder:
         assert moment(self.COHERENT4, 0.5, np.int64(2)) == moment(self.COHERENT4, 0.5, 2)
 
 
-class TestMomentGrids:
-    @pytest.mark.parametrize("label, spec", MOMENT_STATES)
-    def test_roulette_evaluates_the_half_line(self, label, spec, monkeypatch):
+class TestMomentSums:
+    """The moments are finite sums over the thinned pmf: no density, no grid."""
+
+    @pytest.mark.parametrize("moment", MOMENTS)
+    @pytest.mark.parametrize("label, spec", MOMENT_STATES + [("fock4000", StateSpec.fock(4000))])
+    def test_no_density_or_grid(self, moment, label, spec, monkeypatch):
         calls = []
 
-        def recording(stats, x, eta=1.0):
-            calls.append(np.array(x, dtype=float))
-            return roulette_density_x(stats, x, eta)
+        def recording(name):
+            return lambda *args, **kwargs: calls.append(name)
 
-        monkeypatch.setattr(pom, "roulette_density_x", recording)
+        for module, name in (
+            (pom, "roulette_density_x"),
+            (pom, "_poisson_mixture"),
+            (numerics, "gauss_legendre_grid"),
+        ):
+            monkeypatch.setattr(module, name, recording(name))
         stats = photon_distribution(spec)
-        for eta in (1.0, 0.1):
-            roulette_outcome_moment(stats, eta, 2)
-        assert len(calls) == 2
-        for points in calls:
-            assert np.all(points >= 0.0)
-            assert len(points) <= 12 * max(32, stats.n_max + 16)
+        for eta in (1.0, 0.5, 0.1):
+            for order in MOMENT_ORDERS:
+                assert math.isfinite(moment(stats, eta, order)), (eta, order)
+        assert calls == []
 
-    @pytest.mark.parametrize("label, spec", MOMENT_STATES + [("fock4000", StateSpec.fock(4000))])
-    def test_heterodyne_panels_are_at_most_four_wide(self, label, spec, monkeypatch):
-        grids = []
+    def test_heterodyne_second_moment_at_small_eta(self):
+        stats = photon_distribution(StateSpec.coherent(4.0))
+        mean, mean_sq, _ = moments(stats)
+        for eta in (1.0, 0.01):
+            second = heterodyne_outcome_moment(stats, eta, 2)
+            expected = mean_sq + (2.0 / eta - 1.0) * mean + 1.0 / eta**2
+            assert second == pytest.approx(expected, rel=1e-10)
 
-        def recording(lower, upper, panels, *args):
-            grids.append((lower, upper, panels))
-            return gauss_legendre_grid(lower, upper, panels, *args)
+    def test_exact_values(self):
+        assert roulette_outcome_moment(FOCK3, 1.0, 2) == 15.5
+        assert roulette_outcome_moment(FOCK3, 1.0, 4) == 636.75
+        assert heterodyne_outcome_moment(FOCK3, 1.0, 2) == 13.0
+        assert heterodyne_outcome_moment(FOCK3, 1.0, 4) == 465.0
+        assert roulette_outcome_moment(VACUUM, 0.5, 2) == 2.0
+        assert heterodyne_outcome_moment(VACUUM, 0.5, 2) == 4.0
 
-        monkeypatch.setattr(pom, "gauss_legendre_grid", recording)
-        stats = photon_distribution(spec)
-        heterodyne_outcome_moment(stats, 0.5, 2)
-        upper = poisson_window(len(stats.rho))[1]
-        assert grids == [(0.0, upper, max(16, math.ceil(upper / 4.0)))]
+    @pytest.mark.parametrize("moment", MOMENTS)
+    @pytest.mark.parametrize("eta", [1e-30, 1e-80, 1e-200])
+    def test_first_moment_at_tiny_eta(self, moment, eta):
+        stats = photon_distribution(StateSpec.coherent(4.0))
+        mean = moments(stats)[0]
+        assert moment(stats, eta, 1) == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("moment", MOMENTS)
+    def test_overflow_is_a_numerical_error(self, moment):
+        stats = photon_distribution(StateSpec.coherent(4.0))
+        with pytest.raises(NumericalError, match=f"{moment.__name__} .*eta = 1e-80"):
+            moment(stats, 1e-80, 4)
 
 
 class TestExactCdfs:

@@ -41,6 +41,12 @@ class TestDistributions:
         expected = [math.exp(-1.0) / math.factorial(n) for n in range(6)]
         assert stats.rho[:6] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n_bar", [5e-324, 1e-310, 1e-300])
+    def test_subnormal_coherent_is_vacuum(self, n_bar):
+        # N / (n + 1 - N) underflows to 0 here; the window test must not take its log
+        stats = photon_distribution(StateSpec.coherent(n_bar))
+        assert stats.rho.tolist() == [1.0]
+
     def test_thermal_is_geometric(self):
         stats = photon_distribution(StateSpec.thermal(1.0))
         expected = [2.0 ** -(n + 1) for n in range(8)]
