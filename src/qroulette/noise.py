@@ -4,14 +4,14 @@ All quantities depend on the state only through (mean_n, mean_nsq), the
 first two photon-number moments, plus the quantum efficiency eta.  Each zero
 contour point is one bisection of a bracket on which the gap never falls, run
 to adjacent floats; the beta = 0 intercept is the coherent crossover N = 1/eta
-in closed form.
+in closed form.  A contour validates (N, eta) once: its bisection steps run the
+gap kernel that squeezed_delta_rh also uses, which only checks each value finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 
 from .errors import NumericalError, ValidationError, check_eta
 
@@ -116,6 +116,26 @@ def threshold_n(eta: float = 1.0) -> float:
     return _finite("threshold_n", 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * _inverse_square(eta))), eta)
 
 
+def _squeezed_gap(total_n: float, eta: float):
+    """gap(beta) = squeezed_delta_rh(total_n, beta, eta) for arguments that are
+    already valid: 1/eta^2 is taken once and each value only checked finite, so a
+    bisection pays for the validation once per contour, not once per step."""
+    inverse_square = _inverse_square(eta)
+
+    def gap(beta: float) -> float:
+        bn = beta * total_n
+        value = (
+            total_n * total_n
+            + 2.0 * bn * (1.0 + bn)
+            + (1.0 - beta) * total_n * (1.0 + 2.0 * bn + 2.0 * math.sqrt(bn * (1.0 + bn)))
+            - total_n
+            - inverse_square
+        )
+        return _finite("squeezed_delta_rh", value, eta)
+
+    return gap
+
+
 def squeezed_delta_rh(total_n: float, beta: float, eta: float = 1.0) -> float:
     """Roulette/heterodyne gap for the squeezed family in (N, beta) form.
 
@@ -131,15 +151,7 @@ def squeezed_delta_rh(total_n: float, beta: float, eta: float = 1.0) -> float:
         raise ValidationError(f"total mean photon number must be finite and >= 0 (got {total_n})")
     if not 0.0 <= beta <= 1.0:
         raise ValidationError(f"squeezing fraction beta must lie in [0, 1] (got {beta})")
-    bn = beta * total_n
-    value = (
-        total_n * total_n
-        + 2.0 * bn * (1.0 + bn)
-        + (1.0 - beta) * total_n * (1.0 + 2.0 * bn + 2.0 * math.sqrt(bn * (1.0 + bn)))
-        - total_n
-        - _inverse_square(eta)
-    )
-    return _finite("squeezed_delta_rh", value, eta)
+    return _squeezed_gap(total_n, eta)(beta)
 
 
 @dataclass(frozen=True)
@@ -203,7 +215,7 @@ def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
 
 
 def _root_beta(total_n: float, eta: float) -> ZeroLinePoint:
-    f = partial(squeezed_delta_rh, total_n, eta=eta)
+    f = _squeezed_gap(total_n, eta)
     # With s = beta N = sinh^2 r and u = e^{2r} the number variance is
     # (N - s) u + 2 s (1 + s); du/ds >= 4 and u <= 2 + 4 s give it a slope
     # >= 4 (N - s) >= 0, so the gap never falls as beta grows: [0, 1] is the bracket.
@@ -254,5 +266,5 @@ def zero_contour_n(eta: float, beta: float, n_hi: float = 1e4) -> float:
         raise ValidationError(f"no contour crossing below N = {n_hi}")
     if beta == 0.0:
         return 1.0 / eta
-    f = partial(squeezed_delta_rh, beta=beta, eta=eta)
+    f = lambda n: _squeezed_gap(n, eta)(beta)
     return _bisect(f, 0.0, n_hi, f(0.0), at_hi)

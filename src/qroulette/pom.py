@@ -9,7 +9,8 @@ efficiency, rescale.  The number distribution is Bernoulli-thinned once per
     radial law, a complex Gaussian of per-quadrature variance (1/eta - 1)/2;
   * direct detection: the thinned distribution itself.
 Every CDF is in closed form through the tail sums of the thinned weights, and as every
-POM is number-diagonal, every outcome moment of order 0-4 is a finite sum over them.
+POM is number-diagonal, every outcome moment of order 0-4 is a finite sum: over the
+state's factorial moments, which thinning scales by eta^j, with no thinned weight.
 A heterodyne law, a Poisson mixture, sums at each v only the orders in the window
 of Fox & Glynn (Commun. ACM 31 (1988) 440), v -+ (10 sqrt(v) + 40): with less than
 e^-50 ~ 2e-22 of the Poisson(v) weight beyond either end, the sum moves by < 4e-22.
@@ -232,22 +233,33 @@ def _check_order(order) -> int:
 
 
 # For k = 0..4, <m|Y^k|m> with Y = 2 x^2 - 1/2 on the thinned state, and E[(V - 1)^k] with
-# V ~ Gamma(m + 1) the unit-efficiency |alpha|^2 of number state m, as polynomials in m
-# for np.polyval.  No coefficient is negative, so no sum cancels.
-_ROULETTE_DIAGONALS = (
-    (1,), (1, 0), (1.5, 0.5, 0.5), (2.5, 1.5, 3.5, 1), (4.375, 3.75, 16.625, 9.25, 3.75)
-)
-_HETERODYNE_DIAGONALS = ((1,), (1, 0), (1, 1, 1), (1, 3, 5, 2), (1, 6, 17, 20, 9))
+# V ~ Gamma(m + 1) the unit-efficiency |alpha|^2 of number state m, as polynomials
+# sum_j c_j (m)_j in the falling factorials (m)_j = m (m - 1) ... (m - j + 1), c_0 first:
+# the power coefficients times Stirling numbers of the second kind.  No c_j is negative,
+# so no sum cancels.
+_ROULETTE_DIAGONALS = ((1,), (0, 1), (0.5, 2, 1.5), (1, 7.5, 9, 2.5), (3.75, 34, 58.5, 30, 4.375))
+_HETERODYNE_DIAGONALS = ((1,), (0, 1), (1, 2, 1), (2, 9, 6, 1), (9, 44, 42, 12, 1))
+
+
+@lru_cache(maxsize=64)
+def _factorial_moments(rho_bytes: bytes) -> tuple[float, ...]:
+    """F_j = sum_n rho_n (n)_j for j = 0..4.  Thinning maps (m)_j to eta^j (n)_j, so
+    the thinned law's factorial moments are eta^j F_j: no thinned weight is needed."""
+    rho = np.frombuffer(rho_bytes)
+    falling = np.cumprod(np.arange(len(rho), dtype=float)[:, None] - np.arange(4.0), axis=1)
+    return (float(rho.sum()), *(rho @ falling).tolist())
 
 
 def _diagonal_moment(name: str, diagonals, stats: PhotonStatistics, eta, order) -> float:
-    """eta^-order sum_m p_m D(m) over the thinned pmf p, D = diagonals[order], divided by
-    eta once per order so that no eta^order underflows; NumericalError if it overflows."""
+    """eta^-order sum_m p_m D(m) over the thinned pmf p, D = diagonals[order], as
+    sum_j c_j F_j eta^(j - order) over the state's factorial moments F_j, dividing by
+    eta once per unit of order - j so that no eta^j underflows: exact at a subnormal
+    eta, and a NumericalError where it overflows."""
     eta, order = check_eta(eta), _check_order(order)
-    pmf = _thinned(stats, eta)
-    value = float(pmf @ np.polyval(diagonals[order], np.arange(len(pmf), dtype=float)))
-    for _ in range(order):
-        value /= eta
+    moments = _factorial_moments(stats.rho_bytes)
+    value = 0.0
+    for c, f in zip(diagonals[order], moments):
+        value = value / eta + c * f
     if not math.isfinite(value):
         raise NumericalError(f"{name} of order {order} overflows at eta = {eta!r}")
     return value

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -185,6 +186,13 @@ class TestThresholdCommand:
 
     def test_empty_etas_rejected(self, capsys):
         assert run_cli("threshold", "--etas", ",") == 1
+
+    def test_default_curves_are_pinned_bytes(self, tmp_path):
+        # pure float arithmetic and a correctly rounded sqrt: the same bytes on any CPU,
+        # so a change to the gap's expression or to the bisection shows here
+        assert run_cli("--output-dir", str(tmp_path), "threshold") == 0
+        digest = hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest()
+        assert digest == "9f03c0827d61709e9eed0144e0828d29a79a80e681a532017793ae93f7db5943"
 
 
 class TestSimulateCommand:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qroulette import noise
-from qroulette.errors import NumericalError, ValidationError
+from qroulette.errors import NumericalError, QRouletteError, ValidationError, check_eta
 from qroulette.noise import (
     MAX_POINTS,
     ZeroLinePoint,
@@ -369,6 +370,71 @@ class TestBisection:
         assert _bisect(lambda b: b - 1.0, 0.0, 1.0, -1.0, 0.0) == 1.0
         # a root below every normal float: bisection walks into the subnormals and stops
         assert _bisect(lambda b: b - 1e-320, 0.0, 1.0, -1e-320, 1.0) == 1e-320
+
+
+def _outcome(fn, *args):
+    """fn(*args) as float.hex strings, or the type and message of what it raised."""
+    try:
+        value = fn(*args)
+    except QRouletteError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, float):
+        return value.hex()
+    return [(p.total_n.hex(), p.beta.hex(), p.converged) for p in value]
+
+
+class TestContourOracle:
+    """zero_line and zero_contour_n against bisection over the public, validating
+    squeezed_delta_rh, bracket for bracket: equal bits, or the same error."""
+
+    ETAS = [1.0, 0.75, 0.5, 0.25, 0.1, 0.01, 1e-3, 1e-150, 1.3e-154, 1e-160, 5e-324]
+    # (64, 2000) holds N = 1000 = 1/eta, a gap of exactly 0 at eta = 1e-3; eta = 1.3e-154
+    # brackets roots near N = 7e153, and (3, 1e300) and eta <= 1e-160 overflow
+    GRIDS = [(128, 12.0), (2000, 50.0), (64, 2000.0), (7, 1e-320), (50, 7e153), (3, 1e300)]
+    BETAS = [0.0, 1e-9, 0.05, 0.5, 1.0]
+
+    @staticmethod
+    def reference_root_beta(total_n, eta):
+        f = functools.partial(squeezed_delta_rh, total_n, eta=eta)
+        at_0, at_1 = f(0.0), f(1.0)
+        if at_0 > 0.0 or at_1 < 0.0:
+            return ZeroLinePoint(total_n, math.nan, False)
+        return ZeroLinePoint(total_n, _bisect(f, 0.0, 1.0, at_0, at_1), True)
+
+    @staticmethod
+    def reference_zero_contour_n(eta, beta, n_hi):
+        check_eta(eta)
+        at_hi = squeezed_delta_rh(n_hi, beta, eta)
+        if at_hi <= 0.0:
+            raise ValidationError(f"no contour crossing below N = {n_hi}")
+        if beta == 0.0:
+            return 1.0 / eta
+        f = functools.partial(squeezed_delta_rh, beta=beta, eta=eta)
+        return _bisect(f, 0.0, n_hi, f(0.0), at_hi)
+
+    @pytest.mark.parametrize("eta", ETAS)
+    def test_zero_line_matches_bit_for_bit(self, eta, monkeypatch):
+        got = [_outcome(zero_line, eta, n_points, n_max) for n_points, n_max in self.GRIDS]
+        monkeypatch.setattr(noise, "_root_beta", self.reference_root_beta)
+        expected = [_outcome(zero_line, eta, n_points, n_max) for n_points, n_max in self.GRIDS]
+        assert got == expected
+
+    @pytest.mark.parametrize("eta", ETAS)
+    def test_zero_contour_n_matches_bit_for_bit(self, eta):
+        for n_hi in [1e4] + [n_max for _, n_max in self.GRIDS]:
+            for beta in self.BETAS:
+                got = _outcome(zero_contour_n, eta, beta, n_hi)
+                assert got == _outcome(self.reference_zero_contour_n, eta, beta, n_hi), (beta, n_hi)
+
+    def test_cases_reach_every_outcome(self):
+        exact_zero = _outcome(zero_line, 1e-3, 64, 2000.0)
+        assert ((1000.0).hex(), (0.0).hex(), True) in exact_zero
+        near_overflow = _outcome(zero_line, 1.3e-154, 50, 7e153)
+        assert sum(converged for _, _, converged in near_overflow) > 10
+        for eta, n_max in ((0.5, 1e300), (1e-160, 12.0), (5e-324, 12.0)):
+            assert _outcome(zero_line, eta, 3, n_max) == (
+                NumericalError, f"squeezed_delta_rh overflows at eta = {eta!r}"
+            )
 
 
 class TestNoiseReport:

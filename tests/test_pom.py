@@ -569,6 +569,17 @@ class TestMomentSums:
         assert moment(stats, eta, 1) == pytest.approx(mean, rel=1e-12)
 
     @pytest.mark.parametrize("moment", MOMENTS)
+    @pytest.mark.parametrize("eta", [1e-320, 5e-324])
+    def test_moments_at_subnormal_eta(self, moment, eta):
+        # the thinned weights are subnormal here; the factorial moments of the state are not
+        for mean in (4.0, 4.3):
+            stats = photon_distribution(StateSpec.coherent(mean))
+            assert moment(stats, eta, 0) == pytest.approx(1.0, rel=1e-12)
+            assert moment(stats, eta, 1) == pytest.approx(moments(stats)[0], rel=1e-12)
+            with pytest.raises(NumericalError, match=f"{moment.__name__} of order 2 overflows"):
+                moment(stats, eta, 2)
+
+    @pytest.mark.parametrize("moment", MOMENTS)
     def test_overflow_is_a_numerical_error(self, moment):
         stats = photon_distribution(StateSpec.coherent(4.0))
         with pytest.raises(NumericalError, match=f"{moment.__name__} .*eta = 1e-80"):
