@@ -1,6 +1,9 @@
-"""Exception hierarchy shared by all qroulette modules, the one efficiency check,
-and the scheme names and size bounds the command line prints, kept here so that
-printing them loads no numpy."""
+"""Exception hierarchy shared by all qroulette modules; the one efficiency check (eta a
+number in (0, 1]) and the one integer check (an int, numpy integer or integer-valued float
+in range, never a bool, for every order, size, truncation and seed); and the scheme names
+and size bounds the command line prints, kept here so that printing them loads no numpy."""
+
+import numbers
 
 SCHEMES = ("roulette", "heterodyne", "direct")
 
@@ -51,3 +54,17 @@ def check_eta(eta) -> float:
     if not 0.0 < value <= 1.0:
         raise ValidationError(f"quantum efficiency 'eta' must lie in (0, 1] (got {eta})")
     return value
+
+
+def check_int(value, name: str, low, high) -> int:
+    """Return value as an int; ValidationError unless it is an int, a numpy integer
+    or an integer-valued float, not a bool, in [low, high] (either may be infinite)."""
+    if (
+        type(value) is int  # the common case, ahead of the slow ABC check
+        or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        or isinstance(value, float) and value.is_integer()
+    ) and low <= value <= high:
+        return int(value)
+    if isinstance(high, int) and high > 1 << 32 and not high & high - 1:
+        high = f"2**{high.bit_length() - 1}"  # a large power of two, as 2**53
+    raise ValidationError(f"{name} must lie in [{low}, {high}] and be an integer (got {value!r})")

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_eta
+from .errors import NumericalError, ValidationError, check_eta, check_int
 from .numerics import _hermite_scaled
 
 __all__ = [
@@ -28,8 +28,8 @@ def richter_kernel(n: int, m: int, x: float, phi: float) -> complex:
     exactly when n == m; total order n + m is capped at 300, above which the
     Hermite factor leaves double range for generic x.
     """
-    if n < 0 or m < 0:
-        raise ValidationError(f"richter_kernel: orders must be >= 0 (got n={n}, m={m})")
+    n = check_int(n, "richter_kernel: order 'n'", 0, math.inf)
+    m = check_int(m, "richter_kernel: order 'm'", 0, math.inf)
     order = n + m
     if order > MAX_KERNEL_ORDER:
         raise NumericalError(

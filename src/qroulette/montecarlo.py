@@ -45,7 +45,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int
 from .noise import (
     NoiseReport,
     direct_variance,
@@ -102,12 +102,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.n_samples <= MAX_SAMPLES:
-            raise ValidationError(f"n_samples must lie in [1, 2**53] (got {self.n_samples})")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1 (got {self.workers})")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
+        bounds = (("n_samples", 1, MAX_SAMPLES), ("workers", 1, math.inf), ("seed", 0, 2**64 - 1))
+        for name, low, high in bounds:  # stored as ints: a seed of 1.0 is recorded as 1
+            object.__setattr__(self, name, check_int(getattr(self, name), name, low, high))
 
 
 @dataclass(frozen=True)

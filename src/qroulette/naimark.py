@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import MAX_DIM, MAX_M, MAX_TRUNC, TruncationError, ValidationError
+from .errors import MAX_DIM, MAX_M, MAX_TRUNC, TruncationError, ValidationError, check_int
 from .numerics import log_factorials, poisson_tail
 
 __all__ = [
@@ -171,12 +171,8 @@ def random_roulette_spec(
     rng: np.random.Generator, max_dim: int = 8, max_observables: int = 4
 ) -> RouletteSpec:
     """Random valid spec: Haar-random eigenbases partitioned into projectors."""
-    if not 2 <= max_dim <= MAX_DIM:
-        raise ValidationError(f"field 'max_dim' must lie in [2, {MAX_DIM}] (got {max_dim})")
-    if not 1 <= max_observables <= MAX_M:
-        raise ValidationError(
-            f"field 'max_m' ('max_observables') must lie in [1, {MAX_M}] (got {max_observables})"
-        )
+    max_dim = check_int(max_dim, "field 'max_dim'", 2, MAX_DIM)
+    max_observables = check_int(max_observables, "field 'max_m' ('max_observables')", 1, MAX_M)
     dim = int(rng.integers(2, max_dim + 1))
     n_obs = int(rng.integers(1, max_observables + 1))
     weights = rng.dirichlet(np.ones(n_obs))
@@ -215,10 +211,12 @@ def two_mode_photocurrent(system_trunc: int, probe_trunc: int) -> np.ndarray:
     """Matrix of the photocurrent a^dag e_minus + a e_plus on truncated
     system (x) probe; Hermitian by construction on the truncation.  The side
     system_trunc * probe_trunc is at most MAX_DIM * MAX_M, as in build_extension."""
-    if min(system_trunc, probe_trunc) < 2 or system_trunc * probe_trunc > MAX_DIM * MAX_M:
+    system_trunc = check_int(system_trunc, "two_mode_photocurrent: 'system_trunc'", 2, math.inf)
+    probe_trunc = check_int(probe_trunc, "two_mode_photocurrent: 'probe_trunc'", 2, math.inf)
+    if system_trunc * probe_trunc > MAX_DIM * MAX_M:
         raise ValidationError(
-            "two_mode_photocurrent: system_trunc and probe_trunc must be >= 2, with a"
-            f" product of at most {MAX_DIM * MAX_M} (got {system_trunc} and {probe_trunc})"
+            "two_mode_photocurrent: system_trunc and probe_trunc must have a product of at most"
+            f" {MAX_DIM * MAX_M} (got {system_trunc} and {probe_trunc})"
         )
     a = _annihilation(system_trunc)
     e_plus, e_minus = _phase_ladder(probe_trunc)
@@ -281,8 +279,8 @@ def semiclassical_check(
     ):
         if trunc is None:
             trunc = default_truncation(z_abs, field=field)
-        elif trunc > MAX_TRUNC:
-            raise ValidationError(f"field '{field}' must be at most {MAX_TRUNC} (got {trunc})")
+        else:  # no floor: a short truncation fails on its tail mass
+            trunc = check_int(trunc, f"field '{field}'", -math.inf, MAX_TRUNC)
         tail = poisson_tail(z_abs * z_abs, trunc)
         if tail >= 1e-10:
             raise TruncationError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import NumericalError, ValidationError, check_eta
+from .errors import NumericalError, ValidationError, check_eta, check_int
 
 # the points one zero contour may sample
 MAX_POINTS = 100_000
@@ -236,8 +236,7 @@ def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[Zero
     included whenever it falls inside (0, n_max].
     """
     check_eta(eta)
-    if not 1 <= n_points <= MAX_POINTS:
-        raise ValidationError(f"n_points must lie in [1, {MAX_POINTS}] (got {n_points})")
+    n_points = check_int(n_points, "n_points", 1, MAX_POINTS)
     if not 0.0 < n_max < math.inf:
         raise ValidationError(f"n_max must be positive and finite (got {n_max})")
     n_max = float(n_max)

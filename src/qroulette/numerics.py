@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegrationError, ValidationError
+from .errors import IntegrationError, ValidationError, check_int
 
 __all__ = [
     "DensityTable",
@@ -179,8 +179,9 @@ def hermite_h(n: int, x: float) -> float:
     for large n and |x|; use :func:`oscillator_density` when the Gaussian
     weight is meant to tame the growth.
     """
-    if n < 0:
-        raise ValidationError(f"hermite_h: order must be >= 0 (got {n})")
+    n = check_int(n, "hermite_h: order", 0, math.inf)
+    if math.isinf(x):
+        return x**n  # the limit, where the recurrence would take inf - inf
     h_prev, h_cur = 0.0, 1.0
     for k in range(n):
         h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * k * h_prev
@@ -269,9 +270,7 @@ def oscillator_density(n: int, x):
     quadrature convention with vacuum variance 1/4.  Accepts scalars or
     arrays; total function, no overflow for n up to at least 1e4.
     """
-    if n < 0 or n != int(n):
-        raise ValidationError(f"oscillator_density: order must be a nonnegative integer (got {n})")
-    weights = np.zeros(int(n) + 1)
+    weights = np.zeros(check_int(n, "oscillator_density: order", 0, math.inf) + 1)
     weights[-1] = 1.0
     return oscillator_mixture(weights, x)
 
@@ -537,10 +536,9 @@ def build_inverse_cdf(
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValidationError(f"build_inverse_cdf: bad domain ({lo}, {hi})")
-    if not (tol > 0.0 and panels >= 1):
-        raise ValidationError(
-            f"build_inverse_cdf: tol and panels must be positive (got {tol}, {panels})"
-        )
+    if not tol > 0.0:
+        raise ValidationError(f"build_inverse_cdf: tol must be positive (got {tol})")
+    panels = check_int(panels, "build_inverse_cdf: panels", 1, math.inf)
     edges = np.linspace(lo, hi, panels + 1)
     ends = np.asarray(cdf(edges), dtype=float)
     a, b, at_a, at_b = edges[:-1], edges[1:], ends[:-1], ends[1:]

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SCHEMES, NumericalError, ValidationError, check_eta
+from .errors import SCHEMES, NumericalError, ValidationError, check_eta, check_int
 from .numerics import log_factorials, oscillator_mixture, oscillator_mixture_cdf, poisson_window
 from .states import PhotonStatistics
 
@@ -225,13 +225,6 @@ def direct_detection_cdf(stats: PhotonStatistics, eta: float) -> np.ndarray:
     return np.cumsum(_thinned(stats, check_eta(eta)))
 
 
-def _check_order(order) -> int:
-    """order as an int; ValidationError unless it is an integer (not a bool) from 0 to 4."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or not 0 <= order <= 4:
-        raise ValidationError(f"moment 'order' must be an integer from 0 to 4 (got {order!r})")
-    return int(order)
-
-
 # For k = 0..4, <m|Y^k|m> with Y = 2 x^2 - 1/2 on the thinned state, and E[(V - 1)^k] with
 # V ~ Gamma(m + 1) the unit-efficiency |alpha|^2 of number state m, as polynomials
 # sum_j c_j (m)_j in the falling factorials (m)_j = m (m - 1) ... (m - j + 1), c_0 first:
@@ -255,7 +248,7 @@ def _diagonal_moment(name: str, diagonals, stats: PhotonStatistics, eta, order) 
     sum_j c_j F_j eta^(j - order) over the state's factorial moments F_j, dividing by
     eta once per unit of order - j so that no eta^j underflows: exact at a subnormal
     eta, and a NumericalError where it overflows."""
-    eta, order = check_eta(eta), _check_order(order)
+    eta, order = check_eta(eta), check_int(order, "moment 'order'", 0, 4)
     moments = _factorial_moments(stats.rho_bytes)
     value = 0.0
     for c, f in zip(diagonals[order], moments):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalError, TruncationError, ValidationError
+from .errors import NumericalError, TruncationError, ValidationError, check_int
 
 __all__ = [
     "PhotonStatistics",
@@ -60,10 +60,8 @@ class StateSpec:
                     f"state field 'beta' must lie in [0, 1] (got {self.squeezing_fraction})"
                 )
         if self.kind == "fock":
-            if self.fock_n < 0 or self.fock_n != int(self.fock_n):
-                raise ValidationError(
-                    f"state field 'n' must be a nonnegative integer (got {self.fock_n})"
-                )
+            fock_n = check_int(self.fock_n, "state field 'n'", 0, math.inf)
+            object.__setattr__(self, "fock_n", fock_n)
         if self.kind == "custom":
             import numpy as np
 
@@ -93,7 +91,7 @@ class StateSpec:
 
     @classmethod
     def fock(cls, n: int) -> "StateSpec":
-        return cls(kind="fock", fock_n=int(n))
+        return cls(kind="fock", fock_n=n)
 
     @classmethod
     def thermal(cls, mean_photons: float) -> "StateSpec":
@@ -238,8 +236,6 @@ def _thermal_pmf(mean_photons: float, tail_bound: float) -> np.ndarray:
 def _squeezed_pmf(mean_photons: float, beta: float, tail_bound: float) -> np.ndarray:
     import numpy as np
 
-    if mean_photons == 0.0:
-        return np.array([1.0])
     n_sq = beta * mean_photons          # sinh^2 r
     n_coh = (1.0 - beta) * mean_photons  # alpha^2, alpha real >= 0
     alpha = math.sqrt(n_coh)

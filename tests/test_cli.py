@@ -714,6 +714,29 @@ class TestManifestParamTypes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{field}'" in err
 
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ("simulate", "n_samples"),
+            ("simulate", "seed"),
+            ("threshold", "n_points"),
+            ("threshold", "n_max"),
+            ("discrete-random", "trials"),
+            ("semiclassical", "probe_trunc"),
+        ],
+    )
+    def test_a_bool_is_no_number(self, params, field, tmp_path, capsys):
+        command = "naimark" if params in ("discrete-random", "semiclassical") else params
+        manifest = {
+            "command": command,
+            "output_dir": str(tmp_path),
+            "params": dict(self.BASE[params], **{field: True}),
+        }
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="ascii")
+        assert run_cli("--manifest", str(path)) == 1
+        assert f"'{field}' must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("params", sorted(BASE))
     def test_good_values_run(self, params, tmp_path, capsys):
         command = "naimark" if params in ("discrete-random", "semiclassical") else params

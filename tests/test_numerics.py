@@ -115,6 +115,14 @@ class TestHermite:
         with pytest.raises(ValidationError):
             hermite_h(-1, 0.0)
 
+    def test_infinite_points_give_the_limit(self):
+        # the sign of x^n, and H_0 = 1; the recurrence alone takes inf - inf from n = 2
+        for n in (0, 1, 2, 3, 50, 51):
+            at_inf, at_minus_inf = (1.0, 1.0) if n == 0 else (math.inf, (-1) ** n * math.inf)
+            assert hermite_h(n, math.inf) == at_inf and hermite_h(n, -math.inf) == at_minus_inf
+            assert hermite_h(n, np.float64(-math.inf)) == at_minus_inf
+        assert all(math.isnan(hermite_h(n, math.nan)) for n in (1, 2, 3))
+
     def test_against_high_precision_oracle(self):
         mpmath.mp.dps = 40
         xs = [-9.97, -7.63, -5.11, -2.41, -0.37, 0.73, 1.23, 3.79, 6.47, 9.31]

@@ -310,6 +310,16 @@ class TestThinning:
             self.loop_reference(rho, eta), rel=1e-12, abs=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "spec", [StateSpec.coherent(4.0), StateSpec.fock(3)], ids=lambda spec: spec.describe()
+    )
+    def test_unit_efficiency_is_a_fresh_copy(self, spec):
+        # the general sum would take 0 log 0 = nan at k = 0
+        rho = photon_distribution(spec).rho
+        out = thinned_distribution(rho, 1.0)
+        assert out.tobytes() == rho.tobytes() and not np.shares_memory(out, rho)
+        assert out.flags.writeable
+
     def test_roulette_normalisation_thins_once(self, monkeypatch):
         calls = []
 

@@ -47,6 +47,18 @@ class TestDistributions:
         stats = photon_distribution(StateSpec.coherent(n_bar))
         assert stats.rho.tolist() == [1.0]
 
+    @pytest.mark.parametrize("tail_bound", [1e-12, 1e-9, 1e-6])
+    @pytest.mark.parametrize(
+        "spec",
+        [StateSpec.squeezed(0.0, beta) for beta in (0.0, 0.25, 0.5, 1.0)]
+        + [StateSpec.thermal(0.0)],
+        ids=lambda spec: spec.describe(),
+    )
+    def test_no_photons_is_the_vacuum_law(self, spec, tail_bound):
+        # squeezed N = 0 runs the general recurrence: c_1 = 0, and the trim keeps one entry
+        rho = photon_distribution(spec, tail_bound).rho
+        assert rho.dtype == float and rho.tobytes() == np.array([1.0]).tobytes()
+
     def test_thermal_is_geometric(self):
         stats = photon_distribution(StateSpec.thermal(1.0))
         expected = [2.0 ** -(n + 1) for n in range(8)]
