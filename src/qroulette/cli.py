@@ -43,6 +43,7 @@ from .errors import (
     ValidationError,
     check_eta,
     check_int,
+    check_real,
 )
 from .noise import MAX_POINTS, noise_report, zero_line
 from .states import StateSpec, exact_moments
@@ -96,11 +97,7 @@ def parse_state(text: str) -> StateSpec:
     def take_float(name: str) -> float:
         if name not in fields:
             raise ValidationError(f"state kind '{kind}' requires the field '{name}'")
-        raw = fields.pop(name)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(f"state field '{name}' is not a number (got '{raw}')")
+        return check_real(fields.pop(name), f"state field '{name}'", -math.inf, math.inf)
 
     if kind == "coherent":
         spec = StateSpec.coherent(take_float("N"))
@@ -123,28 +120,21 @@ def parse_state(text: str) -> StateSpec:
 
 def _float_list(raw, name: str) -> list[float]:
     """Finite numbers of a comma list; ValidationError naming the field otherwise."""
-    try:
-        values = [float(z) for z in str(raw).split(",") if z != ""]
-    except ValueError:
-        values = [math.nan]
-    if not all(math.isfinite(z) for z in values):
-        raise ValidationError(f"{name} is not a comma list of finite numbers ('{raw}')")
-    return values
+    return [check_real(z, name, -math.inf, math.inf) for z in str(raw).split(",") if z != ""]
 
 
 def _number(params: dict, name: str, kind=float):
     """params[name] as an int, or as a finite float; ValidationError naming the field otherwise."""
     raw = params[name]
+    if kind is float:
+        return check_real(raw, f"field '{name}'", -math.inf, math.inf)
     try:
-        value = kind(raw)
-        # no nan or inf, no bool, and no fraction silently dropped by int()
-        ok = math.isfinite(value) and not isinstance(raw, bool)
-        ok = ok and (not isinstance(raw, float) or raw == value)
+        value = int(raw)
     except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        noun = "an integer" if kind is int else "a finite number"
-        raise ValidationError(f"field '{name}' must be {noun} (got {raw!r})")
+        value = None
+    # no bool, and no fraction silently dropped by int()
+    if value is None or isinstance(raw, bool) or isinstance(raw, float) and raw != value:
+        raise ValidationError(f"field '{name}' must be an integer (got {raw!r})")
     return value
 
 
@@ -231,7 +221,7 @@ def _run_simulate(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
 
     config = ExperimentConfig(
         state=parse_state(_text(params, "state")),
-        detector=DetectorConfig(scheme=_text(params, "scheme"), eta=check_eta(params["eta"])),
+        detector=DetectorConfig(scheme=_text(params, "scheme"), eta=params["eta"]),
         n_samples=_number(params, "n_samples", int),
         seed=_number(params, "seed", int),
         workers=_number(params, "workers", int),

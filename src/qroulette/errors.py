@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by all qroulette modules; the one efficiency check (eta a
-number in (0, 1]) and the one integer check (an int, numpy integer or integer-valued float
-in range, never a bool, for every order, size, truncation and seed); and the scheme names
-and size bounds the command line prints, kept here so that printing them loads no numpy."""
+"""Exception hierarchy shared by all qroulette modules; the one integer check (every order,
+size, truncation and seed) and the one real-number check (every real scalar argument, eta in
+(0, 1] among them), neither taking a bool; and the scheme names and size bounds the command
+line prints, kept here so that printing them loads no numpy."""
 
+import math
 import numbers
 
 SCHEMES = ("roulette", "heterodyne", "direct")
@@ -45,17 +46,6 @@ class TruncationError(NumericalError):
     """A truncated basis or distribution cannot hold the requested mass."""
 
 
-def check_eta(eta) -> float:
-    """Return eta as a float; ValidationError unless it is a number in (0, 1]."""
-    try:
-        value = float(eta)
-    except (TypeError, ValueError):
-        raise ValidationError(f"quantum efficiency 'eta' is not a number (got {eta!r})") from None
-    if not 0.0 < value <= 1.0:
-        raise ValidationError(f"quantum efficiency 'eta' must lie in (0, 1] (got {eta})")
-    return value
-
-
 def check_int(value, name: str, low, high) -> int:
     """Return value as an int; ValidationError unless it is an int, a numpy integer
     or an integer-valued float, not a bool, in [low, high] (either may be infinite)."""
@@ -67,4 +57,33 @@ def check_int(value, name: str, low, high) -> int:
         return int(value)
     if isinstance(high, int) and high > 1 << 32 and not high & high - 1:
         high = f"2**{high.bit_length() - 1}"  # a large power of two, as 2**53
-    raise ValidationError(f"{name} must lie in [{low}, {high}] and be an integer (got {value!r})")
+    raise _refused(f"{name} must lie in [{low}, {high}] and be an integer", value)
+
+
+def check_real(value, name: str, low, high) -> float:
+    """Return value as a float; ValidationError unless it is a real number or numeric string,
+    not a bool, whose float is finite and in [low, high].  low = 5e-324 reads as (0."""
+    number = value
+    if type(value) is not float:  # the common case skips the conversion
+        refused = isinstance(value, bool) or not isinstance(value, (float, str, numbers.Real))
+        try:
+            number = math.nan if refused else float(value)
+        except (ValueError, OverflowError):  # not a number, or past the float range
+            number = math.nan
+    if low <= number <= high and number - number == 0.0:  # not NaN nor infinite
+        return number
+    left = "(0" if low == 5e-324 else f"[{low}"
+    raise _refused(f"{name} must be a finite real in {left}, {high}]", value)
+
+
+def check_eta(eta) -> float:
+    """Return eta as a float; ValidationError unless it is a number in (0, 1]."""
+    return check_real(eta, "quantum efficiency 'eta'", 5e-324, 1)
+
+
+def _refused(rule: str, value) -> ValidationError:
+    """The error for a value that breaks rule; an int too long to print is given by its size."""
+    try:
+        return ValidationError(f"{rule} (got {value!r})")
+    except ValueError:  # more digits than int-to-str conversion allows
+        return ValidationError(f"{rule} (got an integer of {value.bit_length()} bits)")

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_eta, check_int
+from .errors import NumericalError, check_eta, check_int, check_real
 from .numerics import _hermite_scaled
 
 __all__ = [
@@ -36,11 +36,10 @@ def richter_kernel(n: int, m: int, x: float, phi: float) -> complex:
             f"richter_kernel: total order {order} exceeds the supported maximum "
             f"{MAX_KERNEL_ORDER}"
         )
-    for name, value in (("x", x), ("phi", phi)):
-        if not math.isfinite(value):
-            raise ValidationError(f"richter_kernel: '{name}' must be finite (got {value})")
+    x = check_real(x, "richter_kernel: 'x'", -math.inf, math.inf)
+    phi = check_real(phi, "richter_kernel: 'phi'", -math.inf, math.inf)
     # sqrt(2) x is inf beyond |x| = 1.27e308, where every order >= 1 overflows anyway
-    t = max(-sys.float_info.max, min(math.sqrt(2.0) * float(x), sys.float_info.max))
+    t = max(-sys.float_info.max, min(math.sqrt(2.0) * x, sys.float_info.max))
     mant, ln_scale = _hermite_scaled(order, t)
     # binomial divisor in log form; C(n+m, m) overflows integers near order 60
     ln_binom = math.lgamma(order + 1) - math.lgamma(m + 1) - math.lgamma(n + 1)
@@ -59,7 +58,7 @@ def richter_kernel(n: int, m: int, x: float, phi: float) -> complex:
 
 def intensity_estimator(x, eta: float = 1.0):
     """Unbiased field-intensity estimate from a quadrature outcome: 2 x^2 - 1/(2 eta)."""
-    check_eta(eta)
+    eta = check_eta(eta)
     x = np.asarray(x, dtype=float)
     out = 2.0 * x * x - 0.5 / eta
     return float(out) if out.ndim == 0 else out
@@ -71,7 +70,7 @@ def heterodyne_estimator(alpha_re: float, alpha_im: float, eta: float = 1.0):
     Outcomes below the support floor after smearing are kept as-is;
     unbiasedness requires retaining the negative excursions.
     """
-    check_eta(eta)
+    eta = check_eta(eta)
     re = np.asarray(alpha_re, dtype=float)
     im = np.asarray(alpha_im, dtype=float)
     out = re * re + im * im - 1.0 / eta

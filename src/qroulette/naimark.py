@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import MAX_DIM, MAX_M, MAX_TRUNC, TruncationError, ValidationError, check_int
+from .errors import check_real
 from .numerics import log_factorials, poisson_tail
 
 __all__ = [
@@ -266,12 +267,10 @@ def semiclassical_check(
     photocurrent mean is twice the quadrature mean.  Raises TruncationError
     when a truncation would leave more than 1e-10 coherent tail mass.
     """
-    amplitudes = [float(z) for z in probe_amplitudes]
-    if not all(0.0 <= z < math.inf for z in amplitudes):
-        raise ValidationError("probe amplitudes must be finite and >= 0")
-    for name, value in (("alpha", alpha), ("phi", phi)):
-        if not cmath.isfinite(value):
-            raise ValidationError(f"'{name}' must be finite (got {value})")
+    amplitudes = [check_real(z, "probe amplitude", 0, math.inf) for z in probe_amplitudes]
+    phi = check_real(phi, "'phi'", -math.inf, math.inf)
+    parts = (alpha.real, alpha.imag) if isinstance(alpha, complex) else (alpha, 0.0)
+    alpha = complex(*(check_real(v, "each part of 'alpha'", -math.inf, math.inf) for v in parts))
     truncations = []
     for field, z_abs, trunc in (
         ("system_trunc", math.hypot(alpha.real, alpha.imag), system_trunc),  # inf past the range

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import NumericalError, ValidationError, check_eta, check_int
+from .errors import NumericalError, ValidationError, check_eta, check_int, check_real
 
 # the points one zero contour may sample
 MAX_POINTS = 100_000
@@ -35,16 +35,16 @@ __all__ = [
 ]
 
 
-def _check_inputs(mean_n: float, mean_nsq: float, eta: float) -> None:
-    check_eta(eta)
-    if not (math.isfinite(mean_n) and math.isfinite(mean_nsq)):
-        raise ValidationError(f"photon moments must be finite (got {mean_n}, {mean_nsq})")
-    if mean_n < 0.0:
-        raise ValidationError(f"mean photon number must be >= 0 (got {mean_n})")
+def _check_inputs(mean_n, mean_nsq, eta) -> tuple[float, float, float]:
+    """(mean_n, mean_nsq, eta) as floats, eta checked first, and the variance not negative."""
+    eta = check_eta(eta)
+    mean_n = check_real(mean_n, "photon moment 'mean_n'", 0, math.inf)
+    mean_nsq = check_real(mean_nsq, "photon moment 'mean_nsq'", -math.inf, math.inf)
     if mean_nsq - mean_n * mean_n < -1e-9 * max(1.0, mean_nsq):
         raise ValidationError(
             f"inconsistent moments: variance {mean_nsq - mean_n**2:.6g} is negative"
         )
+    return mean_n, mean_nsq, eta
 
 
 def _inverse_square(eta: float) -> float:
@@ -63,7 +63,7 @@ def _finite(figure: str, value: float, eta: float) -> float:
 def roulette_variance(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
     """Variance of the roulette intensity estimate at efficiency eta:
     <dn^2> + <n^2>/2 + <n>(2/eta - 3/2) + 1/(2 eta^2)."""
-    _check_inputs(mean_n, mean_nsq, eta)
+    mean_n, mean_nsq, eta = _check_inputs(mean_n, mean_nsq, eta)
     var_n = mean_nsq - mean_n * mean_n
     value = var_n + 0.5 * mean_nsq + mean_n * (2.0 / eta - 1.5) + 0.5 * _inverse_square(eta)
     return _finite("roulette_var", value, eta)
@@ -71,13 +71,13 @@ def roulette_variance(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float
 
 def direct_variance(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
     """Variance of the direct-detection estimate m/eta: <dn^2> + <n>(1/eta - 1)."""
-    _check_inputs(mean_n, mean_nsq, eta)
+    mean_n, mean_nsq, eta = _check_inputs(mean_n, mean_nsq, eta)
     return _finite("direct_var", mean_nsq - mean_n * mean_n + mean_n * (1.0 / eta - 1.0), eta)
 
 
 def heterodyne_variance(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
     """Variance of the heterodyne intensity estimate: <dn^2> + (2/eta - 1)<n> + 1/eta^2."""
-    _check_inputs(mean_n, mean_nsq, eta)
+    mean_n, mean_nsq, eta = _check_inputs(mean_n, mean_nsq, eta)
     value = mean_nsq - mean_n * mean_n + (2.0 / eta - 1.0) * mean_n + _inverse_square(eta)
     return _finite("heterodyne_var", value, eta)
 
@@ -88,7 +88,7 @@ def added_noise(scheme: str, mean_n: float, mean_nsq: float, eta: float = 1.0) -
     roulette   : [<n^2> + <n>(2/eta - 1) + 1/eta^2] / 2
     heterodyne : [<n> + 1/eta] / eta
     """
-    _check_inputs(mean_n, mean_nsq, eta)
+    mean_n, mean_nsq, eta = _check_inputs(mean_n, mean_nsq, eta)
     if scheme == "roulette":
         value = 0.5 * (mean_nsq + mean_n * (2.0 / eta - 1.0) + _inverse_square(eta))
     elif scheme == "heterodyne":
@@ -105,14 +105,14 @@ def delta_rh(mean_n: float, mean_nsq: float, eta: float = 1.0) -> float:
 
     Negative means the roulette is the quieter intensity measurement.
     """
-    _check_inputs(mean_n, mean_nsq, eta)
+    mean_n, mean_nsq, eta = _check_inputs(mean_n, mean_nsq, eta)
     return _finite("delta_rh", 0.5 * (mean_nsq - mean_n - _inverse_square(eta)), eta)
 
 
 def threshold_n(eta: float = 1.0) -> float:
     """Photon number above which heterodyne beats the roulette for Fock states:
     (1 + sqrt(1 + 4/eta^2)) / 2; strictly decreasing in eta."""
-    check_eta(eta)
+    eta = check_eta(eta)
     return _finite("threshold_n", 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * _inverse_square(eta))), eta)
 
 
@@ -146,11 +146,9 @@ def squeezed_delta_rh(total_n: float, beta: float, eta: float = 1.0) -> float:
     same state's photon moments.  Zero contours are unaffected by the positive
     scale, so both are kept as documented rather than reconciled.
     """
-    check_eta(eta)
-    if not 0.0 <= total_n < math.inf:
-        raise ValidationError(f"total mean photon number must be finite and >= 0 (got {total_n})")
-    if not 0.0 <= beta <= 1.0:
-        raise ValidationError(f"squeezing fraction beta must lie in [0, 1] (got {beta})")
+    eta = check_eta(eta)
+    total_n = check_real(total_n, "total mean photon number 'total_n'", 0, math.inf)
+    beta = check_real(beta, "squeezing fraction 'beta'", 0, 1)
     return _squeezed_gap(total_n, eta)(beta)
 
 
@@ -175,6 +173,7 @@ class NoiseReport:
 
 def noise_report(mean_n: float, mean_nsq: float, eta: float = 1.0) -> NoiseReport:
     """Assemble every noise figure for one set of photon moments."""
+    mean_n, mean_nsq, eta = _check_inputs(mean_n, mean_nsq, eta)
     return NoiseReport(
         mean_n=mean_n,
         mean_nsq=mean_nsq,
@@ -235,11 +234,9 @@ def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[Zero
     The beta = 0 intercept, the coherent crossover N = 1/eta in closed form, is
     included whenever it falls inside (0, n_max].
     """
-    check_eta(eta)
+    eta = check_eta(eta)
     n_points = check_int(n_points, "n_points", 1, MAX_POINTS)
-    if not 0.0 < n_max < math.inf:
-        raise ValidationError(f"n_max must be positive and finite (got {n_max})")
-    n_max = float(n_max)
+    n_max = check_real(n_max, "'n_max'", 5e-324, math.inf)
     start = n_max / n_points
     delta, div = n_max - start, n_points - 1
     step = delta / div if div else 0.0
@@ -259,11 +256,13 @@ def zero_line(eta: float, n_points: int = 128, n_max: float = 12.0) -> list[Zero
 def zero_contour_n(eta: float, beta: float, n_hi: float = 1e4) -> float:
     """Total mean photon number on the zero contour at a fixed beta: the gap
     never falls as N grows, so one bisection of [0, n_hi] finds it."""
-    check_eta(eta)
-    at_hi = squeezed_delta_rh(n_hi, beta, eta)
+    eta = check_eta(eta)
+    beta = check_real(beta, "squeezing fraction 'beta'", 0, 1)
+    n_hi = check_real(n_hi, "'n_hi'", 0, math.inf)
+    f = lambda n: _squeezed_gap(n, eta)(beta)
+    at_hi = f(n_hi)
     if at_hi <= 0.0:
         raise ValidationError(f"no contour crossing below N = {n_hi}")
     if beta == 0.0:
         return 1.0 / eta
-    f = lambda n: _squeezed_gap(n, eta)(beta)
     return _bisect(f, 0.0, n_hi, f(0.0), at_hi)

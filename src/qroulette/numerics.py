@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegrationError, ValidationError, check_int
+from .errors import IntegrationError, ValidationError, check_int, check_real
 
 __all__ = [
     "DensityTable",
@@ -175,17 +175,17 @@ def ndtr(a):
 def hermite_h(n: int, x: float) -> float:
     """Physicists' Hermite polynomial H_n(x) via the three-term recurrence.
 
-    H_{k+1} = 2 x H_k - 2 k H_{k-1}.  The raw polynomial overflows to inf
-    for large n and |x|; use :func:`oscillator_density` when the Gaussian
-    weight is meant to tame the growth.
+    H_{k+1} = 2 x H_k - 2 k H_{k-1}, rescaled as it runs: a value past the float
+    range is inf with the sign of H_n(x), never NaN.  Use :func:`oscillator_density`
+    when the Gaussian weight is meant to tame the growth.
     """
     n = check_int(n, "hermite_h: order", 0, math.inf)
     if math.isinf(x):
         return x**n  # the limit, where the recurrence would take inf - inf
-    h_prev, h_cur = 0.0, 1.0
-    for k in range(n):
-        h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * k * h_prev
-    return h_cur
+    mant, ln_scale = _hermite_scaled(n, x)
+    for _ in range(round(ln_scale / math.log(1e250))):  # undo each rescale by 1e-250
+        mant *= 1e250  # inf with the sign of H_n once past the float range
+    return mant
 
 
 def _hermite_scaled(n: int, x: float) -> tuple[float, float]:
@@ -533,11 +533,11 @@ def build_inverse_cdf(
     distance tol.  Split panels keep their end values: a round evaluates the CDF
     at new check points only.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValidationError(f"build_inverse_cdf: bad domain ({lo}, {hi})")
-    if not tol > 0.0:
-        raise ValidationError(f"build_inverse_cdf: tol must be positive (got {tol})")
+    lo = check_real(domain[0], "build_inverse_cdf: domain start", -math.inf, math.inf)
+    hi = check_real(
+        domain[1], "build_inverse_cdf: domain end", math.nextafter(lo, math.inf), math.inf
+    )
+    tol = check_real(tol, "build_inverse_cdf: tol", 5e-324, math.inf)
     panels = check_int(panels, "build_inverse_cdf: panels", 1, math.inf)
     edges = np.linspace(lo, hi, panels + 1)
     ends = np.asarray(cdf(edges), dtype=float)

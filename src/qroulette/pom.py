@@ -60,7 +60,7 @@ class DetectorConfig:
             raise ValidationError(
                 f"scheme must be one of {SCHEMES} (got '{self.scheme}')"
             )
-        check_eta(self.eta)
+        object.__setattr__(self, "eta", check_eta(self.eta))
 
     @property
     def smearing_variance(self) -> float:
@@ -134,7 +134,8 @@ def roulette_cdf_abs_x(stats: PhotonStatistics, s, eta: float = 1.0):
     """P(|x| <= s), which fixes the outcome y = 2 x^2 - 1/(2 eta): with
     F_eta(x) = F_thinned(sqrt(eta) x) and an even density, 2 F_eta(s) - T_0
     for s >= 0, and 0 below."""
-    weights, x = _thinned(stats, check_eta(eta)), math.sqrt(eta) * np.asarray(s, dtype=float)
+    eta = check_eta(eta)
+    weights, x = _thinned(stats, eta), math.sqrt(eta) * np.asarray(s, dtype=float)
     return np.where(x < 0.0, 0.0, 2.0 * oscillator_mixture_cdf(weights, x) - weights.sum())[()]
 
 

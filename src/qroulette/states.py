@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalError, TruncationError, ValidationError, check_int
+from .errors import NumericalError, TruncationError, ValidationError, check_int, check_real
 
 __all__ = [
     "PhotonStatistics",
@@ -50,15 +50,11 @@ class StateSpec:
         if self.kind not in ("coherent", "squeezed", "fock", "thermal", "custom"):
             raise ValidationError(f"unknown state kind '{self.kind}'")
         if self.kind in ("coherent", "thermal", "squeezed"):
-            if not (math.isfinite(self.mean_photons) and self.mean_photons >= 0.0):
-                raise ValidationError(
-                    f"state field 'N' must be a finite real >= 0 (got {self.mean_photons})"
-                )
+            mean_photons = check_real(self.mean_photons, "state field 'N'", 0, math.inf)
+            object.__setattr__(self, "mean_photons", mean_photons)
         if self.kind == "squeezed":
-            if not 0.0 <= self.squeezing_fraction <= 1.0:
-                raise ValidationError(
-                    f"state field 'beta' must lie in [0, 1] (got {self.squeezing_fraction})"
-                )
+            beta = check_real(self.squeezing_fraction, "state field 'beta'", 0, 1)
+            object.__setattr__(self, "squeezing_fraction", beta)
         if self.kind == "fock":
             fock_n = check_int(self.fock_n, "state field 'n'", 0, math.inf)
             object.__setattr__(self, "fock_n", fock_n)
@@ -67,11 +63,12 @@ class StateSpec:
 
             if not self.weights:
                 raise ValidationError("state field 'weights' must be a nonempty list")
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-                raise ValidationError("state field 'weights' must be finite and nonnegative")
+            weights = tuple(
+                check_real(w, "state field 'weights'", 0, math.inf) for w in self.weights
+            )
+            object.__setattr__(self, "weights", weights)
             with np.errstate(over="ignore"):  # a sum past the float range is inf, not a warning
-                total = float(w.sum())
+                total = float(np.sum(weights))
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError(
                     f"state field 'weights' must sum to 1 within 1e-12 (got {total:.15g})"
@@ -79,15 +76,11 @@ class StateSpec:
 
     @classmethod
     def coherent(cls, mean_photons: float) -> "StateSpec":
-        return cls(kind="coherent", mean_photons=float(mean_photons))
+        return cls(kind="coherent", mean_photons=mean_photons)
 
     @classmethod
     def squeezed(cls, mean_photons: float, squeezing_fraction: float) -> "StateSpec":
-        return cls(
-            kind="squeezed",
-            mean_photons=float(mean_photons),
-            squeezing_fraction=float(squeezing_fraction),
-        )
+        return cls("squeezed", mean_photons=mean_photons, squeezing_fraction=squeezing_fraction)
 
     @classmethod
     def fock(cls, n: int) -> "StateSpec":
@@ -95,11 +88,11 @@ class StateSpec:
 
     @classmethod
     def thermal(cls, mean_photons: float) -> "StateSpec":
-        return cls(kind="thermal", mean_photons=float(mean_photons))
+        return cls(kind="thermal", mean_photons=mean_photons)
 
     @classmethod
     def custom(cls, weights) -> "StateSpec":
-        return cls(kind="custom", weights=tuple(float(w) for w in weights))
+        return cls(kind="custom", weights=tuple(weights))
 
     @classmethod
     def vacuum(cls) -> "StateSpec":
@@ -288,8 +281,7 @@ def photon_distribution(spec: StateSpec, tail_bound: float = DEFAULT_TAIL) -> Ph
     """Truncated photon-number distribution of a state, tail mass <= tail_bound."""
     import numpy as np
 
-    if not 0.0 < tail_bound <= 1e-6:
-        raise ValidationError(f"tail_bound must lie in (0, 1e-6] (got {tail_bound})")
+    tail_bound = check_real(tail_bound, "tail_bound", 5e-324, 1e-6)
     if spec.kind == "fock":
         if spec.fock_n > HARD_CAP:
             raise TruncationError(f"Fock state needs n_max={spec.fock_n} > {HARD_CAP}")
@@ -328,7 +320,7 @@ def exact_moments(spec: StateSpec) -> tuple[float, float]:
     N above about 1.3e154, raises NumericalError naming mean_nsq.
     """
     if spec.kind == "fock":
-        n = float(spec.fock_n)
+        n = float(min(spec.fock_n, 1e300))  # past it only the overflow of mean_nsq matters
         mean_nsq = n * n
     elif spec.kind == "coherent":
         n = spec.mean_photons

@@ -1,11 +1,14 @@
-"""The one integer check, and every integer argument of the package taken through it."""
+"""The one integer check and the one real-number check, and every integer and real
+argument of the package taken through them."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from qroulette.errors import TruncationError, ValidationError, check_int
+from qroulette import cli, noise
+from qroulette.errors import TruncationError, ValidationError, check_eta, check_int, check_real
 from qroulette.estimators import richter_kernel
 from qroulette.montecarlo import ExperimentConfig, run_sampling
 from qroulette.naimark import random_roulette_spec, semiclassical_check, two_mode_photocurrent
@@ -154,3 +157,154 @@ class TestIntegerArguments:
         for trunc in (-(10**40), -(10.0**40), 0, 0.0):
             with pytest.raises(TruncationError, match="mass 1.000e[+]00"):
                 semiclassical_check(1.0, 0.0, [5.0], system_trunc=trunc)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize(
+        "value", [0.25, 1, np.float64(0.25), np.float32(0.25), np.int64(1), "0.25", " 0.25 "]
+    )
+    def test_a_real_comes_back_as_a_float(self, value):
+        out = check_real(value, "x", 0, 1)
+        assert out == float(value) and type(out) is float
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.bool_(True), None, "abc", "nan", "1e400", 3j, [0.5], 10**400, -(10**400),
+         math.nan, math.inf, -math.inf],
+    )
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(ValidationError, match=r"'x' must be a finite real in \[-inf, inf\]"):
+            check_real(value, "'x'", -math.inf, math.inf)
+
+    def test_both_ends_are_inside(self):
+        assert [check_real(v, "x", -2, 2) for v in (-2, 2, -2.0, 2.0)] == [-2.0, 2.0, -2.0, 2.0]
+        for value in (-2.0000000000000004, 2.0000000000000004, 3, "-3"):
+            with pytest.raises(ValidationError, match=r"x must be a finite real in \[-2, 2\]"):
+                check_real(value, "x", -2, 2)
+
+    def test_the_least_positive_float_opens_the_interval(self):
+        assert check_real(5e-324, "x", 5e-324, 1) == 5e-324
+        for value in (0.0, -0.0, 0):
+            with pytest.raises(ValidationError, match=r"x must be a finite real in \(0, 1\]"):
+                check_real(value, "x", 5e-324, 1)
+
+    def test_check_eta_is_the_real_check_on_0_1(self):
+        assert check_eta("0.5") == 0.5 and check_eta(5e-324) == 5e-324 and check_eta(1) == 1.0
+        with pytest.raises(ValidationError, match=r"'eta' must be a finite real in \(0, 1\]"):
+            check_eta(10**400)
+
+    @pytest.mark.parametrize("check", [check_int, check_real])
+    def test_an_int_too_long_to_print_is_named_by_its_size(self, check):
+        with pytest.raises(ValidationError, match="got an integer of 16610 bits"):
+            check(10**5000, "x", 0, 4)
+
+
+COHERENT_SPEC = StateSpec.coherent(1.0)
+# every real scalar argument, as a call taking it, the field its error names, and a
+# value its range holds
+REAL_SITES = {
+    "check_eta": (check_eta, "'eta'", 0.5),
+    "StateSpec.coherent N": (StateSpec.coherent, "state field 'N'", 0.5),
+    "StateSpec.thermal N": (StateSpec.thermal, "state field 'N'", 0.5),
+    "StateSpec.squeezed N": (lambda v: StateSpec.squeezed(v, 0.5), "state field 'N'", 0.5),
+    "StateSpec.squeezed beta": (lambda v: StateSpec.squeezed(1.0, v), "state field 'beta'", 0.5),
+    "StateSpec N": (lambda v: StateSpec("coherent", mean_photons=v), "state field 'N'", 0.5),
+    "StateSpec.custom weights": (
+        lambda v: StateSpec.custom([v, 0.5]), "state field 'weights'", 0.5
+    ),
+    "DetectorConfig eta": (lambda v: DetectorConfig("roulette", v), "'eta'", 0.5),
+    "photon_distribution tail_bound": (
+        lambda v: photon_distribution(COHERENT_SPEC, v), "tail_bound", 1e-9
+    ),
+    "threshold_n": (noise.threshold_n, "'eta'", 0.5),
+    "squeezed_delta_rh total_n": (lambda v: noise.squeezed_delta_rh(v, 0.5), "'total_n'", 2.0),
+    "squeezed_delta_rh beta": (lambda v: noise.squeezed_delta_rh(2.0, v), "'beta'", 0.5),
+    "squeezed_delta_rh eta": (lambda v: noise.squeezed_delta_rh(2.0, 0.5, v), "'eta'", 0.5),
+    "zero_line eta": (lambda v: zero_line(v, 8), "'eta'", 0.5),
+    "zero_line n_max": (lambda v: zero_line(0.5, 8, v), "'n_max'", 4.0),
+    "zero_contour_n beta": (lambda v: noise.zero_contour_n(0.5, v), "'beta'", 0.5),
+    "zero_contour_n n_hi": (lambda v: noise.zero_contour_n(0.5, 0.5, v), "'n_hi'", 100.0),
+    "semiclassical_check amplitude": (
+        lambda v: semiclassical_check(1.0, 0.0, [v]), "probe amplitude", 2.0
+    ),
+    "semiclassical_check phi": (lambda v: semiclassical_check(1.0, v, [2.0]), "'phi'", 0.5),
+    "semiclassical_check alpha": (lambda v: semiclassical_check(v, 0.0, [2.0]), "'alpha'", 1.0),
+    "richter_kernel x": (lambda v: richter_kernel(1, 2, v, 0.2), "'x'", 0.3),
+    "richter_kernel phi": (lambda v: richter_kernel(1, 2, 0.3, v), "'phi'", 0.2),
+    "build_inverse_cdf domain start": (
+        lambda v: build_inverse_cdf(lambda x: x, (v, 1.0)), "domain start", 0.0
+    ),
+    "build_inverse_cdf domain end": (
+        lambda v: build_inverse_cdf(lambda x: x, (0.0, v)), "domain end", 1.0
+    ),
+    "build_inverse_cdf tol": (
+        lambda v: build_inverse_cdf(lambda x: x, (0.0, 1.0), v), "tol", 1e-6
+    ),
+    "cli field": (lambda v: cli._number({"phi": v}, "phi"), "field 'phi'", 0.5),
+    "cli comma list": (
+        lambda v: cli._float_list(v, "field 'amplitudes'"), "field 'amplitudes'", 0.5
+    ),
+    "cli state field": (lambda v: cli.parse_state(f"kind=coherent N={v}"), "state field 'N'", 0.5),
+}
+# the noise figures, in each of their three arguments
+for _figure in ("roulette_variance", "direct_variance", "heterodyne_variance", "delta_rh",
+                "noise_report", "added_noise"):
+    _fn = getattr(noise, _figure)
+    if _figure == "added_noise":
+        _fn = functools.partial(_fn, "roulette")
+    REAL_SITES |= {
+        f"{_figure} mean_n": (lambda v, fn=_fn: fn(v, 2.0, 0.5), "'mean_n'", 1.0),
+        f"{_figure} mean_nsq": (lambda v, fn=_fn: fn(1.0, v, 0.5), "'mean_nsq'", 2.0),
+        f"{_figure} eta": (lambda v, fn=_fn: fn(1.0, 2.0, v), "'eta'", 0.5),
+    }
+NOT_REAL = {
+    "10**400": 10**400,
+    "-10**400": -(10**400),
+    "None": None,
+    "abc": "abc",
+    "True": True,
+    "nan": math.nan,
+    "inf": math.inf,
+}
+
+
+def _comparable(result):
+    """A site's result in a form == compares, with the types of stored numbers."""
+    if hasattr(result, "grid"):
+        return result.grid.tobytes(), result.cdf.tobytes()
+    if hasattr(result, "rho"):
+        return result.rho.tobytes(), repr(result.tail_bound)
+    return repr(result)
+
+
+class TestRealArguments:
+    @pytest.mark.parametrize("site", sorted(REAL_SITES))
+    @pytest.mark.parametrize("bad", sorted(NOT_REAL))
+    def test_every_site_refuses_what_is_no_finite_real(self, site, bad):
+        call, field, _ = REAL_SITES[site]
+        with pytest.raises(ValidationError) as refused:
+            call(NOT_REAL[bad])
+        assert f"{field} must be" in str(refused.value)
+
+    @pytest.mark.parametrize("site", sorted(REAL_SITES))
+    @pytest.mark.parametrize("kind", [str, np.float64])
+    def test_a_real_given_as_text_or_numpy_gives_what_its_float_gives(self, site, kind):
+        call, _, good = REAL_SITES[site]
+        assert _comparable(call(kind(good))) == _comparable(call(good))
+
+    def test_the_float_is_what_is_stored(self):
+        assert DetectorConfig("roulette", "0.5").eta == 0.5
+        spec = StateSpec(kind="coherent", mean_photons=4)
+        assert type(spec.mean_photons) is float and spec.mean_photons == 4.0
+        assert spec.describe() == StateSpec.coherent(4).describe() == "kind=coherent N=4.0"
+        squeezed = StateSpec.squeezed(np.float64(2), np.int64(1))
+        assert repr(squeezed) == repr(StateSpec.squeezed(2.0, 1.0))
+        report = noise.noise_report(1, "2", np.float64(0.5))
+        assert all(type(v) is float for v in report.to_dict().values())
+
+    def test_a_complex_alpha_is_checked_in_each_part(self):
+        for alpha in (complex(1.0, math.inf), complex(math.nan, 0.0), np.complex128(1e400j)):
+            with pytest.raises(ValidationError, match="'alpha' must be"):
+                semiclassical_check(alpha, 0.0, [2.0])
+        expected = semiclassical_check(1.0 + 0.5j, 0.3, [2.0])
+        assert semiclassical_check(np.complex128(1.0 + 0.5j), 0.3, [2.0]) == expected

@@ -132,6 +132,23 @@ class TestHermite:
                 assert hermite_h(n, x) == pytest.approx(exact, rel=1e-10)
 
 
+class TestHermitePastTheFloatRange:
+    # points where the plain recurrence overflows twice running and took inf - inf,
+    # and finite values whose recurrence runs past 1e300 before it ends
+    @pytest.mark.parametrize(
+        "n, x", [(4, 1e300), (400, 3.0), (401, -3.0), (3, -1e103), (200, 40.0), (160, 42.0),
+                 (200, 20.0), (240, 13.0)]
+    )
+    def test_against_high_precision_oracle(self, n, x):
+        mpmath.mp.dps = 40
+        exact = mpmath.hermite(n, x)
+        got = hermite_h(n, x)
+        if abs(exact) > mpmath.mpf(np.finfo(float).max):
+            assert got == math.copysign(math.inf, exact)
+        else:
+            assert got == pytest.approx(float(exact), rel=1e-13)
+
+
 class TestOscillatorDensity:
     def test_vacuum_at_origin(self):
         assert oscillator_density(0, 0.0) == pytest.approx(SQRT_2_OVER_PI, rel=1e-14)

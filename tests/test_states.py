@@ -278,6 +278,11 @@ class TestMoments:
         assert exact_moments(StateSpec.coherent(1e154)) == (1e154, 1e154 * 1e154 + 1e154)
         assert math.isfinite(exact_moments(StateSpec.thermal(9e153))[1])
 
+    @pytest.mark.parametrize("n", [2**1024, 10**400], ids=["2**1024", "10**400"])
+    def test_fock_orders_past_the_float_range_overflow_mean_nsq(self, n):
+        with pytest.raises(NumericalError, match="mean_nsq overflows"):
+            exact_moments(StateSpec.fock(n))
+
 
 class TestValidation:
     def test_parameter_ranges(self):
