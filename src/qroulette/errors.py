@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all qroulette modules; the one integer check (every order,
-size, truncation and seed) and the one real-number check (every real scalar argument, eta in
-(0, 1] among them), neither taking a bool; and the scheme names and size bounds the command
-line prints, kept here so that printing them loads no numpy."""
+size, truncation and seed), the one real-number check (every real scalar argument, eta in
+(0, 1] among them) and the point check (a point or end of integration, +-inf kept), none
+taking a bool; and the scheme names and size bounds the command line prints, kept here so
+that printing them loads no numpy."""
 
 import math
 import numbers
@@ -74,6 +75,22 @@ def check_real(value, name: str, low, high) -> float:
         return number
     left = "(0" if low == 5e-324 else f"[{low}"
     raise _refused(f"{name} must be a finite real in {left}, {high}]", value)
+
+
+def check_point(value, name: str, nan: bool = False) -> float:
+    """Return value as a float; ValidationError unless it is a real number, not a bool nor
+    text, within the float range.  A point a function is evaluated at or integrated to:
+    +-inf are kept, and NaN too where nan is set."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            point = float(value)
+        except OverflowError:  # an int past the float range
+            pass
+        else:
+            if nan or point == point:
+                return point
+    also = ", +-inf or NaN" if nan else " or +-inf"
+    raise _refused(f"{name} must be a real number in the float range{also}", value)
 
 
 def check_eta(eta) -> float:

@@ -5,13 +5,14 @@ derived deterministically from (seed, scheme, chunk index).  Workers only
 decide which process evaluates which chunk, so a given configuration is
 bit-reproducible for any worker count.
 
-Efficiency eta enters only through the exact laws of `pom`.  Each run resolves
-its sampling law once, before any worker starts: an inverse-CDF table built
-from the exact CDF of the roulette's |x| or of heterodyne's v = eta I + 1, or
-the thinned photon-number law.  Every draw takes one uniform and finds its
-table segment, or its photon number, through a guide table
-(`numerics.GuideTable`), most from one gather, bitwise np.interp on the table
-or Generator.choice on the pmf.  A run whose n_samples times the exact outcome
+Efficiency eta enters only through the exact laws of `pom`.  A run draws from
+one law per (state, scheme, eta), cached and built in the calling process before
+any worker starts, and the only thing the chunk kernels take: the inverse-CDF
+table of the roulette's |x| or of heterodyne's v = eta I + 1, built from its
+exact CDF, or the guide table (`numerics.GuideTable`; Devroye, 1986, section
+III.2.4) of the thinned photon-number law.  The law maps each uniform to its
+outcome in place, most from one gather, bitwise np.interp on the table or
+Generator.choice on the pmf.  A run whose n_samples times the exact outcome
 variance overflows fails before any draw.
 
 The histogram edges are fixed before any draw by the exact outcome law:
@@ -135,28 +136,45 @@ class SampleSummary:
         return payload | {"histogram": [[center, count] for center, count in self.histogram]}
 
 
+@dataclass(frozen=True)
+class _RunLaw:
+    """The law one run draws from: the scheme, eta and the table a uniform is
+    looked up in.  That table is the inverse-CDF table of |x| for the roulette
+    (2 x^2 - 1/(2 eta) depends on |x| alone) or of v = eta I + 1 for heterodyne,
+    and for direct detection the guide table of the thinned pmf's choice cdf."""
+
+    scheme: str
+    eta: float
+    table: DensityTable | GuideTable
+
+    def outcomes(self, u: np.ndarray) -> np.ndarray:
+        """Map uniforms to outcomes in place and return u: m/eta, (v - 1)/eta, or
+        2 |x|^2 - 1/(2 eta) in estimators.intensity_estimator's order, to the bit."""
+        if self.scheme == "direct":
+            return np.divide(self.table.rank(u), self.eta, out=u)
+        q = self.table.sample(u)
+        if self.scheme == "roulette":
+            return np.subtract(np.multiply(np.multiply(q, 2.0, u), q, u), 0.5 / self.eta, u)
+        return np.divide(np.subtract(q, 1.0, u), self.eta, u)
+
+
 @lru_cache(maxsize=64)
-def _sampling_table(spec: StateSpec, scheme: str, eta: float) -> DensityTable:
-    """Inverse-CDF table, from the exact CDF, of what a draw maps to its outcome:
-    |x| for the roulette (2 x^2 - 1/(2 eta) depends on |x| alone), v = eta I + 1
-    for heterodyne.  It serves both draws and quantiles."""
+def _run_law(spec: StateSpec, scheme: str, eta: float) -> _RunLaw:
+    """The run law of (state, scheme, eta), its table built from the exact law;
+    it serves both draws and quantiles."""
     stats = photon_distribution(spec)
-    if scheme == "roulette":
+    if scheme == "direct":
+        table = GuideTable(_choice_cdf(direct_detection_pmf(stats, eta)))
+    elif scheme == "roulette":
         limit = (math.sqrt((2.0 * stats.n_max + 1.0) / 2.0) + 8.0) / math.sqrt(eta)
         # seeded with two panels per order: a few per lobe of the density
         cdf = partial(roulette_cdf_abs_x, stats, eta=eta)
-        return build_inverse_cdf(cdf, (0.0, limit), 1e-6, panels=2 * (stats.n_max + 1))
-    # up to the top of the window of the mean len(rho), past every order
-    cdf = partial(heterodyne_cdf_v, stats, eta=eta)
-    return build_inverse_cdf(cdf, (0.0, poisson_window(len(stats.rho))[1]), 1e-6)
-
-
-def _outcome(q, scheme: str, eta: float, out=None):
-    """The intensity outcome of table abscissae, into out if given: (v - 1)/eta,
-    or 2 |x|^2 - 1/(2 eta) in estimators.intensity_estimator's order, to the bit."""
-    if scheme == "roulette":
-        return np.subtract(np.multiply(np.multiply(q, 2.0, out), q, out), 0.5 / eta, out)
-    return np.divide(np.subtract(q, 1.0, out), eta, out)
+        table = build_inverse_cdf(cdf, (0.0, limit), 1e-6, panels=2 * (stats.n_max + 1))
+    else:
+        # up to the top of the window of the mean len(rho), past every order
+        cdf = partial(heterodyne_cdf_v, stats, eta=eta)
+        table = build_inverse_cdf(cdf, (0.0, poisson_window(len(stats.rho))[1]), 1e-6)
+    return _RunLaw(scheme, eta, table)
 
 
 def _choice_cdf(pmf) -> np.ndarray:
@@ -170,35 +188,19 @@ def _choice_cdf(pmf) -> np.ndarray:
     return cdf
 
 
-@lru_cache(maxsize=64)
-def _choice_guide(pmf: bytes) -> GuideTable:
-    """The guide table of a float64 pmf's choice cdf, once per law, not per chunk."""
-    return GuideTable(_choice_cdf(np.frombuffer(pmf)))
-
-
-def _chunk_outcomes(
-    law, scheme: str, eta: float, seed: int, chunk_index: int, size: int
-) -> np.ndarray:
-    """Outcomes for one chunk, a pure function of its arguments; law is the
-    run's sampling table, or its thinned photon-number pmf for direct detection.
+def _chunk_outcomes(law: _RunLaw, seed: int, chunk_index: int, size: int) -> np.ndarray:
+    """Outcomes for one chunk of a run drawing from law, a pure function of its
+    arguments.
 
     The chunk's uniforms are drawn into the one array returned, which the
     caller owns, and each block of BLOCK_SIZE of them is mapped to its outcomes
     in place, so that array is the chunk's only chunk-size allocation; the
     mapping is elementwise, so the outcomes are those of mapping the whole
     array at once."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(_SCHEME_INDEX[scheme], chunk_index))
-    )
-    x = rng.random(size)
-    if scheme == "direct":
-        guide = _choice_guide(np.asarray(law, dtype=float).tobytes())
+    key = (_SCHEME_INDEX[law.scheme], chunk_index)
+    x = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key)).random(size)
     for start in range(0, size, BLOCK_SIZE):
-        u = x[start : start + BLOCK_SIZE]
-        if scheme == "direct":
-            np.divide(guide.rank(u), eta, out=u)
-        else:
-            _outcome(law.sample(u), scheme, eta, out=u)
+        law.outcomes(x[start : start + BLOCK_SIZE])
     return x
 
 
@@ -222,8 +224,7 @@ def _bins(spec: StateSpec, scheme: str, eta: float, n: int) -> tuple[np.ndarray,
         )
         lo, width, bins = (m_lo - 0.5) / eta, step / eta, math.ceil(span / step)
     else:
-        table = _sampling_table(spec, scheme, eta)
-        lo, q_25, q_75, hi = _outcome(table.sample(probs), scheme, eta)
+        lo, q_25, q_75, hi = _run_law(spec, scheme, eta).outcomes(probs)
         width = max(2.0 * (q_75 - q_25) / n ** (1.0 / 3.0), (hi - lo) / MAX_HISTOGRAM_BINS)
         bins = min(MAX_HISTOGRAM_BINS, max(1, math.ceil((hi - lo) / width)))
     edges = np.linspace(lo, lo + bins * width, bins + 1)
@@ -234,7 +235,7 @@ def _bins(spec: StateSpec, scheme: str, eta: float, n: int) -> tuple[np.ndarray,
 
 
 def _chunk_reduction(
-    law, scheme: str, eta: float, seed: int, chunk_index: int, size: int, edges: np.ndarray
+    law: _RunLaw, seed: int, chunk_index: int, size: int, edges: np.ndarray
 ) -> np.ndarray:
     """One chunk reduced where it is drawn: (count, mean, M2, bin counts...).
     Bin i holds edges[i] <= x < edges[i + 1], up to the rounding of
@@ -243,7 +244,7 @@ def _chunk_reduction(
     The mean is taken over the whole chunk, the bin counts are summed block by
     block, and the deviations from the mean are then formed in place in the
     chunk's one array, so no second chunk-size array is made."""
-    x = _chunk_outcomes(law, scheme, eta, seed, chunk_index, size)
+    x = _chunk_outcomes(law, seed, chunk_index, size)
     mean = x.mean()
     bins = len(edges) - 1
     scale = bins / (edges[-1] - edges[0])
@@ -259,12 +260,12 @@ def _chunk_reduction(
 
 
 def _batch_reduction(
-    law, scheme: str, eta: float, seed: int, n: int, edges: np.ndarray, first: int, stop: int
+    law: _RunLaw, seed: int, n: int, edges: np.ndarray, first: int, stop: int
 ) -> list[np.ndarray]:
     """The rows of chunks first .. stop - 1 of a run of n draws, one chunk at a
     time; every chunk holds CHUNK_SIZE draws but the last, which holds the rest."""
     return [
-        _chunk_reduction(law, scheme, eta, seed, i, min(CHUNK_SIZE, n - i * CHUNK_SIZE), edges)
+        _chunk_reduction(law, seed, i, min(CHUNK_SIZE, n - i * CHUNK_SIZE), edges)
         for i in range(first, stop)
     ]
 
@@ -326,11 +327,7 @@ def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
     """The reduced chunks of a run, one row (count, mean, M2, bin counts...)
     per chunk in the fixed chunk order."""
     _check_spread(config)
-    scheme, eta = config.detector.scheme, config.detector.eta
-    if scheme == "direct":
-        law = direct_detection_pmf(photon_distribution(config.state), eta)
-    else:
-        law = _sampling_table(config.state, scheme, eta)
+    law = _run_law(config.state, config.detector.scheme, config.detector.eta)
     edges, _ = _histogram_bins(config)
     n, seed = config.n_samples, config.seed
     n_chunks = -(-n // CHUNK_SIZE)
@@ -338,7 +335,7 @@ def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
     # one task per process, a run of consecutive chunks: each worker receives
     # the law once, and the rows come back in chunk order
     bounds = [n_chunks * i // processes for i in range(processes + 1)]
-    reduce_batch = partial(_batch_reduction, law, scheme, eta, seed, n, edges)
+    reduce_batch = partial(_batch_reduction, law, seed, n, edges)
     if processes == 1:
         parts = [reduce_batch(0, n_chunks)]
     else:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegrationError, ValidationError, check_int, check_real
+from .errors import IntegrationError, ValidationError, check_int, check_point, check_real
 
 __all__ = [
     "DensityTable",
@@ -176,10 +176,11 @@ def hermite_h(n: int, x: float) -> float:
     """Physicists' Hermite polynomial H_n(x) via the three-term recurrence.
 
     H_{k+1} = 2 x H_k - 2 k H_{k-1}, rescaled as it runs: a value past the float
-    range is inf with the sign of H_n(x), never NaN.  Use :func:`oscillator_density`
+    range is inf with the sign of H_n(x), never NaN.  x is a real number: at +-inf
+    H_n is its limit, and at NaN from order 1 NaN.  Use :func:`oscillator_density`
     when the Gaussian weight is meant to tame the growth.
     """
-    n = check_int(n, "hermite_h: order", 0, math.inf)
+    n, x = check_int(n, "hermite_h: order", 0, math.inf), check_point(x, "hermite_h: x", nan=True)
     if math.isinf(x):
         return x**n  # the limit, where the recurrence would take inf - inf
     mant, ln_scale = _hermite_scaled(n, x)
@@ -337,12 +338,13 @@ def integrate(f, lower: float, upper: float, tol: float = 1e-10) -> float:
     every new panel in one call of f, then bisects the panels of largest error
     until those left whole hold at most half the bound max(tol, max(tol, 1e-12) |I|)
     on the summed estimate.  IntegrationError, carrying the estimate, follows past
-    600 panels, and at a NaN or infinite value of f."""
-    if not tol > 0.0 or math.isnan(lower) or math.isnan(upper):
-        raise ValidationError(f"integrate: tol must be > 0, ends not NaN ({tol}, {lower}, {upper})")
+    600 panels, and at a NaN or infinite value of f.  tol must be a finite real > 0,
+    and each end a real number or +-inf."""
+    lower, upper = check_point(lower, "integrate: lower"), check_point(upper, "integrate: upper")
+    tol = check_real(tol, "integrate: tol", 5e-324, math.inf)
     if lower >= upper:
         return -integrate(f, upper, lower, tol) if lower > upper else 0.0
-    g = _on_unit_interval(f, float(lower), float(upper))
+    g = _on_unit_interval(f, lower, upper)
     a, b = np.arange(16.0) / 16.0, np.arange(1.0, 17.0) / 16.0  # the panels to evaluate
     kept = [np.empty(0)] * 4  # the panels left whole: ends, Kronrod sums, errors
     while True:

@@ -116,7 +116,8 @@ class PhotonStatistics:
     """Truncated number distribution rho[n] = <n|rho|n>, n = 0..n_max.
 
     All entries are nonnegative, their sum lies in [1 - tail_bound, 1], and
-    the discarded mass beyond n_max is at most tail_bound.
+    the discarded mass beyond n_max is at most tail_bound, a float in (0, 1e-6]
+    as photon_distribution takes it.
     """
 
     rho: np.ndarray
@@ -130,13 +131,15 @@ class PhotonStatistics:
             raise ValidationError("PhotonStatistics: rho must be a nonempty 1-d array")
         if np.any(rho < 0.0) or not np.all(np.isfinite(rho)):
             raise ValidationError("PhotonStatistics: rho entries must be finite and >= 0")
+        tail_bound = check_real(self.tail_bound, "tail_bound", 5e-324, 1e-6)
         total = rho.sum()
-        if not (1.0 - self.tail_bound - MASS_SLACK <= total <= 1.0 + MASS_SLACK):
+        if not (1.0 - tail_bound - MASS_SLACK <= total <= 1.0 + MASS_SLACK):
             raise ValidationError(
-                f"PhotonStatistics: mass {total:.15g} outside [1 - {self.tail_bound:g}, 1]"
+                f"PhotonStatistics: mass {total:.15g} outside [1 - {tail_bound:g}, 1]"
             )
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "tail_bound", tail_bound)
         object.__setattr__(self, "rho_bytes", rho.tobytes())  # the key of cached laws
 
     @property

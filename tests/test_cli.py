@@ -995,14 +995,14 @@ def _sweep_run(command, flags, params):
     return code, out.getvalue(), err.getvalue(), rows
 
 
-def _few_draws(law, scheme, eta, seed, n, edges, first, stop):
+def _few_draws(law, seed, n, edges, first, stop):
     """montecarlo._batch_reduction from at most SWEEP_DRAWS real draws: one row,
     scaled up to the batch's draws, stands for its chunks, so n_samples up to
     2**53 draws and allocates next to nothing.  Below SWEEP_DRAWS it is the
     real row."""
     chunk = montecarlo.CHUNK_SIZE
     draws = min(n, stop * chunk) - first * chunk
-    row = montecarlo._chunk_reduction(law, scheme, eta, seed, first, min(draws, SWEEP_DRAWS), edges)
+    row = montecarlo._chunk_reduction(law, seed, first, min(draws, SWEEP_DRAWS), edges)
     scale = draws / row[0]
     row[0] = draws
     row[2:] *= scale

@@ -1,5 +1,5 @@
-"""The one integer check and the one real-number check, and every integer and real
-argument of the package taken through them."""
+"""The one integer check, the one real-number check and the point check, and every
+integer, real and point argument of the package taken through them."""
 
 import functools
 import math
@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from qroulette import cli, noise
-from qroulette.errors import TruncationError, ValidationError, check_eta, check_int, check_real
+from qroulette.errors import TruncationError, ValidationError, check_eta, check_int, check_point
+from qroulette.errors import check_real
 from qroulette.estimators import richter_kernel
 from qroulette.montecarlo import ExperimentConfig, run_sampling
 from qroulette.naimark import random_roulette_spec, semiclassical_check, two_mode_photocurrent
 from qroulette.noise import zero_line
-from qroulette.numerics import build_inverse_cdf, hermite_h, oscillator_density
+from qroulette.numerics import build_inverse_cdf, hermite_h, integrate, oscillator_density
 from qroulette.pom import DetectorConfig, heterodyne_outcome_moment, roulette_outcome_moment
-from qroulette.states import StateSpec, photon_distribution
+from qroulette.states import PhotonStatistics, StateSpec, photon_distribution
 
 COHERENT1 = photon_distribution(StateSpec.coherent(1.0))
 
@@ -240,6 +241,8 @@ REAL_SITES = {
     "build_inverse_cdf tol": (
         lambda v: build_inverse_cdf(lambda x: x, (0.0, 1.0), v), "tol", 1e-6
     ),
+    "integrate tol": (lambda v: integrate(math.cos, 0.0, 1.0, v), "tol", 1e-10),
+    "PhotonStatistics tail_bound": (lambda v: PhotonStatistics([1.0], v), "tail_bound", 1e-9),
     "cli field": (lambda v: cli._number({"phi": v}, "phi"), "field 'phi'", 0.5),
     "cli comma list": (
         lambda v: cli._float_list(v, "field 'amplitudes'"), "field 'amplitudes'", 0.5
@@ -308,3 +311,55 @@ class TestRealArguments:
                 semiclassical_check(alpha, 0.0, [2.0])
         expected = semiclassical_check(1.0 + 0.5j, 0.3, [2.0])
         assert semiclassical_check(np.complex128(1.0 + 0.5j), 0.3, [2.0]) == expected
+
+    def test_photon_statistics_takes_the_tail_bounds_of_photon_distribution(self):
+        refused = r"tail_bound must be a finite real in \(0, 1e-06\] \(got 0.5\)"
+        with pytest.raises(ValidationError, match=refused):
+            PhotonStatistics([1.0], 0.5)
+
+
+class TestCheckPoint:
+    @pytest.mark.parametrize(
+        "value", [0.25, 1, np.float64(0.25), np.float32(0.25), np.int64(1), math.inf, -math.inf]
+    )
+    def test_a_real_or_infinite_point_comes_back_as_a_float(self, value):
+        out = check_point(value, "x")
+        assert out == float(value) and type(out) is float
+
+    @pytest.mark.parametrize(
+        "value", [True, np.bool_(True), None, "abc", "0.25", 3j, [0.5], 10**400, -(10**400)]
+    )
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(ValidationError, match="'x' must be a real number in the float range"):
+            check_point(value, "'x'")
+
+    def test_nan_only_where_it_is_taken(self):
+        assert math.isnan(check_point(math.nan, "x", nan=True))
+        with pytest.raises(ValidationError, match=r"x must be .* or \+-inf \(got nan\)"):
+            check_point(math.nan, "x")
+        with pytest.raises(ValidationError, match="got an integer of 16610 bits"):
+            check_point(10**5000, "x", nan=True)
+
+
+# every point argument, as a call taking it, and the field its error names
+POINT_SITES = {
+    "integrate lower": (lambda v: integrate(np.cos, v, 1.0), "integrate: lower"),
+    "integrate upper": (lambda v: integrate(np.cos, 0.0, v), "integrate: upper"),
+    "hermite_h x": (lambda v: hermite_h(3, v), "hermite_h: x"),
+}
+NOT_A_POINT = NOT_REAL | {"text 1": "1"}
+
+
+class TestPointArguments:
+    @pytest.mark.parametrize("site", sorted(POINT_SITES))
+    @pytest.mark.parametrize("bad", sorted(set(NOT_A_POINT) - {"inf", "nan"}))
+    def test_every_site_refuses_what_is_no_real_number(self, site, bad):
+        call, field = POINT_SITES[site]
+        with pytest.raises(ValidationError, match=f"{field} must be"):
+            call(NOT_A_POINT[bad])
+
+    @pytest.mark.parametrize("site", sorted(POINT_SITES))
+    @pytest.mark.parametrize("kind", [int, np.int64, np.float64])
+    def test_a_point_of_any_real_type_gives_what_its_float_gives(self, site, kind):
+        call, _ = POINT_SITES[site]
+        assert call(kind(2)) == call(2.0)

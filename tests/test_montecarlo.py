@@ -82,25 +82,46 @@ class TestRoulette:
         summary = sample_roulette(config(StateSpec.fock(n), "roulette", eta, n=1 << 17))
         assert_run(summary, float(n), roulette_variance(n, float(n) ** 2, eta))
 
-    def test_one_table_per_state_and_efficiency(self, monkeypatch):
-        calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return build_inverse_cdf(*args, **kwargs)
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The tables montecarlo builds during a test, by kind, from an empty
+    run-law cache that is emptied again when the test ends."""
+    built = []
 
-        monkeypatch.setattr(montecarlo, "build_inverse_cdf", counting)
-        for scheme in ("roulette", "heterodyne"):
-            montecarlo._sampling_table.cache_clear()
-            calls.clear()
-            cfg = config(StateSpec.coherent(4.0), scheme, 0.5, n=3 * montecarlo.CHUNK_SIZE)
-            summary = run_sampling(cfg)
-            assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
-            assert len(calls) == 1, scheme
+    def counting(*args, **kwargs):
+        built.append("inverse_cdf")
+        return build_inverse_cdf(*args, **kwargs)
 
-    def test_workers_never_build_a_table(self, monkeypatch):
-        # an in-process pool whose "workers" start every chunk with an empty
-        # table cache, as fresh processes would
+    class CountingGuide(GuideTable):
+        def __init__(self, cdf):
+            built.append("guide")
+            super().__init__(cdf)
+
+    monkeypatch.setattr(montecarlo, "build_inverse_cdf", counting)
+    monkeypatch.setattr(montecarlo, "GuideTable", CountingGuide)
+    montecarlo._run_law.cache_clear()
+    yield built
+    montecarlo._run_law.cache_clear()
+
+
+# the one table a run law of each scheme builds
+LAW_TABLE = {"roulette": "inverse_cdf", "heterodyne": "inverse_cdf", "direct": "guide"}
+
+
+class TestRunLaw:
+    @pytest.mark.parametrize("scheme", pom.SCHEMES)
+    def test_one_table_per_state_and_efficiency(self, scheme, table_builds):
+        # two laws, each run twice: the second run of a law builds nothing
+        for eta in (0.5, 0.25, 0.5, 0.25):
+            cfg = config(StateSpec.coherent(4.0), scheme, eta, n=3 * montecarlo.CHUNK_SIZE + 1)
+            assert run_sampling(cfg).n_samples == cfg.n_samples
+        assert table_builds == [LAW_TABLE[scheme]] * 2
+
+    @pytest.mark.parametrize("scheme", pom.SCHEMES)
+    def test_workers_never_build_a_table(self, scheme, table_builds, monkeypatch):
+        # an in-process pool whose "workers" start every task with an empty
+        # run-law cache, as fresh processes would
         class FreshCachePool:
             def __init__(self, max_workers):
                 pass
@@ -113,27 +134,23 @@ class TestRoulette:
 
             def map(self, fn, *iterables):
                 for args in zip(*iterables):
-                    montecarlo._sampling_table.cache_clear()
+                    montecarlo._run_law.cache_clear()
                     yield fn(*args)
 
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return build_inverse_cdf(*args, **kwargs)
-
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FreshCachePool)
-        monkeypatch.setattr(montecarlo, "build_inverse_cdf", counting)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        for scheme in ("roulette", "heterodyne"):
-            montecarlo._sampling_table.cache_clear()
-            calls.clear()
-            cfg = config(
-                StateSpec.coherent(4.0), scheme, 0.5, n=3 * montecarlo.CHUNK_SIZE, workers=3
-            )
-            summary = run_sampling(cfg)
-            assert summary.n_samples == 3 * montecarlo.CHUNK_SIZE
-            assert len(calls) == 1, scheme
+        cfg = config(StateSpec.coherent(4.0), scheme, 0.5, n=3 * montecarlo.CHUNK_SIZE, workers=3)
+        assert run_sampling(cfg).n_samples == 3 * montecarlo.CHUNK_SIZE
+        # one table, in the calling process
+        assert table_builds == [LAW_TABLE[scheme]]
+
+    @pytest.mark.parametrize(
+        "pmf", [[0.5, math.nan, 0.5], [1.5, -0.5], [0.5, 0.4], [math.inf, 0.0]]
+    )
+    def test_bad_pmf_is_a_numerical_failure(self, pmf, monkeypatch):
+        monkeypatch.setattr(montecarlo, "direct_detection_pmf", lambda stats, eta: np.array(pmf))
+        with pytest.raises(NumericalError):
+            montecarlo._run_law.__wrapped__(StateSpec.vacuum(), "direct", 0.5)
 
 
 def dense_ks(table, spec, eta, exact_cdf=roulette_cdf_abs_x):
@@ -148,7 +165,7 @@ class TestRouletteTable:
     @pytest.mark.parametrize("eta", MC_ETAS)
     @pytest.mark.parametrize("label, spec", MATRIX_STATES)
     def test_matrix_tables_meet_their_tolerance(self, label, spec, eta):
-        table = montecarlo._sampling_table(spec, "roulette", eta)
+        table = montecarlo._run_law(spec, "roulette", eta).table
         assert dense_ks(table, spec, eta) <= 1e-6
 
     @pytest.mark.parametrize(
@@ -159,7 +176,7 @@ class TestRouletteTable:
         # a strided sweep to n = 1000, about one density lobe per order; the
         # tables, up to 35 000 nodes, stay out of the cache the other tests share
         spec = StateSpec.fock(n)
-        table = montecarlo._sampling_table.__wrapped__(spec, "roulette", eta)
+        table = montecarlo._run_law.__wrapped__(spec, "roulette", eta).table
         assert dense_ks(table, spec, eta) <= 1e-6
 
 
@@ -167,7 +184,7 @@ class TestHeterodyneTable:
     @pytest.mark.parametrize("eta", MC_ETAS)
     @pytest.mark.parametrize("label, spec", MATRIX_STATES)
     def test_matrix_tables_meet_their_tolerance(self, label, spec, eta):
-        table = montecarlo._sampling_table(spec, "heterodyne", eta)
+        table = montecarlo._run_law(spec, "heterodyne", eta).table
         assert dense_ks(table, spec, eta, heterodyne_cdf_v) <= 1e-6
 
     @pytest.mark.parametrize("eta", [1.0, 0.5])
@@ -186,7 +203,7 @@ class TestHeterodyneTable:
         # against closed forms of the untruncated states, which the exact CDF
         # matches to about 1e-13 but costs seconds to evaluate on 10^5 points;
         # the tables stay out of the cache the other tests share
-        table = montecarlo._sampling_table.__wrapped__(spec, "heterodyne", eta)
+        table = montecarlo._run_law.__wrapped__(spec, "heterodyne", eta).table
         assert dense_ks(table, spec, eta, lambda stats, v, eta: law(v, eta)) <= 1e-6
 
 
@@ -200,9 +217,9 @@ class TestWindowedHeterodyneTables:
         + [(StateSpec.coherent(100.0), 0.5), (StateSpec.fock(200), 0.5)],
     )
     def test_tables_match_the_every_order_sum(self, spec, eta, monkeypatch):
-        windowed = montecarlo._sampling_table.__wrapped__(spec, "heterodyne", eta)
+        windowed = montecarlo._run_law.__wrapped__(spec, "heterodyne", eta).table
         monkeypatch.setattr(pom, "_poisson_mixture", full_order_poisson_mixture)
-        full = montecarlo._sampling_table.__wrapped__(spec, "heterodyne", eta)
+        full = montecarlo._run_law.__wrapped__(spec, "heterodyne", eta).table
         np.testing.assert_array_equal(windowed.grid, full.grid)
         np.testing.assert_array_equal(windowed.cdf, full.cdf)
 
@@ -427,10 +444,7 @@ class TestConfigValidation:
 
 
 def run_law(cfg):
-    scheme, eta = cfg.detector.scheme, cfg.detector.eta
-    if scheme == "direct":
-        return direct_detection_pmf(photon_distribution(cfg.state), eta)
-    return montecarlo._sampling_table(cfg.state, scheme, eta)
+    return montecarlo._run_law(cfg.state, cfg.detector.scheme, cfg.detector.eta)
 
 
 class TestReduction:
@@ -442,7 +456,7 @@ class TestReduction:
         sizes = [montecarlo.CHUNK_SIZE] * 3 + [12345]
         outcomes = np.concatenate(
             [
-                montecarlo._chunk_outcomes(run_law(cfg), scheme, 0.5, SEED, index, size)
+                montecarlo._chunk_outcomes(run_law(cfg), SEED, index, size)
                 for index, size in enumerate(sizes)
             ]
         )
@@ -513,18 +527,25 @@ class TestReduction:
         assert growth_mb < 48.0, growth_mb
 
 
-def reference_chunk_outcomes(law, scheme, eta, seed, chunk_index, size):
-    """One chunk drawn by np.interp and Generator.choice, the binary searches
-    the guide-table lookup replaces."""
+def reference_chunk_outcomes(pmf, law, seed, chunk_index, size):
+    """One chunk drawn by np.interp on law's table, or by Generator.choice on
+    the thinned pmf for direct detection: the binary searches the guide-table
+    lookup replaces."""
     rng = np.random.default_rng(
         np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(montecarlo._SCHEME_INDEX[scheme], chunk_index)
+            entropy=int(seed), spawn_key=(montecarlo._SCHEME_INDEX[law.scheme], chunk_index)
         )
     )
-    if scheme == "direct":
-        return rng.choice(len(law), size=size, p=law) / eta
-    q = np.interp(rng.random(size), law.cdf, law.grid)
-    return intensity_estimator(q, eta) if scheme == "roulette" else (q - 1.0) / eta
+    if law.scheme == "direct":
+        return rng.choice(len(pmf), size=size, p=pmf) / law.eta
+    q = np.interp(rng.random(size), law.table.cdf, law.table.grid)
+    return intensity_estimator(q, law.eta) if law.scheme == "roulette" else (q - 1.0) / law.eta
+
+
+def draw_by_reference(cfg, monkeypatch):
+    """Draw every chunk by reference_chunk_outcomes from here on, from cfg's law."""
+    pmf = direct_detection_pmf(photon_distribution(cfg.state), cfg.detector.eta)
+    monkeypatch.setattr(montecarlo, "_chunk_outcomes", partial(reference_chunk_outcomes, pmf))
 
 
 class TestGuideLookupDraws:
@@ -536,73 +557,20 @@ class TestGuideLookupDraws:
             for eta in MC_ETAS
         ]
         actual = [json.dumps(run_sampling(cfg).to_dict()) for cfg in configs]
-        monkeypatch.setattr(montecarlo, "_chunk_outcomes", reference_chunk_outcomes)
-        assert [json.dumps(run_sampling(cfg).to_dict()) for cfg in configs] == actual
-
-    @pytest.mark.parametrize("scheme", ["direct"])
-    @pytest.mark.parametrize(
-        "pmf", [[0.5, math.nan, 0.5], [1.5, -0.5], [0.5, 0.4], [math.inf, 0.0]]
-    )
-    def test_bad_pmf_is_a_numerical_failure(self, pmf, scheme):
-        with pytest.raises(NumericalError):
-            montecarlo._chunk_outcomes(np.array(pmf), scheme, 0.5, SEED, 0, 100)
-
-    def test_direct_run_builds_one_guide(self, monkeypatch):
-        built = []
-
-        class CountingGuide(GuideTable):
-            def __init__(self, cdf):
-                built.append(len(cdf))
-                super().__init__(cdf)
-
-        monkeypatch.setattr(montecarlo, "GuideTable", CountingGuide)
-        montecarlo._choice_guide.cache_clear()
-        try:
-            cfg = config(StateSpec.thermal(1.0), "direct", 0.5, n=3 * montecarlo.CHUNK_SIZE + 1)
-            summary = run_sampling(cfg)
-        finally:
-            montecarlo._choice_guide.cache_clear()
-        assert summary.n_samples == cfg.n_samples
-        assert len(built) == 1
-
-    def test_guides_of_many_laws_are_built_once_each(self, monkeypatch):
-        # the warm validation matrix cycles through 15 direct laws
-        built = []
-
-        class CountingGuide(GuideTable):
-            def __init__(self, cdf):
-                built.append(len(cdf))
-                super().__init__(cdf)
-
-        laws = {}
-        for _, spec in MATRIX_STATES:
-            for eta in MC_ETAS:
-                pmf = direct_detection_pmf(photon_distribution(spec), eta)
-                laws.setdefault(pmf.tobytes(), (pmf, eta))
-        assert len(laws) >= 9
-        monkeypatch.setattr(montecarlo, "GuideTable", CountingGuide)
-        montecarlo._choice_guide.cache_clear()
-        try:
-            for _ in range(2):
-                for pmf, eta in laws.values():
-                    montecarlo._chunk_outcomes(pmf, "direct", eta, SEED, 0, 100)
-        finally:
-            montecarlo._choice_guide.cache_clear()
-        assert len(built) == len(laws)
+        for cfg, summary in zip(configs, actual):
+            draw_by_reference(cfg, monkeypatch)
+            assert json.dumps(run_sampling(cfg).to_dict()) == summary, cfg
 
 
-def full_array_reduction(law, scheme, eta, seed, chunk_index, size, edges):
+def full_array_reduction(law, seed, chunk_index, size, edges):
     """One chunk mapped and reduced as whole arrays: the arithmetic that the
     block loops of _chunk_outcomes and _chunk_reduction split up."""
     rng = np.random.default_rng(
         np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(montecarlo._SCHEME_INDEX[scheme], chunk_index)
+            entropy=int(seed), spawn_key=(montecarlo._SCHEME_INDEX[law.scheme], chunk_index)
         )
     )
-    if scheme == "direct":
-        x = GuideTable(montecarlo._choice_cdf(law)).rank(rng.random(size)) / eta
-    else:
-        x = montecarlo._outcome(law.sample(rng.random(size)), scheme, eta)
+    x = law.outcomes(rng.random(size))
     mean = x.mean()
     bins = len(edges) - 1
     index = (x - edges[0]) * (bins / (edges[-1] - edges[0]))
@@ -628,21 +596,21 @@ class TestBlockKernel:
         for spec, eta in [(StateSpec.coherent(4.0), 0.5), (StateSpec.squeezed(2.0, 0.5), 1.0)]:
             cfg = config(spec, scheme, eta)
             law, (edges, _) = run_law(cfg), montecarlo._histogram_bins(cfg)
-            expected, row = full_array_reduction(law, scheme, eta, SEED, 3, size, edges)
-            actual = montecarlo._chunk_outcomes(law, scheme, eta, SEED, 3, size)
+            expected, row = full_array_reduction(law, SEED, 3, size, edges)
+            actual = montecarlo._chunk_outcomes(law, SEED, 3, size)
             assert actual.tobytes() == expected.tobytes()
-            reduced = montecarlo._chunk_reduction(law, scheme, eta, SEED, 3, size, edges)
+            reduced = montecarlo._chunk_reduction(law, SEED, 3, size, edges)
             assert reduced.tobytes() == row.tobytes()
 
     @pytest.mark.parametrize("size", CHUNK_SIZES)
     @pytest.mark.parametrize("scheme", ["roulette", "heterodyne"])
     def test_steep_segment_matches_bitwise(self, scheme, size):
-        edges = np.linspace(-1.0, 3.0, 65)
+        law, edges = montecarlo._RunLaw(scheme, 0.5, STEEP_TABLE), np.linspace(-1.0, 3.0, 65)
         # the inf draws make the mean inf and the deviations nan, alike on both sides
         with np.errstate(over="ignore", invalid="ignore"):
-            expected, row = full_array_reduction(STEEP_TABLE, scheme, 0.5, SEED, 0, size, edges)
-            actual = montecarlo._chunk_outcomes(STEEP_TABLE, scheme, 0.5, SEED, 0, size)
-            reduced = montecarlo._chunk_reduction(STEEP_TABLE, scheme, 0.5, SEED, 0, size, edges)
+            expected, row = full_array_reduction(law, SEED, 0, size, edges)
+            actual = montecarlo._chunk_outcomes(law, SEED, 0, size)
+            reduced = montecarlo._chunk_reduction(law, SEED, 0, size, edges)
         if size >= BLOCK:
             assert np.isinf(expected).any() and np.isfinite(expected).any()
         assert actual.tobytes() == expected.tobytes()
@@ -657,14 +625,15 @@ class TestBlockKernel:
             for eta in (1.0, 0.5)
         ]
         actual = [montecarlo.draw_outcomes(cfg).tobytes() for cfg in configs]
-        monkeypatch.setattr(montecarlo, "_chunk_outcomes", reference_chunk_outcomes)
-        assert [montecarlo.draw_outcomes(cfg).tobytes() for cfg in configs] == actual
+        for cfg, rows in zip(configs, actual):
+            draw_by_reference(cfg, monkeypatch)
+            assert montecarlo.draw_outcomes(cfg).tobytes() == rows, cfg
 
     @pytest.mark.parametrize("scheme", ["roulette", "heterodyne", "direct"])
     def test_chunk_holds_one_chunk_size_array(self, scheme):
         cfg = config(StateSpec.squeezed(2.0, 0.5), scheme, 0.5)
         law, (edges, _) = run_law(cfg), montecarlo._histogram_bins(cfg)
-        reduce_chunk = partial(montecarlo._chunk_reduction, law, scheme, 0.5, SEED)
+        reduce_chunk = partial(montecarlo._chunk_reduction, law, SEED)
         reduce_chunk(0, montecarlo.CHUNK_SIZE, edges)
         tracemalloc.start()
         try:
