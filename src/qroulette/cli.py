@@ -259,14 +259,11 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     if mode == "discrete-random":
         trials = check_int(_number(params, "trials", int), "field 'trials'", 1, MAX_TRIALS)
         seed = check_int(_number(params, "seed", int), "field 'seed'", 0, math.inf)
+        max_dim, max_m = (_number(params, key, int) for key in ("max_dim", "max_m"))
         rng = np.random.default_rng(seed)
         worst: dict = {}  # each residual's maximum so far
         for _ in range(trials):
-            spec = random_roulette_spec(
-                rng,
-                max_dim=_number(params, "max_dim", int),
-                max_observables=_number(params, "max_m", int),
-            )
+            spec = random_roulette_spec(rng, max_dim=max_dim, max_observables=max_m)
             if params.get("corrupt"):
                 fam = [f.copy() for f in spec.families]
                 fam[0][0, 0, 0] += 1e-3

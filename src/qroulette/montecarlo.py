@@ -15,15 +15,15 @@ outcome in place, most from one gather, bitwise np.interp on the table or
 Generator.choice on the pmf.  A run whose n_samples times the exact outcome
 variance overflows fails before any draw.
 
-The histogram edges are fixed before any draw by the exact outcome law:
-equal-width Freedman-Diaconis bins (Freedman & Diaconis, 1981) spanning the
-quantiles eps .. 1 - eps, eps = 0.1 / n_samples; direct-detection bins are
-whole steps of the 1/eta lattice.  Each chunk reduces its outcomes where they
-are drawn, to its count, mean, sum of squared deviations and bin counts (the
-end bins take the outcomes beyond them), and the rows are merged in chunk
-order (Chan, Golub & LeVeque, 1979).  So a process holds one chunk's outcomes
-at a time, but the run keeps every row, 3 + bins floats per chunk, until the
-merge: about 31 MB at 10^9 roulette or heterodyne draws.
+The histogram edges are fixed before any draw by the run law, for every scheme
+from the table the draws use: equal-width Freedman-Diaconis bins (Freedman &
+Diaconis, 1981) spanning the quantiles eps .. 1 - eps, eps = 0.1 / n_samples;
+direct-detection bins are whole steps of the 1/eta lattice.  Each chunk reduces
+its outcomes where they are drawn, to its count, mean, sum of squared deviations
+and bin counts (the end bins take the outcomes beyond them), and the rows are
+merged in chunk order (Chan, Golub & LeVeque, 1979).  So a process holds one
+chunk's outcomes at a time, but the run keeps every row, 3 + bins floats per
+chunk, until the merge: about 31 MB at 10^9 roulette or heterodyne draws.
 
 A chunk holds one chunk-size array: its uniforms are drawn into it, mapped to
 outcomes in place and binned in blocks of BLOCK_SIZE points, and only the mean
@@ -54,11 +54,10 @@ from .noise import (
     noise_report,
     roulette_variance,
 )
-from .numerics import DensityTable, GuideTable, build_inverse_cdf, poisson_window
+from .numerics import GuideTable, build_inverse_cdf, poisson_window
 from .pom import (
     SCHEMES,
     DetectorConfig,
-    direct_detection_cdf,
     direct_detection_pmf,
     heterodyne_cdf_v,
     roulette_cdf_abs_x,
@@ -145,7 +144,7 @@ class _RunLaw:
 
     scheme: str
     eta: float
-    table: DensityTable | GuideTable
+    table: GuideTable
 
     def outcomes(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms to outcomes in place and return u: m/eta, (v - 1)/eta, or
@@ -158,10 +157,10 @@ class _RunLaw:
         return np.divide(np.subtract(q, 1.0, u), self.eta, u)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _run_law(spec: StateSpec, scheme: str, eta: float) -> _RunLaw:
     """The run law of (state, scheme, eta), its table built from the exact law;
-    it serves both draws and quantiles."""
+    it serves both draws and bins."""
     stats = photon_distribution(spec)
     if scheme == "direct":
         table = GuideTable(_choice_cdf(direct_detection_pmf(stats, eta)))
@@ -204,19 +203,17 @@ def _chunk_outcomes(law: _RunLaw, seed: int, chunk_index: int, size: int) -> np.
     return x
 
 
-def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(edges, centres) of the run's equal-width bins."""
-    return _bins(config.state, config.detector.scheme, config.detector.eta, config.n_samples)
-
-
 @lru_cache(maxsize=64)
-def _bins(spec: StateSpec, scheme: str, eta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Freedman-Diaconis bins from the exact interquartile range, spanning the
-    quantiles eps .. 1 - eps; cached for the summary and later runs."""
+def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, centres) of the run's equal-width Freedman-Diaconis bins from the
+    run law's exact interquartile range, spanning the quantiles eps .. 1 - eps;
+    cached, so the summary takes the edges the draws were binned by."""
+    n, scheme, eta = config.n_samples, config.detector.scheme, config.detector.eta
+    law = _run_law(config.state, scheme, eta)
     probs = np.array([0.1 / n, 0.25, 0.75, 1.0 - 0.1 / n])
     if scheme == "direct":
         # whole steps of the 1/eta lattice, edges at half-lattice points
-        cdf = direct_detection_cdf(photon_distribution(spec), eta)
+        cdf = law.table.cdf
         m_lo, m_25, m_75, m_hi = np.minimum(np.searchsorted(cdf, probs), len(cdf) - 1)
         span = int(m_hi - m_lo) + 1
         step = max(
@@ -224,7 +221,7 @@ def _bins(spec: StateSpec, scheme: str, eta: float, n: int) -> tuple[np.ndarray,
         )
         lo, width, bins = (m_lo - 0.5) / eta, step / eta, math.ceil(span / step)
     else:
-        lo, q_25, q_75, hi = _run_law(spec, scheme, eta).outcomes(probs)
+        lo, q_25, q_75, hi = law.outcomes(probs)
         width = max(2.0 * (q_75 - q_25) / n ** (1.0 / 3.0), (hi - lo) / MAX_HISTOGRAM_BINS)
         bins = min(MAX_HISTOGRAM_BINS, max(1, math.ceil((hi - lo) / width)))
     edges = np.linspace(lo, lo + bins * width, bins + 1)

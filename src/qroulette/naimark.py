@@ -35,14 +35,14 @@ __all__ = [
 PROJECTOR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RouletteSpec:
     """Weights z_k plus M projector families over a d-dimensional system.
 
     families[k] has shape (n_outcomes, d, d); within each family the
     projectors are Hermitian, mutually orthogonal and sum to the identity
     (zero matrices are legal padding so all families share one outcome
-    count).
+    count).  Instances compare and hash by identity.
     """
 
     weights: np.ndarray

@@ -1,7 +1,8 @@
 """Special functions, adaptive quadrature, and inverse-CDF sampling tables.
 
-Everything here is a pure function of its inputs; GuideTable and DensityTable
-instances are immutable after construction and safe to share across workers.
+Everything here is a pure function of its inputs.  A DensityTable is the guide
+table of its CDF; tables are immutable after construction, safe to share across
+workers, and compare and hash by identity, like photon laws and roulette specs.
 Nothing here needs scipy: `integrate` runs QUADPACK's Gauss-Kronrod rule on
 whole arrays of nodes.  The normal distribution function `ndtr` is libm's erfc
 (math.erfc), and the log-factorial table `log_factorials` ports the cephes
@@ -21,7 +22,6 @@ ladder terms from its two rows, to the last nonzero weight or link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -417,6 +417,7 @@ class GuideTable:
         self._scale = self._cells / max(self._hi, -self._lo)
         # the node after each count; the sentinel stops a point at the last node
         self._next = np.append(cdf, np.inf)
+        self._next.setflags(write=False)
         node_cells = np.clip((cdf * self._scale).astype(np.intp), 0, self._cells)
         inside = np.bincount(node_cells, minlength=self._cells + 1)
         before = np.cumsum(inside) - inside
@@ -433,9 +434,14 @@ class GuideTable:
         start, point = ~count[held], t[held]
         start += self._next[start] <= point
         late = np.flatnonzero(self._next[start] <= point)
-        start[late] = np.searchsorted(self._next[:-1], point[late], "right")
+        start[late] = np.searchsorted(self.cdf, point[late], "right")
         count[held] = start
         return count, t
+
+    @property
+    def cdf(self) -> np.ndarray:
+        """The nodes, a read-only view."""
+        return self._next[:-1]
 
     def rank(self, u) -> np.ndarray:
         """Count of nodes <= u, for each point of u but NaN."""
@@ -443,26 +449,21 @@ class GuideTable:
         return self._lookup(u.reshape(-1))[0].reshape(u.shape)
 
 
-@dataclass(frozen=True)
-class DensityTable:
-    """Tabulated CDF supporting inverse-transform draws.
+class DensityTable(GuideTable):
+    """The guide table of a tabulated CDF, with inverse-transform draws.
 
     grid    : strictly increasing finite abscissae
     cdf     : nondecreasing finite cumulative values, cdf[0] ~ 0 and cdf[-1] ~ 1
     domain  : (lower, upper) support bounds used at construction
 
-    Draws find their segment through a GuideTable, built once here, and
-    interpolate with the segment slopes np.interp uses, so that sample(u) is
-    bitwise np.interp(u, cdf, grid) at O(1) expected cost per draw.
+    Draws find their segment through the guide and interpolate with the
+    segment slopes np.interp uses, so that sample(u) is bitwise
+    np.interp(u, cdf, grid) at O(1) expected cost per draw.
     """
 
-    grid: np.ndarray
-    cdf: np.ndarray
-    domain: tuple[float, float]
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        cdf = np.asarray(self.cdf, dtype=float)
+    def __init__(self, grid, cdf, domain: tuple[float, float]):
+        grid = np.asarray(grid, dtype=float)
+        cdf = np.asarray(cdf, dtype=float)
         if grid.ndim != 1 or grid.shape != cdf.shape or grid.size < 2:
             raise ValidationError("DensityTable: grid and cdf must be matching 1-d arrays")
         if not (np.isfinite(grid).all() and np.isfinite(cdf).all()):
@@ -473,11 +474,9 @@ class DensityTable:
             raise ValidationError("DensityTable: cdf must be nondecreasing")
         if cdf[0] > 1e-12 or cdf[-1] < 1.0 - 1e-12:
             raise ValidationError("DensityTable: cdf must run from ~0 to ~1")
+        super().__init__(cdf)
         grid.setflags(write=False)
-        cdf.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "_guide", GuideTable(cdf))
+        self.grid, self.domain = grid, domain
         # np.interp's slope d_grid / d_cdf of each segment; a steep segment,
         # whose quotient overflows or divides by zero, is nan
         d_grid, d_cdf = np.diff(grid), np.diff(cdf)
@@ -486,23 +485,23 @@ class DensityTable:
         steep = ~np.isfinite(slopes)
         slopes[steep] = np.nan
         # no draw lands inside a zero-mass segment: its count includes both ends
-        object.__setattr__(self, "_steep", bool(np.any(steep & (d_cdf > 0.0))))
+        self._steep = bool(np.any(steep & (d_cdf > 0.0)))
         # by count k = j + 1 of nodes <= u: the segment's left node, its value
         # and its negated slope; outside the nodes the slope is 0 and the value
         # the end node's
-        object.__setattr__(self, "_base", np.concatenate(([_FAR], cdf[:-1], [_FAR])))
-        object.__setattr__(self, "_left", np.concatenate((grid[:1], grid)))
-        object.__setattr__(self, "_fall", np.concatenate(([-0.0], -slopes, [-0.0])))
+        self._base = np.concatenate(([_FAR], cdf[:-1], [_FAR]))
+        self._left = np.concatenate((grid[:1], grid))
+        self._fall = np.concatenate(([-0.0], -slopes, [-0.0]))
 
     def locate(self, u) -> np.ndarray:
         """Segment j with cdf[j] <= u < cdf[j + 1]: np.searchsorted(cdf, u, "right") - 1."""
-        return self._guide.rank(u) - 1
+        return self.rank(u) - 1
 
     def sample(self, u):
         """Map uniform variates in [0, 1] through the inverse CDF, bitwise as
         np.interp(u, cdf, grid) for every float u."""
         u = np.asarray(u, dtype=float)
-        count, t = self._guide._lookup(u.reshape(-1))
+        count, t = self._lookup(u.reshape(-1))
         # (-slope) * (base - t) is slope * (t - base) to the bit, and -0.0 at a
         # node, where adding it leaves the node's value as np.interp returns it
         rise = self._base.take(count)

@@ -111,13 +111,13 @@ class StateSpec:
         return "kind=custom weights=" + ",".join(repr(w) for w in self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhotonStatistics:
     """Truncated number distribution rho[n] = <n|rho|n>, n = 0..n_max.
 
     All entries are nonnegative, their sum lies in [1 - tail_bound, 1], and
     the discarded mass beyond n_max is at most tail_bound, a float in (0, 1e-6]
-    as photon_distribution takes it.
+    as photon_distribution takes it.  Instances compare and hash by identity.
     """
 
     rho: np.ndarray

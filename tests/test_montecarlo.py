@@ -144,6 +144,23 @@ class TestRunLaw:
         # one table, in the calling process
         assert table_builds == [LAW_TABLE[scheme]]
 
+    def test_second_pass_over_the_matrix_builds_nothing(self, table_builds):
+        # the 72 laws of the validation matrix fit the cache together
+        for _ in range(2):
+            for _label, spec in MATRIX_STATES:
+                for eta in MC_ETAS:
+                    for scheme in pom.SCHEMES:
+                        montecarlo.draw_outcomes(config(spec, scheme, eta, n=1))
+        laws = len(MATRIX_STATES) * len(MC_ETAS) * len(pom.SCHEMES)
+        assert len(table_builds) == laws == 72
+
+    def test_laws_hash_with_their_table(self):
+        table = build_inverse_cdf(lambda x: x, (0.0, 1.0))
+        law = montecarlo._RunLaw("roulette", 0.5, table)
+        assert law == montecarlo._RunLaw("roulette", 0.5, table)
+        assert hash(law) == hash(montecarlo._RunLaw("roulette", 0.5, table))
+        assert law != montecarlo._RunLaw("roulette", 0.5, build_inverse_cdf(lambda x: x, (0.0, 1.0)))
+
     @pytest.mark.parametrize(
         "pmf", [[0.5, math.nan, 0.5], [1.5, -0.5], [0.5, 0.4], [math.inf, 0.0]]
     )
@@ -494,6 +511,15 @@ class TestReduction:
         assert inside.size
         gaps = np.abs(inside[:, None] - edges[None, :]).min(axis=1)
         assert gaps.min() >= 0.5 / eta * (1.0 - 1e-9)
+
+    def test_direct_bins_end_where_the_run_law_does(self):
+        # at 10^12 draws 1 - 0.1/n passes the truncated pmf's mass; the bins
+        # follow the normalised law the draws come from, which ends near m = 78
+        eta, n = 0.01, 10**12
+        cfg = config(StateSpec.coherent(3000.0), "direct", eta, n=n)
+        edges, _ = montecarlo._histogram_bins(cfg)
+        m_hi = run_law(cfg).table.rank(1.0 - 0.1 / n)
+        assert edges[-1] <= (m_hi + 0.5) / eta * (1.0 + 1e-12)
 
     def test_point_mass_keeps_one_bin(self):
         summary = sample_direct(config(StateSpec.fock(3), "direct", 1.0, n=10**5))

@@ -74,6 +74,12 @@ class TestRouletteSpec:
         with pytest.raises(ValidationError):
             RouletteSpec(weights=np.array([0.5, 0.5]), families=(fam2, fam3))
 
+    def test_specs_compare_and_hash_by_identity(self):
+        # two specs of the same arrays: comparing them reads no array
+        first, second = two_family_spec(), two_family_spec()
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
 
 class TestBuildExtension:
     def test_single_family_is_trivial(self):

@@ -654,6 +654,19 @@ class TestDensityTable:
             with pytest.raises(ValidationError):
                 DensityTable(grid=bad_grid, cdf=bad_cdf, domain=(0.0, 1.0))
 
+    def test_tables_compare_and_hash_by_identity(self):
+        # two tables of one CDF: comparing them reads no array
+        first, second = (build_inverse_cdf(lambda x: x, (0.0, 1.0)) for _ in range(2))
+        np.testing.assert_array_equal(first.cdf, second.cdf)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+    def test_cdf_is_the_guide_tables_read_only_nodes(self):
+        cdf = np.linspace(0.0, 1.0, 11)
+        for table in (GuideTable(cdf), DensityTable(np.linspace(2.0, 3.0, 11), cdf, (2.0, 3.0))):
+            np.testing.assert_array_equal(table.cdf, cdf)
+            assert not table.cdf.flags.writeable
+
 
 # cdf steps near 0, where a step can be subnormal and its slope overflow
 TINY_STEPS = [0.0, 5e-324, 1e-320, 2.0**-1022, 1e-300, 1e-30]

@@ -13,6 +13,7 @@ from qroulette.errors import NumericalError, TruncationError, ValidationError
 from qroulette.states import (
     HARD_CAP,
     WINDOW_CAP,
+    PhotonStatistics,
     StateSpec,
     exact_moments,
     moments,
@@ -285,6 +286,12 @@ class TestMoments:
 
 
 class TestValidation:
+    def test_photon_laws_compare_and_hash_by_identity(self):
+        # two laws of the same weights: comparing them reads no array
+        first, second = PhotonStatistics([0.5, 0.5], 1e-12), PhotonStatistics([0.5, 0.5], 1e-12)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
     def test_parameter_ranges(self):
         with pytest.raises(ValidationError):
             StateSpec.coherent(-1.0)
