@@ -49,14 +49,14 @@ class RouletteSpec:
     families: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise ValidationError("RouletteSpec: weights must be a nonempty 1-d array")
         if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= PROJECTOR_TOL):  # NaN fails
             raise ValidationError("RouletteSpec: weights must be finite, >= 0 and sum to 1")
         if len(self.families) != weights.size:
             raise ValidationError("RouletteSpec: one projector family per weight required")
-        families = tuple(np.asarray(fam, dtype=complex) for fam in self.families)
+        families = tuple(np.array(fam, dtype=complex) for fam in self.families)
         dim = families[0].shape[-1]
         n_out = families[0].shape[0]
         for k, fam in enumerate(families):

@@ -62,8 +62,6 @@ _T_FAR = 1e9
 
 # guide cells per table node: a cell holds an eighth of a node on average
 _GUIDE_CELLS_PER_NODE = 8
-# the left node of the segments beyond the table's ends: _FAR - t is nonzero and finite
-_FAR = float(np.finfo(float).max)
 
 # a table panel's ends and its check points, the golden sections: no period of
 # an oscillating law puts both check points on its own phase at the left end
@@ -398,26 +396,26 @@ class GuideTable:
 
     [0, 1] is cut into K = 8 len(cdf) equal cells, each storing the count of
     nodes in cells before it, or -1 - that count if a node lies inside it.  A
-    point is clamped to [0, 1] widened to the nodes, which keeps its count; in
-    a node-free cell it has its count from that one gather, as about 89 % of
-    uniform points on the Monte Carlo tables do.  The rest start at the count
-    before their cell, which never passes the answer because cells are a
-    nondecreasing function of value, and step over the cell's first node if it
-    is <= u; the few with more nodes <= u ahead finish by binary search.  The
-    guide and the node array take about 72 bytes per node.
+    point is clamped to the nodes' range, which keeps its count; in a node-free
+    cell it has its count from that one gather, as about 89 % of uniform points
+    on the Monte Carlo tables do.  The rest start at the count before their
+    cell, which never passes the answer because cells are a nondecreasing
+    function of value, and step over the cell's first node if it is <= u; the
+    few with more nodes <= u ahead finish by binary search.  One node array, the
+    cdf between two sentinels, and the guide take about 72 bytes per node.
     """
 
     def __init__(self, cdf):
         cdf = np.asarray(cdf, dtype=float)
         self._cells = _GUIDE_CELLS_PER_NODE * len(cdf)
-        # [0, 1] widened to just below the first node and to the last; cells
-        # span [0, 1], or [-r, r] for a cdf reaching past it, so indices fit intp
-        self._lo = min(float(np.nextafter(cdf[0], -np.inf)), 0.0)
-        self._hi = max(float(cdf[-1]), 1.0)
-        self._scale = self._cells / max(self._hi, -self._lo)
-        # the node after each count; the sentinel stops a point at the last node
-        self._next = np.append(cdf, np.inf)
-        self._next.setflags(write=False)
+        # points clamped to [min(0, just below the first node), the last node];
+        # cells span [0, 1], or [-r, r] for a cdf reaching past it, so indices fit intp
+        self._lo, self._hi = min(float(np.nextafter(cdf[0], -np.inf)), 0.0), float(cdf[-1])
+        self._scale = self._cells / max(self._hi, -self._lo, 1.0)
+        # by count k of nodes <= u: the node before, _nodes[k], and after, _nodes[k + 1];
+        # the first node stands again before itself, and inf stops a point at the last
+        self._nodes = np.concatenate((cdf[:1], cdf, [np.inf]))
+        self._nodes.setflags(write=False)
         node_cells = np.clip((cdf * self._scale).astype(np.intp), 0, self._cells)
         inside = np.bincount(node_cells, minlength=self._cells + 1)
         before = np.cumsum(inside) - inside
@@ -431,9 +429,9 @@ class GuideTable:
         count = self._guide.take(cell, mode="clip")
         # the points in cells that hold a node, from the count before their cell
         held = np.flatnonzero(count < 0)
-        start, point = ~count[held], t[held]
-        start += self._next[start] <= point
-        late = np.flatnonzero(self._next[start] <= point)
+        start, point, after = ~count[held], t[held], self._nodes[1:]
+        start += after[start] <= point
+        late = np.flatnonzero(after[start] <= point)
         start[late] = np.searchsorted(self.cdf, point[late], "right")
         count[held] = start
         return count, t
@@ -441,7 +439,7 @@ class GuideTable:
     @property
     def cdf(self) -> np.ndarray:
         """The nodes, a read-only view."""
-        return self._next[:-1]
+        return self._nodes[1:-1]
 
     def rank(self, u) -> np.ndarray:
         """Count of nodes <= u, for each point of u but NaN."""
@@ -458,7 +456,8 @@ class DensityTable(GuideTable):
 
     Draws find their segment through the guide and interpolate with the
     segment slopes np.interp uses, so that sample(u) is bitwise
-    np.interp(u, cdf, grid) at O(1) expected cost per draw.
+    np.interp(u, cdf, grid) at O(1) expected cost per draw.  grid and cdf are
+    read-only views of the table's own copies; it takes about 88 bytes per node.
     """
 
     def __init__(self, grid, cdf, domain: tuple[float, float]):
@@ -475,8 +474,7 @@ class DensityTable(GuideTable):
         if cdf[0] > 1e-12 or cdf[-1] < 1.0 - 1e-12:
             raise ValidationError("DensityTable: cdf must run from ~0 to ~1")
         super().__init__(cdf)
-        grid.setflags(write=False)
-        self.grid, self.domain = grid, domain
+        self.domain = domain
         # np.interp's slope d_grid / d_cdf of each segment; a steep segment,
         # whose quotient overflows or divides by zero, is nan
         d_grid, d_cdf = np.diff(grid), np.diff(cdf)
@@ -486,12 +484,17 @@ class DensityTable(GuideTable):
         slopes[steep] = np.nan
         # no draw lands inside a zero-mass segment: its count includes both ends
         self._steep = bool(np.any(steep & (d_cdf > 0.0)))
-        # by count k = j + 1 of nodes <= u: the segment's left node, its value
-        # and its negated slope; outside the nodes the slope is 0 and the value
-        # the end node's
-        self._base = np.concatenate(([_FAR], cdf[:-1], [_FAR]))
+        # by count k = j + 1 of nodes <= u: the segment's left node _nodes[k], its
+        # value and its negated slope; outside the nodes the slope is 0 and the
+        # value the end node's
         self._left = np.concatenate((grid[:1], grid))
+        self._left.setflags(write=False)
         self._fall = np.concatenate(([-0.0], -slopes, [-0.0]))
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The abscissae, a read-only view."""
+        return self._left[1:]
 
     def locate(self, u) -> np.ndarray:
         """Segment j with cdf[j] <= u < cdf[j + 1]: np.searchsorted(cdf, u, "right") - 1."""
@@ -502,9 +505,9 @@ class DensityTable(GuideTable):
         np.interp(u, cdf, grid) for every float u."""
         u = np.asarray(u, dtype=float)
         count, t = self._lookup(u.reshape(-1))
-        # (-slope) * (base - t) is slope * (t - base) to the bit, and -0.0 at a
-        # node, where adding it leaves the node's value as np.interp returns it
-        rise = self._base.take(count)
+        # (-slope) * (base - t) is slope * (t - base) to the bit, and -0.0 where
+        # base >= t, at a node or an end: adding it leaves the node's value as np.interp does
+        rise = self._nodes.take(count)
         rise -= t
         rise *= self._fall.take(count)
         out = self._left.take(count)
@@ -512,7 +515,7 @@ class DensityTable(GuideTable):
         if self._steep:
             # np.interp's slope overflowed there: the node's value at the node, inf inside
             odd = np.flatnonzero(np.isnan(out))
-            at_node = t[odd] == self._base[count[odd]]
+            at_node = t[odd] == self._nodes[count[odd]]
             out[odd] = np.where(at_node, self._left[count[odd]], t[odd] + np.inf)  # NaN stays
         return out.reshape(u.shape)[()]
 

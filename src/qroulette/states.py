@@ -126,7 +126,7 @@ class PhotonStatistics:
     def __post_init__(self):
         import numpy as np
 
-        rho = np.asarray(self.rho, dtype=float)
+        rho = np.array(self.rho, dtype=float)
         if rho.ndim != 1 or rho.size == 0:
             raise ValidationError("PhotonStatistics: rho must be a nonempty 1-d array")
         if np.any(rho < 0.0) or not np.all(np.isfinite(rho)):

@@ -963,6 +963,20 @@ WORKERS = _mostly(
 )
 # real draws per process in the simulate sweep
 SWEEP_DRAWS = 4096
+# bright laws at the ends of their efficiency range: (state, scheme, eta)
+BRIGHT_RUNS = [
+    *(
+        (state, scheme, eta)
+        for state, etas in (
+            ("kind=fock n=4096", ("1e-3", "0.999")),
+            ("kind=coherent N=3400", ("0.01", "1e-12")),
+            ("kind=thermal N=140", ("1", "1e-6")),
+        )
+        for eta in etas
+        for scheme in ("roulette", "heterodyne")
+    ),
+    ("kind=coherent N=3400", "direct", "1e-200"),
+]
 
 
 def manifest_params(**fields):
@@ -1207,6 +1221,21 @@ class TestAcceptedInputSweep:
         assert code == 0 and f" n={2**53}:" in out, out
         processes = min(workers, os.cpu_count() or 1)
         assert sizes == ([] if processes == 1 else [processes])
+
+    @pytest.mark.parametrize("state, scheme, eta", BRIGHT_RUNS)
+    def test_simulate_bright_law(self, state, scheme, eta):
+        # the real law is built and the draws are stubbed
+        flags = [f"--state={state}", f"--scheme={scheme}", f"--eta={eta}"]
+        flags += ["--n-samples=1000000", "--seed=3", "--workers=1"]
+        code, out, _ = self.check_simulate(flags, None)
+        assert code == 0 and " n=1000000:" in out, out
+
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne"])
+    def test_simulate_squeezed_past_the_window(self, scheme):
+        flags = ["--state=kind=squeezed N=200 beta=0.9", f"--scheme={scheme}", "--eta=0.5"]
+        code, out, err, _ = _sweep_run("simulate", [*flags, "--n-samples=1000", "--seed=3"], None)
+        assert code == 2 and out == "", out
+        assert err.startswith("numerical failure: distribution needs n_max of about 9657"), err
 
 
 class TestSizeBounds:

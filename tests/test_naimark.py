@@ -80,6 +80,18 @@ class TestRouletteSpec:
         assert first == first and first != second
         assert len({first, second, first}) == 2
 
+    def test_the_callers_arrays_stay_writable_and_unshared(self):
+        weights = np.array([0.5, 0.5])
+        families = [f.copy() for f in two_family_spec().families]
+        spec = RouletteSpec(weights=weights, families=tuple(families))
+        spec.validate()
+        for caller, own in ((weights, spec.weights), *zip(families, spec.families)):
+            assert caller.flags.writeable and not np.shares_memory(caller, own)
+        # an edit to the caller's arrays after validation leaves the spec as validated
+        weights[0], families[0][0, 0, 0] = 0.75, 5.0
+        assert spec.weights.tolist() == [0.5, 0.5] and spec.families[0][0, 0, 0] == 1.0
+        spec.validate()
+
 
 class TestBuildExtension:
     def test_single_family_is_trivial(self):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import mpmath
@@ -667,6 +668,37 @@ class TestDensityTable:
             np.testing.assert_array_equal(table.cdf, cdf)
             assert not table.cdf.flags.writeable
 
+    def test_the_callers_grid_stays_writable_and_unshared(self):
+        grid, cdf = np.linspace(2.0, 3.0, 11), np.linspace(0.0, 1.0, 11)
+        table = DensityTable(grid, cdf, (2.0, 3.0))
+        np.testing.assert_array_equal(table.grid, grid)
+        assert grid.flags.writeable and cdf.flags.writeable and not table.grid.flags.writeable
+        held = [value for value in vars(table).values() if isinstance(value, np.ndarray)]
+        assert not any(np.shares_memory(caller, own) for caller in (grid, cdf) for own in held)
+
+    @staticmethod
+    def held_bytes(table):
+        """Bytes of the distinct base arrays a table holds, each counted once."""
+        bases = {}
+        for value in vars(table).values():
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                bases[id(value)] = value.nbytes
+        return sum(bases.values())
+
+    @pytest.mark.parametrize("n", [2, 11, 5000])
+    def test_each_array_is_held_once(self, n):
+        # 8 guide cells and the node array per node, and a table's values and slopes;
+        # a copy in a worker, unpickled, holds no more
+        cdf = np.linspace(0.0, 1.0, n)
+        guide, table = GuideTable(cdf), DensityTable(np.linspace(2.0, 3.0, n), cdf, (2.0, 3.0))
+        for held in (guide, pickle.loads(pickle.dumps(guide))):
+            assert self.held_bytes(held) <= 72 * n + 64
+        for held in (table, pickle.loads(pickle.dumps(table))):
+            assert self.held_bytes(held) <= 88 * n + 64
+            np.testing.assert_array_equal(held.grid, table.grid)
+
 
 # cdf steps near 0, where a step can be subnormal and its slope overflow
 TINY_STEPS = [0.0, 5e-324, 1e-320, 2.0**-1022, 1e-300, 1e-30]
@@ -777,6 +809,16 @@ class TestGuideLookup:
         u = np.array([0.0, 5e-324, 0.5, 1.0])
         np.testing.assert_array_equal(table.sample(u), [-1.0, 0.0, 0.5, 1.0])
         assert table.sample(np.nextafter(0.0, 1.0) / 2) == -1.0
+
+    def test_last_node_below_one_at_negative_zero_matches_interp(self):
+        # points at and past a last node short of 1 take its value, -0.0, as np.interp does
+        table = DensityTable(
+            grid=np.array([-1.0, -0.5, -0.0]),
+            cdf=np.array([0.0, 0.5, 1.0 - 5e-13]),
+            domain=(-1.0, 0.0),
+        )
+        u = np.array([1.0 - 5e-13, 1.0 - 1e-13, 1.0, 2.0, math.inf, math.nan])
+        assert_lookups_match(table, u)
 
     @given(
         pmf=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=60),

@@ -292,6 +292,12 @@ class TestValidation:
         assert first == first and first != second
         assert len({first, second, first}) == 2
 
+    def test_the_callers_rho_stays_writable_and_unshared(self):
+        rho = np.array([0.25, 0.75])
+        law = PhotonStatistics(rho, 1e-12)
+        assert rho.flags.writeable and not law.rho.flags.writeable
+        assert not np.shares_memory(rho, law.rho)
+
     def test_parameter_ranges(self):
         with pytest.raises(ValidationError):
             StateSpec.coherent(-1.0)
