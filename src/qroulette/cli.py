@@ -125,17 +125,8 @@ def _float_list(raw, name: str) -> list[float]:
 
 def _number(params: dict, name: str, kind=float):
     """params[name] as an int, or as a finite float; ValidationError naming the field otherwise."""
-    raw = params[name]
-    if kind is float:
-        return check_real(raw, f"field '{name}'", -math.inf, math.inf)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    # no bool, and no fraction silently dropped by int()
-    if value is None or isinstance(raw, bool) or isinstance(raw, float) and raw != value:
-        raise ValidationError(f"field '{name}' must be an integer (got {raw!r})")
-    return value
+    check = check_real if kind is float else check_int
+    return check(params[name], f"field '{name}'", -math.inf, math.inf)
 
 
 def _text(params: dict, name: str) -> str:
@@ -264,10 +255,6 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
         worst: dict = {}  # each residual's maximum so far
         for _ in range(trials):
             spec = random_roulette_spec(rng, max_dim=max_dim, max_observables=max_m)
-            if params.get("corrupt"):
-                fam = [f.copy() for f in spec.families]
-                fam[0][0, 0, 0] += 1e-3
-                spec = type(spec)(weights=spec.weights, families=tuple(fam))
             projectors, probe = build_extension(spec)
             report = verify_extension(spec, projectors, probe).to_dict()
             worst = {k: float(np.maximum(worst.get(k, v), v)) for k, v in report.items()}  # NaN stays
@@ -382,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_nai.add_argument(
         "--max-m", type=int, default=4, help=f"most projector families, at most {MAX_M}"
-    )
-    p_nai.add_argument(
-        "--corrupt", action="store_true", help="perturb one projector entry (testing aid)"
     )
     p_nai.add_argument("--alpha-re", type=float, default=1.0)
     p_nai.add_argument("--alpha-im", type=float, default=0.0)

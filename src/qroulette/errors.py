@@ -58,7 +58,8 @@ def check_int(value, name: str, low, high) -> int:
         return int(value)
     if isinstance(high, int) and high > 1 << 32 and not high & high - 1:
         high = f"2**{high.bit_length() - 1}"  # a large power of two, as 2**53
-    raise _refused(f"{name} must lie in [{low}, {high}] and be an integer", value)
+    bounds = "" if low == -math.inf and high == math.inf else f"lie in [{low}, {high}] and "
+    raise _refused(f"{name} must {bounds}be an integer", value)
 
 
 def check_real(value, name: str, low, high) -> float:

@@ -436,6 +436,12 @@ class GuideTable:
         count[held] = start
         return count, t
 
+    def __setstate__(self, state):
+        # numpy pickles no read-only flag: a worker's copy is frozen again
+        self.__dict__.update(state)
+        for name in {"_nodes", "_left"} & state.keys():
+            state[name].setflags(write=False)
+
     @property
     def cdf(self) -> np.ndarray:
         """The nodes, a read-only view."""
@@ -451,7 +457,7 @@ class DensityTable(GuideTable):
     """The guide table of a tabulated CDF, with inverse-transform draws.
 
     grid    : strictly increasing finite abscissae
-    cdf     : nondecreasing finite cumulative values, cdf[0] ~ 0 and cdf[-1] ~ 1
+    cdf     : nondecreasing finite cumulative values, from 0 to 1 within 1e-12
     domain  : (lower, upper) support bounds used at construction
 
     Draws find their segment through the guide and interpolate with the
@@ -471,7 +477,7 @@ class DensityTable(GuideTable):
             raise ValidationError("DensityTable: grid must be strictly increasing")
         if np.any(np.diff(cdf) < 0.0):
             raise ValidationError("DensityTable: cdf must be nondecreasing")
-        if cdf[0] > 1e-12 or cdf[-1] < 1.0 - 1e-12:
+        if abs(cdf[0]) > 1e-12 or abs(cdf[-1] - 1.0) > 1e-12:
             raise ValidationError("DensityTable: cdf must run from ~0 to ~1")
         super().__init__(cdf)
         self.domain = domain

@@ -366,9 +366,24 @@ class TestNaimarkCommand:
             "max_partial_trace_residual": 3e-16,
         }
 
-    def test_corrupted_family_fails(self, capsys):
-        code = run_cli("naimark", "discrete-random", "--trials", "2", "--corrupt")
+    def test_corrupted_family_fails(self, monkeypatch, capsys):
+        from qroulette import naimark
+
+        real_spec = naimark.random_roulette_spec
+
+        def corrupt_spec(rng, **sizes):
+            spec = real_spec(rng, **sizes)
+            families = [f.copy() for f in spec.families]
+            families[0][0, 0, 0] += 1e-3
+            return type(spec)(weights=spec.weights, families=tuple(families))
+
+        monkeypatch.setattr(naimark, "random_roulette_spec", corrupt_spec)
+        code = run_cli("naimark", "discrete-random", "--trials", "2")
         assert code == 1
+        assert "family 0" in capsys.readouterr().err
+        # no command-line flag corrupts a family
+        assert run_cli("naimark", "discrete-random", "--corrupt") == 1
+        assert "unrecognized arguments: --corrupt" in capsys.readouterr().err
 
     def test_semiclassical_ladder(self, tmp_path, capsys):
         code = run_cli(
@@ -736,6 +751,23 @@ class TestManifestParamTypes:
         path.write_text(json.dumps(manifest), encoding="ascii")
         assert run_cli("--manifest", str(path)) == 1
         assert f"'{field}' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "params, field, value",
+        [("simulate", "n_samples", "1000"), ("discrete-random", "trials", "2")],
+    )
+    def test_numeric_text_is_no_integer(self, params, field, value, tmp_path, capsys):
+        command = "naimark" if params in ("discrete-random", "semiclassical") else params
+        manifest = {
+            "command": command,
+            "output_dir": str(tmp_path),
+            "params": dict(self.BASE[params], **{field: value}),
+        }
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="ascii")
+        assert run_cli("--manifest", str(path)) == 1
+        refusal = f"error: field '{field}' must be an integer (got '{value}')\n"
+        assert capsys.readouterr().err == refusal
 
     @pytest.mark.parametrize("params", sorted(BASE))
     def test_good_values_run(self, params, tmp_path, capsys):

@@ -50,6 +50,13 @@ class TestCheckInt:
         for value in (10**400, -(10**400), 1e308, -1e308):
             assert check_int(value, "x", -math.inf, math.inf) == int(value)
 
+    def test_a_refusal_names_only_a_finite_range(self):
+        with pytest.raises(ValidationError, match=r"^x must be an integer \(got True\)$"):
+            check_int(True, "x", -math.inf, math.inf)
+        for low, high in ((0, math.inf), (-math.inf, 4)):
+            with pytest.raises(ValidationError, match=rf"^x must lie in \[{low}, {high}\] and be"):
+                check_int(2.5, "x", low, high)
+
     def test_large_values_compare_exactly(self):
         assert check_int(2**53, "x", 1, 2**53) == 2**53
         with pytest.raises(ValidationError, match=r"x must lie in \[1, 2\*\*53\]"):

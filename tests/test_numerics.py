@@ -699,6 +699,23 @@ class TestDensityTable:
             assert self.held_bytes(held) <= 88 * n + 64
             np.testing.assert_array_equal(held.grid, table.grid)
 
+    @pytest.mark.parametrize("cdf", [[0.0, 0.5, 3.0], [-5.0, 0.5, 1.0], [1e-11, 0.5, 1.0]])
+    def test_cdf_runs_from_0_to_1(self, cdf):
+        with pytest.raises(ValidationError, match="cdf must run from ~0 to ~1"):
+            DensityTable([0.0, 1.0, 2.0], cdf, (0.0, 2.0))
+        DensityTable([0.0, 1.0, 2.0], [-1e-12, 0.5, 1.0 + 5e-13], (0.0, 2.0))
+
+    def test_an_unpickled_table_is_read_only(self):
+        cdf = np.linspace(0.0, 1.0, 11) ** 2
+        u = np.random.default_rng(5).random(1000)
+        for table in (GuideTable(cdf), DensityTable(np.linspace(2.0, 3.0, 11), cdf, (2.0, 3.0))):
+            copy = pickle.loads(pickle.dumps(table))
+            views = [copy.cdf] + ([copy.grid] if isinstance(copy, DensityTable) else [])
+            assert not any(view.flags.writeable for view in views)
+            assert copy.rank(u).tobytes() == table.rank(u).tobytes()
+            if isinstance(copy, DensityTable):
+                assert copy.sample(u).tobytes() == table.sample(u).tobytes()
+
 
 # cdf steps near 0, where a step can be subnormal and its slope overflow
 TINY_STEPS = [0.0, 5e-324, 1e-320, 2.0**-1022, 1e-300, 1e-30]
