@@ -7,8 +7,8 @@ threshold  CSV of squeezed-family zero contours over a list of efficiencies
 simulate   seeded Monte Carlo run, JSON summary + CSV histogram
 naimark    discrete-random extension verification or the semiclassical ladder
 
-Every file-producing run writes a manifest.json capturing the command, its
-full parameter set, the seed, the tool version and the output paths; passing
+Every file-producing run writes a manifest.json capturing the command, the
+parameters it read, the seed, the tool version and the output paths; passing
 ``--manifest manifest.json`` replays that run and reproduces the seeded
 outputs byte for byte.  Exit codes: 0 success, 1 validation/parse error,
 2 numerical failure (non-convergence or insufficient truncation).
@@ -53,6 +53,9 @@ MANIFEST_NAME = "manifest.json"
 DEFAULT_ETAS = "1.0,0.75,0.5,0.25,0.1"
 # naimark discrete-random trials, a time bound: 0.75 ms a trial at the default sizes
 MAX_TRIALS = 1_000_000
+# and trials * max_m * max_dim**5 at most that of MAX_TRIALS at the default sizes, as a
+# trial's orthogonality products grow as M d^5: 7 trials at MAX_DIM and MAX_M, 8 s each
+TRIAL_BUDGET = MAX_TRIALS * 4 * 8**5
 
 
 class _ManifestFields(dict):
@@ -250,7 +253,14 @@ def _run_naimark(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     if mode == "discrete-random":
         trials = check_int(_number(params, "trials", int), "field 'trials'", 1, MAX_TRIALS)
         seed = check_int(_number(params, "seed", int), "field 'seed'", 0, math.inf)
-        max_dim, max_m = (_number(params, key, int) for key in ("max_dim", "max_m"))
+        max_dim = check_int(_number(params, "max_dim", int), "field 'max_dim'", 2, MAX_DIM)
+        max_m = _number(params, "max_m", int)
+        max_m = check_int(max_m, "field 'max_m' ('max_observables')", 1, MAX_M)
+        if trials * max_m * max_dim**5 > TRIAL_BUDGET:
+            raise ValidationError(
+                f"fields 'trials', 'max_dim' and 'max_m' must have trials * max_m * max_dim**5"
+                f" at most {TRIAL_BUDGET} (got {trials} * {max_m} * {max_dim}**5)"
+            )
         rng = np.random.default_rng(seed)
         worst: dict = {}  # each residual's maximum so far
         for _ in range(trials):
@@ -359,26 +369,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int, default=1)
 
     p_nai = sub.add_parser("naimark", help="extension construction and verification")
-    p_nai.add_argument("mode", choices=["discrete-random", "semiclassical"])
-    trials_help = f"at most {MAX_TRIALS}, about 13 minutes at the default sizes; but a trial takes"
-    trials_help += f" about 8 s at --max-dim {MAX_DIM} --max-m {MAX_M}, months for {MAX_TRIALS}"
-    p_nai.add_argument("--trials", type=int, default=100, help=trials_help)
-    p_nai.add_argument("--seed", type=int, default=2024)
-    p_nai.add_argument(
+    modes = p_nai.add_subparsers(dest="mode", required=True)
+    p_rand = modes.add_parser("discrete-random", help="verify random discrete extensions")
+    trials_help = f"at most {MAX_TRIALS}, and trials * max_m * max_dim**5 at most {TRIAL_BUDGET}:"
+    trials_help += f" {MAX_TRIALS} (about 13 minutes) at the default sizes, 7 (about 1 minute)"
+    trials_help += f" at --max-dim {MAX_DIM} --max-m {MAX_M}"
+    p_rand.add_argument("--trials", type=int, default=100, help=trials_help)
+    p_rand.add_argument("--seed", type=int, default=2024)
+    p_rand.add_argument(
         "--max-dim", type=int, default=8, help=f"largest system dimension, at most {MAX_DIM}"
     )
-    p_nai.add_argument(
+    p_rand.add_argument(
         "--max-m", type=int, default=4, help=f"most projector families, at most {MAX_M}"
     )
-    p_nai.add_argument("--alpha-re", type=float, default=1.0)
-    p_nai.add_argument("--alpha-im", type=float, default=0.0)
-    p_nai.add_argument("--phi", type=float, default=0.0)
-    p_nai.add_argument("--amplitudes", default="2,4,8", help="comma list of probe |z| values")
+    p_semi = modes.add_parser("semiclassical", help="the semiclassical homodyne ladder")
+    p_semi.add_argument("--alpha-re", type=float, default=1.0)
+    p_semi.add_argument("--alpha-im", type=float, default=0.0)
+    p_semi.add_argument("--phi", type=float, default=0.0)
+    p_semi.add_argument("--amplitudes", default="2,4,8", help="comma list of probe |z| values")
     for flag in ("--system-trunc", "--probe-trunc"):
-        p_nai.add_argument(
+        p_semi.add_argument(
             flag, type=int, help=f"Fock cutoff, at most {MAX_TRUNC}: the check's time grows with it"
         )
-    p_nai.add_argument("--json", help="also write the result as JSON with this file name")
+    for p_mode in (p_rand, p_semi):
+        p_mode.add_argument("--json", help="also write the result as JSON with this file name")
     return parser
 
 

@@ -420,6 +420,7 @@ class GuideTable:
         inside = np.bincount(node_cells, minlength=self._cells + 1)
         before = np.cumsum(inside) - inside
         self._guide = np.where(inside > 0, ~before, before)
+        self._guide.setflags(write=False)
 
     def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(count of nodes <= u, u clamped to the nodes' range) for a flat u."""
@@ -439,8 +440,8 @@ class GuideTable:
     def __setstate__(self, state):
         # numpy pickles no read-only flag: a worker's copy is frozen again
         self.__dict__.update(state)
-        for name in {"_nodes", "_left"} & state.keys():
-            state[name].setflags(write=False)
+        for array in (value for value in state.values() if isinstance(value, np.ndarray)):
+            array.setflags(write=False)
 
     @property
     def cdf(self) -> np.ndarray:
@@ -496,6 +497,7 @@ class DensityTable(GuideTable):
         self._left = np.concatenate((grid[:1], grid))
         self._left.setflags(write=False)
         self._fall = np.concatenate(([-0.0], -slopes, [-0.0]))
+        self._fall.setflags(write=False)
 
     @property
     def grid(self) -> np.ndarray:

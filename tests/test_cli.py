@@ -449,6 +449,103 @@ class TestNaimarkCommand:
         assert out == ""
         assert not (tmp_path / "ladder.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, foreign",
+        [
+            (("semiclassical", "--trials", "5"), "--trials 5"),
+            (("semiclassical", "--seed", "9"), "--seed 9"),
+            (("semiclassical", "--max-dim", "64"), "--max-dim 64"),
+            (("discrete-random", "--amplitudes", "2"), "--amplitudes 2"),
+            (("discrete-random", "--phi", "0.5"), "--phi 0.5"),
+            (("discrete-random", "--probe-trunc", "40"), "--probe-trunc 40"),
+        ],
+    )
+    def test_a_flag_of_the_other_mode_is_refused(self, argv, foreign, tmp_path, capsys):
+        assert run_cli("--output-dir", str(tmp_path), "naimark", *argv, "--json", "x.json") == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {foreign}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_flags_follow_the_mode(self, capsys):
+        assert run_cli("naimark", "--trials", "5", "discrete-random") == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert run_cli("naimark") == 1
+        assert "the following arguments are required: mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, own, foreign",
+        [
+            ("discrete-random", ["--trials", "--seed", "--max-dim", "--max-m"], "--amplitudes"),
+            ("semiclassical", ["--alpha-re", "--amplitudes", "--probe-trunc"], "--trials"),
+        ],
+    )
+    def test_each_modes_help_lists_its_own_flags(self, mode, own, foreign, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("naimark", mode, "--help")
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert all(flag in text for flag in [*own, "--json"]) and foreign not in text
+
+    MODE_FLAGS = {
+        "discrete-random": {"trials": 2, "seed": 9, "max_dim": 4, "max_m": 2},
+        "semiclassical": {
+            "alpha_re": 0.5,
+            "alpha_im": -0.25,
+            "phi": 0.125,
+            "amplitudes": "2,4",
+            "system_trunc": 60,
+            "probe_trunc": 80,
+        },
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    def test_manifest_params_are_the_modes_flags(self, mode, tmp_path, capsys):
+        flags = self.MODE_FLAGS[mode]
+        argv = [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+        argv += ["--json", "r.json"]
+        assert run_cli("--output-dir", str(tmp_path), "naimark", mode, *argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["params"] == {"mode": mode, **flags, "json": "r.json"}
+        assert manifest["seed"] == flags.get("seed")
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    def test_a_manifest_holding_both_modes_flags_replays(self, mode, tmp_path, capsys):
+        # a manifest written when both modes shared one flag set holds all eleven
+        # values; each mode reads its own and leaves the rest
+        fresh, replay = tmp_path / "fresh", tmp_path / "replay"
+        flags = self.MODE_FLAGS[mode]
+        argv = [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+        assert run_cli("--output-dir", str(fresh), "naimark", mode, *argv, "--json", "r.json") == 0
+        fresh_out = capsys.readouterr().out
+        params = {"mode": mode, "json": "r.json"}
+        for flags in self.MODE_FLAGS.values():
+            params |= flags
+        assert len(params) == 12
+        manifest = {"command": "naimark", "output_dir": str(replay), "params": params}
+        (tmp_path / "old.json").write_text(json.dumps(manifest), encoding="ascii")
+        assert run_cli("--manifest", str(tmp_path / "old.json")) == 0
+        assert capsys.readouterr().out == fresh_out
+        assert (replay / "r.json").read_bytes() == (fresh / "r.json").read_bytes()
+
+    @pytest.mark.parametrize("trials, code", [(7, 0), (8, 1)])
+    def test_trials_at_the_largest_sizes_meet_the_budget(
+        self, trials, code, tmp_path, monkeypatch, capsys
+    ):
+        from qroulette import naimark
+
+        # stubs, so that no trial at the largest sizes is built or verified
+        report = naimark.ExtensionReport(1e-16, 2e-16, 3e-16)
+        monkeypatch.setattr(naimark, "build_extension", lambda spec: (None, None))
+        monkeypatch.setattr(naimark, "verify_extension", lambda spec, ext, probe: report)
+        argv = ["naimark", "discrete-random", "--max-dim", str(MAX_DIM), "--max-m", str(MAX_M)]
+        assert run_cli(*argv, "--trials", str(trials)) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.startswith(f"trials = {trials}\n")
+        else:
+            assert err.startswith("error:") and out == ""
+            assert all(f"'{field}'" in err for field in ("trials", "max_dim", "max_m"))
+            assert str(MAX_TRIALS * 4 * 8**5) in err
+
 
 class TestTopLevel:
     def test_missing_command(self, capsys):

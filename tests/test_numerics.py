@@ -705,6 +705,15 @@ class TestDensityTable:
             DensityTable([0.0, 1.0, 2.0], cdf, (0.0, 2.0))
         DensityTable([0.0, 1.0, 2.0], [-1e-12, 0.5, 1.0 + 5e-13], (0.0, 2.0))
 
+    def test_every_held_array_is_read_only(self):
+        # a cached law's table cannot be written through, in the calling process or a worker
+        cdf = np.linspace(0.0, 1.0, 11) ** 2
+        for table in (GuideTable(cdf), DensityTable(np.linspace(2.0, 3.0, 11), cdf, (2.0, 3.0))):
+            for held in (table, pickle.loads(pickle.dumps(table))):
+                arrays = {k: v for k, v in vars(held).items() if isinstance(v, np.ndarray)}
+                assert len(arrays) == (4 if isinstance(table, DensityTable) else 2)
+                assert not [k for k, v in arrays.items() if v.flags.writeable]
+
     def test_an_unpickled_table_is_read_only(self):
         cdf = np.linspace(0.0, 1.0, 11) ** 2
         u = np.random.default_rng(5).random(1000)
