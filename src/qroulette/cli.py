@@ -13,7 +13,7 @@ parameters it read, the seed, the tool version and the output paths; passing
 outputs byte for byte.  Exit codes: 0 success, 1 validation/parse error,
 2 numerical failure (non-convergence or insufficient truncation).
 
-State grammar (whitespace-separated key=value tokens):
+State grammar (whitespace-separated key=value tokens, read by StateSpec.parse):
     kind=coherent N=1.5
     kind=thermal N=0.7
     kind=fock n=2
@@ -83,42 +83,8 @@ class _CliParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def parse_state(text: str) -> StateSpec:
-    """Parse the whitespace key=value state grammar into a StateSpec."""
-    fields: dict[str, str] = {}
-    for token in text.split():
-        if "=" not in token:
-            raise ValidationError(f"state token '{token}' is not of the form key=value")
-        key, value = token.split("=", 1)
-        if key in fields:
-            raise ValidationError(f"state field '{key}' given twice")
-        fields[key] = value
-    kind = fields.pop("kind", None)
-    if kind is None:
-        raise ValidationError("state description is missing the field 'kind'")
-
-    def take_float(name: str) -> float:
-        if name not in fields:
-            raise ValidationError(f"state kind '{kind}' requires the field '{name}'")
-        return check_real(fields.pop(name), f"state field '{name}'", -math.inf, math.inf)
-
-    if kind == "coherent":
-        spec = StateSpec.coherent(take_float("N"))
-    elif kind == "thermal":
-        spec = StateSpec.thermal(take_float("N"))
-    elif kind == "squeezed":
-        spec = StateSpec.squeezed(take_float("N"), take_float("beta"))
-    elif kind == "fock":
-        spec = StateSpec.fock(take_float("n"))
-    elif kind == "custom":
-        if "weights" not in fields:
-            raise ValidationError("state kind 'custom' requires the field 'weights'")
-        spec = StateSpec.custom(_float_list(fields.pop("weights"), "state field 'weights'"))
-    else:
-        raise ValidationError(f"state field 'kind' has unknown value '{kind}'")
-    if fields:
-        raise ValidationError(f"unknown state field '{next(iter(fields))}'")
-    return spec
+# the state grammar lives beside StateSpec.describe; kept here under its old name
+parse_state = StateSpec.parse
 
 
 def _float_list(raw, name: str) -> list[float]:
@@ -413,6 +379,8 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         if args.manifest:
+            if args.command is not None:
+                raise ValidationError(f"--manifest takes no command (got '{args.command}')")
             manifest = _read_manifest(args.manifest)
             command = manifest["command"]
             if not isinstance(command, str) or command not in _RUNNERS:

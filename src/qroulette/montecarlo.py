@@ -203,11 +203,11 @@ def _chunk_outcomes(law: _RunLaw, seed: int, chunk_index: int, size: int) -> np.
     return x
 
 
-@lru_cache(maxsize=64)
 def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """(edges, centres) of the run's equal-width Freedman-Diaconis bins from the
     run law's exact interquartile range, spanning the quantiles eps .. 1 - eps;
-    cached, so the summary takes the edges the draws were binned by."""
+    the spread check comes first, so a run that would overflow builds no law."""
+    _check_spread(config)
     n, scheme, eta = config.n_samples, config.detector.scheme, config.detector.eta
     law = _run_law(config.state, scheme, eta)
     probs = np.array([0.1 / n, 0.25, 0.75, 1.0 - 0.1 / n])
@@ -226,8 +226,6 @@ def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         bins = min(MAX_HISTOGRAM_BINS, max(1, math.ceil((hi - lo) / width)))
     edges = np.linspace(lo, lo + bins * width, bins + 1)
     centres = lo + width * (np.arange(bins) + 0.5)
-    for shared in (edges, centres):
-        shared.setflags(write=False)
     return edges, centres
 
 
@@ -267,7 +265,7 @@ def _batch_reduction(
     ]
 
 
-def _summarize(rows: np.ndarray, config: ExperimentConfig) -> SampleSummary:
+def _summarize(rows: np.ndarray, centres: np.ndarray, config: ExperimentConfig) -> SampleSummary:
     """Merge the chunk rows in chunk order (Chan, Golub & LeVeque, 1979)."""
     n, mean, m2 = (float(v) for v in rows[0, :3])
     for count, chunk_mean, chunk_m2 in rows[1:, :3].tolist():
@@ -277,7 +275,6 @@ def _summarize(rows: np.ndarray, config: ExperimentConfig) -> SampleSummary:
         m2 += chunk_m2 + delta * delta * n * count / total
         n = total
     variance = m2 / (n - 1.0) if n > 1 else 0.0
-    _, centres = _histogram_bins(config)
     return SampleSummary(
         scheme=config.detector.scheme,
         eta=config.detector.eta,
@@ -323,9 +320,8 @@ def _check_spread(config: ExperimentConfig) -> None:
 def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
     """The reduced chunks of a run, one row (count, mean, M2, bin counts...)
     per chunk in the fixed chunk order."""
-    _check_spread(config)
-    law = _run_law(config.state, config.detector.scheme, config.detector.eta)
     edges, _ = _histogram_bins(config)
+    law = _run_law(config.state, config.detector.scheme, config.detector.eta)
     n, seed = config.n_samples, config.seed
     n_chunks = -(-n // CHUNK_SIZE)
     processes = _pool_size(config.workers, n_chunks)
@@ -343,7 +339,8 @@ def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
 
 def run_sampling(config: ExperimentConfig) -> SampleSummary:
     """Simulate the scheme named in config.detector and summarise the outcomes."""
-    return _summarize(draw_outcomes(config), config)
+    _, centres = _histogram_bins(config)
+    return _summarize(draw_outcomes(config), centres, config)
 
 
 def _check_scheme(config: ExperimentConfig, scheme: str) -> ExperimentConfig:

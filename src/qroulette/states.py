@@ -29,6 +29,18 @@ DEFAULT_TAIL = 1e-12
 MASS_SLACK = 1e-13
 
 
+# each state kind's fields in grammar order, as (grammar name, StateSpec attribute,
+# the check of one value, its upper bound); every field is at least 0
+_N = ("N", "mean_photons", check_real, math.inf)
+_GRAMMAR = {
+    "coherent": (_N,),
+    "squeezed": (_N, ("beta", "squeezing_fraction", check_real, 1)),
+    "fock": (("n", "fock_n", check_int, math.inf),),
+    "thermal": (_N,),
+    "custom": (("weights", "weights", check_real, math.inf),),
+}
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Declarative description of a single-mode state.
@@ -47,28 +59,21 @@ class StateSpec:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("coherent", "squeezed", "fock", "thermal", "custom"):
+        if not (isinstance(self.kind, str) and self.kind in _GRAMMAR):  # no TypeError if unhashable
             raise ValidationError(f"unknown state kind '{self.kind}'")
-        if self.kind in ("coherent", "thermal", "squeezed"):
-            mean_photons = check_real(self.mean_photons, "state field 'N'", 0, math.inf)
-            object.__setattr__(self, "mean_photons", mean_photons)
-        if self.kind == "squeezed":
-            beta = check_real(self.squeezing_fraction, "state field 'beta'", 0, 1)
-            object.__setattr__(self, "squeezing_fraction", beta)
-        if self.kind == "fock":
-            fock_n = check_int(self.fock_n, "state field 'n'", 0, math.inf)
-            object.__setattr__(self, "fock_n", fock_n)
+        for name, attr, check, high in _GRAMMAR[self.kind]:
+            value, label = getattr(self, attr), f"state field '{name}'"
+            if name != "weights":
+                object.__setattr__(self, attr, check(value, label, 0, high))
+            elif not value:
+                raise ValidationError("state field 'weights' must be a nonempty list")
+            else:
+                object.__setattr__(self, attr, tuple(check(w, label, 0, high) for w in value))
         if self.kind == "custom":
             import numpy as np
 
-            if not self.weights:
-                raise ValidationError("state field 'weights' must be a nonempty list")
-            weights = tuple(
-                check_real(w, "state field 'weights'", 0, math.inf) for w in self.weights
-            )
-            object.__setattr__(self, "weights", weights)
             with np.errstate(over="ignore"):  # a sum past the float range is inf, not a warning
-                total = float(np.sum(weights))
+                total = float(np.sum(self.weights))
             if abs(total - 1.0) > 1e-12:
                 raise ValidationError(
                     f"state field 'weights' must sum to 1 within 1e-12 (got {total:.15g})"
@@ -98,17 +103,45 @@ class StateSpec:
     def vacuum(cls) -> "StateSpec":
         return cls(kind="fock", fock_n=0)
 
+    @classmethod
+    def parse(cls, text: str) -> "StateSpec":
+        """Parse the whitespace key=value grammar that describe writes, its inverse;
+        tokens come in any order, weights as a comma list."""
+        fields: dict[str, str] = {}
+        for token in text.split():
+            if "=" not in token:
+                raise ValidationError(f"state token '{token}' is not of the form key=value")
+            key, value = token.split("=", 1)
+            if key in fields:
+                raise ValidationError(f"state field '{key}' given twice")
+            fields[key] = value
+        kind = fields.pop("kind", None)
+        if kind is None:
+            raise ValidationError("state description is missing the field 'kind'")
+        if kind not in _GRAMMAR:
+            raise ValidationError(f"state field 'kind' has unknown value '{kind}'")
+        values = {}
+        for name, attr, _, _ in _GRAMMAR[kind]:
+            if name not in fields:
+                raise ValidationError(f"state kind '{kind}' requires the field '{name}'")
+            raw, label = fields.pop(name), f"state field '{name}'"
+            values[attr] = (
+                tuple(check_real(z, label, -math.inf, math.inf) for z in raw.split(",") if z != "")
+                if name == "weights"
+                else check_real(raw, label, -math.inf, math.inf)
+            )
+        spec = cls(kind, **values)
+        if fields:
+            raise ValidationError(f"unknown state field '{next(iter(fields))}'")
+        return spec
+
     def describe(self) -> str:
-        """Render as the whitespace key=value grammar accepted by the CLI."""
-        if self.kind == "coherent":
-            return f"kind=coherent N={self.mean_photons!r}"
-        if self.kind == "thermal":
-            return f"kind=thermal N={self.mean_photons!r}"
-        if self.kind == "squeezed":
-            return f"kind=squeezed N={self.mean_photons!r} beta={self.squeezing_fraction!r}"
-        if self.kind == "fock":
-            return f"kind=fock n={self.fock_n}"
-        return "kind=custom weights=" + ",".join(repr(w) for w in self.weights)
+        """Render as the whitespace key=value grammar that parse reads."""
+        tokens = [f"kind={self.kind}"]
+        for name, attr, _, _ in _GRAMMAR[self.kind]:
+            value = getattr(self, attr)
+            tokens.append(f"{name}=" + ",".join(map(repr, value if name == "weights" else [value])))
+        return " ".join(tokens)
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,6 +73,143 @@ class TestStateGrammar:
         with pytest.raises(ValidationError, match="'weights' must sum to 1 .*got inf"):
             parse_state("kind=custom weights=1e308,1e308")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "state description is missing the field 'kind'"),
+            ("   ", "state description is missing the field 'kind'"),
+            ("=1", "state description is missing the field 'kind'"),
+            ("N=1", "state description is missing the field 'kind'"),
+            ("kind", "state token 'kind' is not of the form key=value"),
+            ("kind=coherent N", "state token 'N' is not of the form key=value"),
+            ("kind=coherent N= 1", "state token '1' is not of the form key=value"),
+            ("kind=custom weights=1 x", "state token 'x' is not of the form key=value"),
+            ("kind=coherent N=1 N=2", "state field 'N' given twice"),
+            ("kind=coherent kind=fock", "state field 'kind' given twice"),
+            ("kind=warp N=1", "state field 'kind' has unknown value 'warp'"),
+            ("kind=Coherent N=1", "state field 'kind' has unknown value 'Coherent'"),
+            ("kind= N=1", "state field 'kind' has unknown value ''"),
+            ("kind==coherent N=1", "state field 'kind' has unknown value '=coherent'"),
+            ("kind=coherent", "state kind 'coherent' requires the field 'N'"),
+            ("kind=coherent =1", "state kind 'coherent' requires the field 'N'"),
+            ("kind=thermal", "state kind 'thermal' requires the field 'N'"),
+            ("kind=squeezed N=1", "state kind 'squeezed' requires the field 'beta'"),
+            ("kind=squeezed beta=0.5", "state kind 'squeezed' requires the field 'N'"),
+            ("kind=fock", "state kind 'fock' requires the field 'n'"),
+            ("kind=fock nn=2", "state kind 'fock' requires the field 'n'"),
+            ("kind=custom", "state kind 'custom' requires the field 'weights'"),
+            (
+                "kind=coherent N=abc",
+                "state field 'N' must be a finite real in [-inf, inf] (got 'abc')",
+            ),
+            ("kind=coherent N=", "state field 'N' must be a finite real in [-inf, inf] (got '')"),
+            (
+                "kind=coherent N=1e400",
+                "state field 'N' must be a finite real in [-inf, inf] (got '1e400')",
+            ),
+            (
+                "kind=coherent N=nan",
+                "state field 'N' must be a finite real in [-inf, inf] (got 'nan')",
+            ),
+            (
+                "kind=coherent N=inf",
+                "state field 'N' must be a finite real in [-inf, inf] (got 'inf')",
+            ),
+            (
+                "kind=coherent N=0x10",
+                "state field 'N' must be a finite real in [-inf, inf] (got '0x10')",
+            ),
+            (
+                "kind=coherent N=1,2",
+                "state field 'N' must be a finite real in [-inf, inf] (got '1,2')",
+            ),
+            (
+                "kind=coherent N=1=2",
+                "state field 'N' must be a finite real in [-inf, inf] (got '1=2')",
+            ),
+            ("kind=fock n=two", "state field 'n' must be a finite real in [-inf, inf] (got 'two')"),
+            ("kind=coherent N=-1", "state field 'N' must be a finite real in [0, inf] (got -1.0)"),
+            (
+                "kind=squeezed N=-2 beta=1.5",
+                "state field 'N' must be a finite real in [0, inf] (got -2.0)",
+            ),
+            (
+                "kind=squeezed N=2 beta=1.5",
+                "state field 'beta' must be a finite real in [0, 1] (got 1.5)",
+            ),
+            ("kind=fock n=2.5", "state field 'n' must lie in [0, inf] and be an integer (got 2.5)"),
+            ("kind=fock n=-1", "state field 'n' must lie in [0, inf] and be an integer (got -1.0)"),
+            ("kind=custom weights=", "state field 'weights' must be a nonempty list"),
+            ("kind=custom weights=,,", "state field 'weights' must be a nonempty list"),
+            (
+                "kind=custom weights=a,b",
+                "state field 'weights' must be a finite real in [-inf, inf] (got 'a')",
+            ),
+            (
+                "kind=custom weights=-0.5,1.5",
+                "state field 'weights' must be a finite real in [0, inf] (got -0.5)",
+            ),
+            (
+                "kind=custom weights=0.5,0.4",
+                "state field 'weights' must sum to 1 within 1e-12 (got 0.9)",
+            ),
+            ("kind=custom weights=1 extra=2", "unknown state field 'extra'"),
+            ("kind=coherent N=1 beta=0.5", "unknown state field 'beta'"),
+            ("kind=fock n=3 N=1", "unknown state field 'N'"),
+            # the range checks come before the leftover field
+            (
+                "kind=fock n=-1 N=1",
+                "state field 'n' must lie in [0, inf] and be an integer (got -1.0)",
+            ),
+        ],
+    )
+    def test_refusal_messages(self, text, message):
+        with pytest.raises(ValidationError) as info:
+            parse_state(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, described",
+        [
+            ("kind=coherent N=1.5", "kind=coherent N=1.5"),
+            ("N=5e-324 kind=coherent", "kind=coherent N=5e-324"),
+            ("kind=coherent\tN=2", "kind=coherent N=2.0"),
+            ("kind=coherent N=1_000", "kind=coherent N=1000.0"),
+            ("kind=thermal N=0.7", "kind=thermal N=0.7"),
+            ("kind=thermal N=-0.0", "kind=thermal N=-0.0"),
+            ("kind=squeezed N=2.0 beta=0.5", "kind=squeezed N=2.0 beta=0.5"),
+            ("kind=squeezed beta=1 N=0", "kind=squeezed N=0.0 beta=1.0"),
+            ("kind=fock n=2", "kind=fock n=2"),
+            ("kind=fock n=3.0", "kind=fock n=3"),
+            ("kind=fock n=4096", "kind=fock n=4096"),
+            ("kind=fock n=1e20", "kind=fock n=100000000000000000000"),
+            ("kind=custom weights=0.25,0.5,0.25", "kind=custom weights=0.25,0.5,0.25"),
+            ("kind=custom weights=0.5,,0.5", "kind=custom weights=0.5,0.5"),
+            ("kind=custom weights=1", "kind=custom weights=1.0"),
+        ],
+    )
+    def test_accepted_texts_describe(self, text, described):
+        assert parse_state(text).describe() == described
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            StateSpec.coherent(5e-324),
+            StateSpec.coherent(0.1 + 0.2),
+            StateSpec.thermal(1e300),
+            StateSpec.squeezed(1e300, 1 / 3),
+            StateSpec.fock(4096),
+            StateSpec.custom([0.1 + 0.2, 0.7]),
+            StateSpec.custom([0.12345678901234568, 1 - 0.12345678901234568]),
+        ],
+    )
+    def test_parse_inverts_describe(self, spec):
+        assert parse_state(spec.describe()) == spec
+        assert parse_state(spec.describe()).describe() == spec.describe()
+
+    def test_the_cli_parses_with_state_spec(self):
+        assert parse_state == StateSpec.parse
+
 
 class TestNoiseCommand:
     def test_coherent_crossover_verdict(self, tmp_path, capsys):
@@ -712,6 +849,25 @@ class TestManifestReplayErrors:
     def replay(self, path, capsys):
         code = run_cli("--manifest", str(path))
         return code, capsys.readouterr().err
+
+    def test_a_command_beside_a_manifest_is_refused(self, tmp_path, capsys):
+        # a replay takes its command from the manifest: a second one is an error, not dropped
+        args = ("noise", "--state", "kind=fock n=0", "--eta", "1", "--json", "n.json")
+        assert run_cli("--output-dir", str(tmp_path / "a"), *args) == 0
+        capsys.readouterr()
+        code = run_cli(
+            "--manifest",
+            str(tmp_path / "a" / "manifest.json"),
+            "--output-dir",
+            str(tmp_path / "b"),
+            "simulate",
+            *("--state", "kind=fock n=3", "--scheme", "direct", "--eta", "1"),
+            *("--n-samples", "10", "--seed", "1"),
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --manifest takes no command (got 'simulate')\n"
+        assert not (tmp_path / "b").exists()
 
     def test_missing_file(self, tmp_path, capsys):
         code, err = self.replay(tmp_path / "absent.json", capsys)

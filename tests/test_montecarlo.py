@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -520,6 +521,13 @@ class TestReduction:
         edges, _ = montecarlo._histogram_bins(cfg)
         m_hi = run_law(cfg).table.rank(1.0 - 0.1 / n)
         assert edges[-1] <= (m_hi + 0.5) / eta * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("scheme", ["roulette", "heterodyne", "direct"])
+    def test_zero_mean_coherent_state_samples_as_the_vacuum(self, scheme):
+        coherent = run_sampling(config(StateSpec.coherent(0), scheme, 0.5, n=10**5))
+        vacuum = run_sampling(config(StateSpec.vacuum(), scheme, 0.5, n=10**5))
+        assert coherent.state == "kind=coherent N=0.0"
+        assert dataclasses.replace(coherent, state=vacuum.state) == vacuum
 
     def test_point_mass_keeps_one_bin(self):
         summary = sample_direct(config(StateSpec.fock(3), "direct", 1.0, n=10**5))

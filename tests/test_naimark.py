@@ -43,6 +43,22 @@ class TestRouletteSpec:
         with pytest.raises(ValidationError):
             RouletteSpec(weights=np.array([0.5, 0.6]), families=(family, family))
 
+    @pytest.mark.parametrize(
+        "weights, families, message",
+        [
+            ([], (), "RouletteSpec: weights must be a nonempty 1-d array"),
+            ([[0.5, 0.5]], (None, None), "RouletteSpec: weights must be a nonempty 1-d array"),
+            ([0.5, 0.5], (None,), "RouletteSpec: one projector family per weight required"),
+            ([1.0], (None, None), "RouletteSpec: one projector family per weight required"),
+        ],
+    )
+    def test_weight_shape_and_family_count_refused(self, weights, families, message):
+        family = two_family_spec().families[0]
+        families = tuple(family for _ in families)
+        with pytest.raises(ValidationError) as info:
+            RouletteSpec(weights=np.array(weights), families=families)
+        assert str(info.value) == message
+
     def test_family_axioms_checked(self):
         bad = np.stack([np.diag([1.0, 0.0]), np.diag([0.3, 1.0])]).astype(complex)
         spec = RouletteSpec(weights=np.array([1.0]), families=(bad,))

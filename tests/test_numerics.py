@@ -645,6 +645,19 @@ class TestDensityTable:
         with pytest.raises(ValidationError):
             DensityTable(grid=grid, cdf=good * 0.5, domain=(0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "grid, cdf",
+        [
+            (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 10)),
+            (np.linspace(0.0, 1.0, 12).reshape(2, 6), np.linspace(0.0, 1.0, 12).reshape(2, 6)),
+            (np.array([0.0]), np.array([1.0])),
+        ],
+    )
+    def test_shapes_must_match(self, grid, cdf):
+        with pytest.raises(ValidationError) as info:
+            DensityTable(grid=grid, cdf=cdf, domain=(0.0, 1.0))
+        assert str(info.value) == "DensityTable: grid and cdf must be matching 1-d arrays"
+
     def test_non_finite_values_rejected(self):
         grid = np.linspace(0.0, 1.0, 11)
         cdf = np.linspace(0.0, 1.0, 11)

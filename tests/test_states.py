@@ -316,6 +316,32 @@ class TestValidation:
         with pytest.raises(ValidationError):
             photon_distribution(StateSpec.coherent(1.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            ([], "PhotonStatistics: rho must be a nonempty 1-d array"),
+            ([[0.5, 0.5]], "PhotonStatistics: rho must be a nonempty 1-d array"),
+            ([-0.25, 1.25], "PhotonStatistics: rho entries must be finite and >= 0"),
+            ([math.nan, 1.0], "PhotonStatistics: rho entries must be finite and >= 0"),
+            ([math.inf], "PhotonStatistics: rho entries must be finite and >= 0"),
+            ([0.5], "PhotonStatistics: mass 0.5 outside [1 - 1e-12, 1]"),
+            ([0.6, 0.6], "PhotonStatistics: mass 1.2 outside [1 - 1e-12, 1]"),
+        ],
+    )
+    def test_photon_law_refusals(self, rho, message):
+        with pytest.raises(ValidationError) as info:
+            PhotonStatistics(rho, 1e-12)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", ["warp", ["coherent"], None])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValidationError) as info:
+            StateSpec(kind)
+        assert str(info.value) == f"unknown state kind '{kind}'"
+
+    def test_zero_mean_coherent_state_is_the_vacuum(self):
+        assert photon_distribution(StateSpec.coherent(0)).rho.tolist() == [1.0]
+
     def test_describe_round_trip_fields(self):
         spec = StateSpec.squeezed(2.0, 0.5)
         text = spec.describe()
