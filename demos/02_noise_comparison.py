@@ -26,14 +26,6 @@ STATES = [
 ETAS = (1.0, 0.75, 0.5, 0.25)
 
 
-def verdict(delta):
-    if delta < 0:
-        return "roulette"
-    if delta > 0:
-        return "heterodyne"
-    return "indifferent"
-
-
 def main():
     header = f"{'state':32s} {'eta':>5s} {'var_R':>9s} {'var_D':>9s} {'var_H':>9s} {'N_R':>8s} {'N_H':>8s} {'delta_RH':>9s}  best"
     print(header)
@@ -45,7 +37,7 @@ def main():
             print(
                 f"{spec.describe():32s} {eta:5.2f} {rep.roulette_var:9.3f} {rep.direct_var:9.3f} "
                 f"{rep.heterodyne_var:9.3f} {rep.added_roulette:8.3f} {rep.added_heterodyne:8.3f} "
-                f"{rep.delta_rh:9.3f}  {verdict(rep.delta_rh)}"
+                f"{rep.delta_rh:9.3f}  {rep.verdict}"
             )
         print()
 

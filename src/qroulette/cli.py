@@ -133,19 +133,13 @@ def _run_noise(params: dict, out_dir: Path) -> tuple[str, list[Path]]:
     eta = check_eta(params["eta"])
     mean_n, mean_nsq = exact_moments(spec)
     report = noise_report(mean_n, mean_nsq, eta)
-    if report.delta_rh < -1e-12:
-        verdict = "roulette"
-    elif report.delta_rh > 1e-12:
-        verdict = "heterodyne"
-    else:
-        verdict = "indifferent"
     lines = [f"state               {spec.describe()}"]
     for key, value in report.to_dict().items():
         lines.append(f"{key:<19} {value:.12g}")
-    lines.append(f"verdict             {verdict}")
+    lines.append(f"verdict             {report.verdict}")
     outputs = []
     if params.get("json"):
-        payload = dict(report.to_dict(), state=spec.describe(), verdict=verdict)
+        payload = dict(report.to_dict(), state=spec.describe(), verdict=report.verdict)
         outputs.append(_write(out_dir / _text(params, "json"), _json_text(payload)))
     return "\n".join(lines) + "\n", outputs
 

@@ -170,6 +170,13 @@ class NoiseReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @property
+    def verdict(self) -> str:
+        """The quieter scheme by delta_rh: indifferent within 1e-12 of zero."""
+        if self.delta_rh < -1e-12:
+            return "roulette"
+        return "heterodyne" if self.delta_rh > 1e-12 else "indifferent"
+
 
 def noise_report(mean_n: float, mean_nsq: float, eta: float = 1.0) -> NoiseReport:
     """Assemble every noise figure for one set of photon moments."""

@@ -39,6 +39,7 @@ _GRAMMAR = {
     "thermal": (_N,),
     "custom": (("weights", "weights", check_real, math.inf),),
 }
+_NAMES = {attr: name for fields in _GRAMMAR.values() for name, attr, _, _ in fields}
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,8 @@ class StateSpec:
     squeezed family, mean_photons is the total mean photon number N and
     squeezing_fraction is beta, the fraction of those photons engaged in
     squeezing (beta=0 coherent, beta=1 squeezed vacuum); both the signal
-    and the squeezing phases are fixed to zero.
+    and the squeezing phases are fixed to zero.  Each kind takes only its own
+    fields: any other field away from its default is a ValidationError.
     """
 
     kind: str
@@ -78,6 +80,11 @@ class StateSpec:
                 raise ValidationError(
                     f"state field 'weights' must sum to 1 within 1e-12 (got {total:.15g})"
                 )
+        read = {attr for _, attr, _, _ in _GRAMMAR[self.kind]}
+        for attr, name in _NAMES.items():  # a field the kind does not read keeps its default
+            value, default = getattr(self, attr), getattr(StateSpec, attr)
+            if attr not in read and not (type(value) is type(default) and value == default):
+                raise ValidationError(f"state kind '{self.kind}' takes no field '{name}'")
 
     @classmethod
     def coherent(cls, mean_photons: float) -> "StateSpec":

@@ -346,3 +346,72 @@ class TestValidation:
         spec = StateSpec.squeezed(2.0, 0.5)
         text = spec.describe()
         assert "kind=squeezed" in text and "N=2.0" in text and "beta=0.5" in text
+
+
+# each kind's own fields, set away from their defaults, and the grammar name of every field
+OWN_FIELDS = {
+    "coherent": {"mean_photons": 1.5},
+    "squeezed": {"mean_photons": 2.0, "squeezing_fraction": 0.5},
+    "fock": {"fock_n": 3},
+    "thermal": {"mean_photons": 0.7},
+    "custom": {"weights": (0.25, 0.75)},
+}
+GRAMMAR_NAMES = {
+    "mean_photons": "N", "squeezing_fraction": "beta", "fock_n": "n", "weights": "weights"
+}
+FOREIGN = [
+    (kind, attr) for kind, own in OWN_FIELDS.items() for attr in GRAMMAR_NAMES if attr not in own
+]
+
+
+class TestForeignFields:
+    @pytest.mark.parametrize("kind, attr", FOREIGN)
+    def test_every_foreign_field_is_refused_by_name(self, kind, attr):
+        foreign = {"fock_n": 1, "weights": (1.0,)}.get(attr, 0.5)
+        with pytest.raises(ValidationError) as info:
+            StateSpec(kind, **OWN_FIELDS[kind], **{attr: foreign})
+        assert str(info.value) == f"state kind '{kind}' takes no field '{GRAMMAR_NAMES[attr]}'"
+
+    @pytest.mark.parametrize("kind, attr", FOREIGN)
+    @pytest.mark.parametrize(
+        "value", [math.nan, "abc", np.array([0.0, 1.0]), np.zeros(1), (), -1, True],
+        ids=["nan", "text", "array", "zeros", "empty-tuple", "minus-one", "true"],
+    )
+    def test_a_foreign_value_of_any_type_is_a_validation_error(self, kind, attr, value):
+        with pytest.raises(ValidationError, match=f"state kind '{kind}' takes no field"):
+            StateSpec(kind, **OWN_FIELDS[kind], **{attr: value})
+
+    @pytest.mark.parametrize("kind, attr", FOREIGN)
+    def test_a_foreign_field_at_its_default_changes_nothing(self, kind, attr):
+        spec = StateSpec(kind, **OWN_FIELDS[kind], **{attr: getattr(StateSpec, attr)})
+        assert spec == StateSpec(kind, **OWN_FIELDS[kind])
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "fock", "mean_photons": -1},
+            {"kind": "thermal", "weights": (1,)},
+            {"kind": "coherent", "mean_photons": 4.0, "fock_n": 7},
+            {"kind": "squeezed", "mean_photons": 2.0, "squeezing_fraction": 0.5, "fock_n": 2},
+            {"kind": "custom", "weights": (1.0,), "squeezing_fraction": 0.5},
+        ],
+    )
+    def test_a_second_spec_of_one_state_is_refused(self, fields):
+        with pytest.raises(ValidationError, match="takes no field"):
+            StateSpec(**fields)
+
+    def test_the_kinds_own_checks_come_first(self):
+        with pytest.raises(ValidationError, match="state field 'n' must"):
+            StateSpec("fock", fock_n=-1, mean_photons=-1.0)
+        with pytest.raises(ValidationError, match="must sum to 1"):
+            StateSpec("custom", weights=(0.5,), mean_photons=1.0)
+
+    def test_a_spec_at_its_defaults_is_its_kinds_spec_with_one_run_law(self):
+        from qroulette import montecarlo
+
+        spec = StateSpec("coherent", mean_photons=4.0, squeezing_fraction=-0.0, weights=None)
+        assert spec == StateSpec.coherent(4.0) and hash(spec) == hash(StateSpec.coherent(4.0))
+        assert spec.describe() == "kind=coherent N=4.0"
+        assert montecarlo._run_law(spec, "direct", 0.5) is montecarlo._run_law(
+            StateSpec.coherent(4.0), "direct", 0.5
+        )
