@@ -1,46 +1,40 @@
 """Seeded Monte Carlo simulation of the three detection schemes.
 
-Draws are produced in fixed-size chunks, each with its own random stream
-derived deterministically from (seed, scheme, chunk index).  Workers only
-decide which process evaluates which chunk, so a given configuration is
-bit-reproducible for any worker count.
+A run is four stages, each a function whose work is done once per run:
 
-Efficiency eta enters only through the exact laws of `pom`.  A run draws from
-one law per (state, scheme, eta), cached and built in the calling process before
-any worker starts, and the only thing the chunk kernels take: the inverse-CDF
-table of the roulette's |x| or of heterodyne's v = eta I + 1, built from its
-exact CDF, or the guide table (`numerics.GuideTable`; Devroye, 1986, section
-III.2.4) of the thinned photon-number law.  The law maps each uniform to its
-outcome in place, most from one gather, bitwise np.interp on the table or
-Generator.choice on the pmf.  A run whose n_samples times the exact outcome
-variance overflows fails before any draw.
+- the law (`_run_law`), one per (state, scheme, eta), cached, built in the
+  calling process before any worker starts and the only thing the chunk
+  kernels take.  Efficiency eta enters only through its exact `pom` law: the
+  inverse-CDF table of the roulette's |x| or of heterodyne's v = eta I + 1, or
+  the guide table (`numerics.GuideTable`; Devroye, 1986, section III.2.4) of
+  the thinned photon-number law.  It maps uniforms to outcomes in place,
+  bitwise np.interp on the table or Generator.choice on the pmf;
+- the bins (`_histogram_bins`), from the law before any draw, after a check
+  that fails a run whose n_samples times the exact outcome variance overflows:
+  equal-width Freedman-Diaconis bins (Freedman & Diaconis, 1981) spanning the
+  quantiles eps .. 1 - eps, eps = 0.1 / n_samples; direct-detection bins are
+  whole steps of the 1/eta lattice;
+- the rows (`_rows`), one per fixed-size chunk of draws with its own random
+  stream from (seed, scheme, chunk index), in chunk order from this process or
+  a pool: workers only decide where a chunk is drawn, so a run is bit for bit
+  the same for any worker count.  A chunk is reduced where it is drawn to its
+  count, mean, sum of squared deviations and bin counts (the end bins take the
+  outcomes beyond them).  The range of chunks a process draws is held until
+  its rows are read, so a run in one process holds every row, 3 + bins floats
+  per chunk: about 31 MB at 10^9 roulette or heterodyne draws;
+- the fold (`_summarize`), merging rows as they arrive (Chan, Golub & LeVeque, 1979).
 
-The histogram edges are fixed before any draw by the run law, for every scheme
-from the table the draws use: equal-width Freedman-Diaconis bins (Freedman &
-Diaconis, 1981) spanning the quantiles eps .. 1 - eps, eps = 0.1 / n_samples;
-direct-detection bins are whole steps of the 1/eta lattice.  Each chunk reduces
-its outcomes where they are drawn, to its count, mean, sum of squared deviations
-and bin counts (the end bins take the outcomes beyond them), and the rows are
-merged in chunk order (Chan, Golub & LeVeque, 1979).  So a process holds one
-chunk's outcomes at a time, but the run keeps every row, 3 + bins floats per
-chunk, until the merge: about 31 MB at 10^9 roulette or heterodyne draws.
-
-A chunk holds one chunk-size array: its uniforms are drawn into it, mapped to
-outcomes in place and binned in blocks of BLOCK_SIZE points, and only the mean
-and the sum of squared deviations run over the whole array, as the
-Chan-Golub-LeVeque rows need.  Mapping and binning the whole chunk at once
-peaked at three to four chunk-size arrays, which the allocator handed back to
-the kernel after every chunk and faulted in again for the next: 600 to 1500
-minor page faults per 2^17-draw chunk.  The block temporaries stay in cache and
-are reused from chunk to chunk.  Every step is elementwise or the same
-full-array sum, so the rows are bit for bit those of the whole-array
-arithmetic.
+A chunk holds one chunk-size array: its uniforms are mapped to outcomes in
+place and binned in blocks of BLOCK_SIZE points, whose temporaries stay in
+cache.  Every step is elementwise or the same full-array sum, so the rows are
+bit for bit those of the whole-array arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
@@ -187,20 +181,17 @@ def _choice_cdf(pmf) -> np.ndarray:
     return cdf
 
 
-def _chunk_outcomes(law: _RunLaw, seed: int, chunk_index: int, size: int) -> np.ndarray:
-    """Outcomes for one chunk of a run drawing from law, a pure function of its
-    arguments.
-
-    The chunk's uniforms are drawn into the one array returned, which the
-    caller owns, and each block of BLOCK_SIZE of them is mapped to its outcomes
-    in place, so that array is the chunk's only chunk-size allocation; the
-    mapping is elementwise, so the outcomes are those of mapping the whole
-    array at once."""
-    key = (_SCHEME_INDEX[law.scheme], chunk_index)
-    x = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key)).random(size)
-    for start in range(0, size, BLOCK_SIZE):
-        law.outcomes(x[start : start + BLOCK_SIZE])
-    return x
+def _check_spread(config: ExperimentConfig) -> None:
+    """NumericalError before any draw when n_samples times the exact outcome
+    variance overflows, as the chunks' sums of squared deviations then would."""
+    scheme, eta = config.detector.scheme, config.detector.eta
+    mean_n, mean_nsq = exact_moments(config.state)
+    try:
+        total = config.n_samples * _OUTCOME_VARIANCE[scheme](mean_n, mean_nsq, eta)
+    except NumericalError:  # the variance itself overflows
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"sample_variance overflows at eta = {eta!r}")
 
 
 def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -229,16 +220,25 @@ def _histogram_bins(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return edges, centres
 
 
+def _chunk_outcomes(law: _RunLaw, seed: int, chunk_index: int, size: int) -> np.ndarray:
+    """Outcomes for one chunk of a run drawing from law, a pure function of its
+    arguments.  The uniforms are drawn into the one array returned, which the
+    caller owns, and mapped to outcomes in place a block at a time."""
+    key = (_SCHEME_INDEX[law.scheme], chunk_index)
+    x = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key)).random(size)
+    for start in range(0, size, BLOCK_SIZE):
+        law.outcomes(x[start : start + BLOCK_SIZE])
+    return x
+
+
 def _chunk_reduction(
     law: _RunLaw, seed: int, chunk_index: int, size: int, edges: np.ndarray
 ) -> np.ndarray:
     """One chunk reduced where it is drawn: (count, mean, M2, bin counts...).
     Bin i holds edges[i] <= x < edges[i + 1], up to the rounding of
     (x - edges[0]) / width; outcomes beyond the edges count in the end bins.
-
-    The mean is taken over the whole chunk, the bin counts are summed block by
-    block, and the deviations from the mean are then formed in place in the
-    chunk's one array, so no second chunk-size array is made."""
+    The bin counts are summed block by block, and the deviations from the
+    whole-chunk mean are formed in place, so no second chunk-size array is made."""
     x = _chunk_outcomes(law, seed, chunk_index, size)
     mean = x.mean()
     bins = len(edges) - 1
@@ -265,31 +265,6 @@ def _batch_reduction(
     ]
 
 
-def _summarize(rows: np.ndarray, centres: np.ndarray, config: ExperimentConfig) -> SampleSummary:
-    """Merge the chunk rows in chunk order (Chan, Golub & LeVeque, 1979)."""
-    n, mean, m2 = (float(v) for v in rows[0, :3])
-    for count, chunk_mean, chunk_m2 in rows[1:, :3].tolist():
-        total = n + count
-        delta = chunk_mean - mean
-        mean += delta * count / total
-        m2 += chunk_m2 + delta * delta * n * count / total
-        n = total
-    variance = m2 / (n - 1.0) if n > 1 else 0.0
-    return SampleSummary(
-        scheme=config.detector.scheme,
-        eta=config.detector.eta,
-        state=config.state.describe(),
-        n_samples=int(n),
-        seed=config.seed,
-        workers=config.workers,
-        mean=mean,
-        sample_variance=variance,
-        standard_error=math.sqrt(variance / n),
-        bin_centers=tuple(centres.tolist()),
-        bin_counts=tuple(int(c) for c in rows[:, 3:].sum(axis=0)),
-    )
-
-
 def ProcessPoolExecutor(max_workers: int):
     """concurrent.futures.ProcessPoolExecutor, imported when a run first starts
     more than one process: a run of one loads neither it nor multiprocessing.
@@ -304,43 +279,66 @@ def _pool_size(workers: int, n_chunks: int) -> int:
     return min(workers, os.cpu_count() or 1, n_chunks)
 
 
-def _check_spread(config: ExperimentConfig) -> None:
-    """NumericalError before any draw when n_samples times the exact outcome
-    variance overflows, as the chunks' sums of squared deviations then would."""
-    scheme, eta = config.detector.scheme, config.detector.eta
-    mean_n, mean_nsq = exact_moments(config.state)
-    try:
-        total = config.n_samples * _OUTCOME_VARIANCE[scheme](mean_n, mean_nsq, eta)
-    except NumericalError:  # the variance itself overflows
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericalError(f"sample_variance overflows at eta = {eta!r}")
+def _rows(config: ExperimentConfig, edges: np.ndarray) -> Iterator[np.ndarray]:
+    """The run's chunk rows (count, mean, M2, bin counts...) in chunk order, from
+    one process or a pool; a range of chunks is held until its rows are read."""
+    law = _run_law(config.state, config.detector.scheme, config.detector.eta)
+    n_chunks = -(-config.n_samples // CHUNK_SIZE)
+    processes = _pool_size(config.workers, n_chunks)
+    reduce_batch = partial(_batch_reduction, law, config.seed, config.n_samples, edges)
+    if processes == 1:
+        yield from reduce_batch(0, n_chunks)
+        return
+    # one task per process, a range of consecutive chunks: each worker receives
+    # the law once, and the rows come back in chunk order
+    bounds = [n_chunks * i // processes for i in range(processes + 1)]
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        for part in pool.map(reduce_batch, bounds[:-1], bounds[1:]):
+            yield from part
+
+
+def _summarize(rows: Iterable, centres: np.ndarray, config: ExperimentConfig) -> SampleSummary:
+    """Fold the chunk rows in chunk order as they arrive (Chan, Golub & LeVeque,
+    1979); the bin counts, exact integers below 2**53, are summed alongside."""
+    rows = iter(rows)
+    first = next(rows)
+    n, mean, m2 = first[:3].tolist()
+    counts = first[3:].copy()
+    for row in rows:
+        count, chunk_mean, chunk_m2 = row[:3].tolist()
+        total = n + count
+        delta = chunk_mean - mean
+        mean += delta * count / total
+        m2 += chunk_m2 + delta * delta * n * count / total
+        n = total
+        counts += row[3:]
+    variance = m2 / (n - 1.0) if n > 1 else 0.0
+    return SampleSummary(
+        scheme=config.detector.scheme,
+        eta=config.detector.eta,
+        state=config.state.describe(),
+        n_samples=int(n),
+        seed=config.seed,
+        workers=config.workers,
+        mean=mean,
+        sample_variance=variance,
+        standard_error=math.sqrt(variance / n),
+        bin_centers=tuple(centres.tolist()),
+        bin_counts=tuple(int(c) for c in counts),
+    )
 
 
 def draw_outcomes(config: ExperimentConfig) -> np.ndarray:
-    """The reduced chunks of a run, one row (count, mean, M2, bin counts...)
-    per chunk in the fixed chunk order."""
+    """The stacked view of the run's row iterator: one row (count, mean, M2, bin
+    counts...) per chunk in the fixed chunk order."""
     edges, _ = _histogram_bins(config)
-    law = _run_law(config.state, config.detector.scheme, config.detector.eta)
-    n, seed = config.n_samples, config.seed
-    n_chunks = -(-n // CHUNK_SIZE)
-    processes = _pool_size(config.workers, n_chunks)
-    # one task per process, a run of consecutive chunks: each worker receives
-    # the law once, and the rows come back in chunk order
-    bounds = [n_chunks * i // processes for i in range(processes + 1)]
-    reduce_batch = partial(_batch_reduction, law, seed, n, edges)
-    if processes == 1:
-        parts = [reduce_batch(0, n_chunks)]
-    else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(reduce_batch, bounds[:-1], bounds[1:]))
-    return np.vstack([row for part in parts for row in part])
+    return np.vstack(list(_rows(config, edges)))
 
 
 def run_sampling(config: ExperimentConfig) -> SampleSummary:
     """Simulate the scheme named in config.detector and summarise the outcomes."""
-    _, centres = _histogram_bins(config)
-    return _summarize(draw_outcomes(config), centres, config)
+    edges, centres = _histogram_bins(config)
+    return _summarize(_rows(config, edges), centres, config)
 
 
 def _check_scheme(config: ExperimentConfig, scheme: str) -> ExperimentConfig:

@@ -42,7 +42,7 @@ def _check_inputs(mean_n, mean_nsq, eta) -> tuple[float, float, float]:
     mean_nsq = check_real(mean_nsq, "photon moment 'mean_nsq'", -math.inf, math.inf)
     if mean_nsq - mean_n * mean_n < -1e-9 * max(1.0, mean_nsq):
         raise ValidationError(
-            f"inconsistent moments: variance {mean_nsq - mean_n**2:.6g} is negative"
+            f"inconsistent moments: variance {mean_nsq - mean_n * mean_n:.6g} is negative"
         )
     return mean_n, mean_nsq, eta
 

@@ -319,6 +319,61 @@ class TestDeterminism:
         assert one.mean != two.mean
 
 
+class InProcessPool:
+    """A pool whose tasks run in this process, in order."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("scheme", pom.SCHEMES)
+    def test_each_stage_runs_once(self, scheme, workers, monkeypatch):
+        calls = []
+
+        def counted(name):
+            fn = getattr(montecarlo, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_check_spread", "exact_moments", "_histogram_bins", "_batch_reduction"):
+            monkeypatch.setattr(montecarlo, name, counted(name))
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        n = 3 * montecarlo.CHUNK_SIZE
+        cfg = config(StateSpec.coherent(4.0), scheme, 0.5, n=n, workers=workers)
+        assert run_sampling(cfg).n_samples == cfg.n_samples
+        stages = ["_histogram_bins", "_check_spread", "exact_moments"]
+        assert calls == stages + ["_batch_reduction"] * workers
+
+    @pytest.mark.parametrize("scheme", pom.SCHEMES)
+    def test_stacked_rows_fold_to_the_run(self, scheme):
+        # three whole chunks and a partial one
+        n = 3 * montecarlo.CHUNK_SIZE + 12345
+        cfg = config(StateSpec.squeezed(2.0, 0.5), scheme, 0.5, n=n)
+        _, centres = montecarlo._histogram_bins(cfg)
+        rows = montecarlo.draw_outcomes(cfg)
+        stacked = rows.tobytes()
+        folded = montecarlo._summarize(rows, centres, cfg)
+        assert json.dumps(folded.to_dict()) == json.dumps(run_sampling(cfg).to_dict())
+        # the fold leaves the rows it reads as they were
+        assert rows.tobytes() == stacked
+
+
 class TestSummary:
     def test_invariants(self):
         summary = run_sampling(config(StateSpec.thermal(1.0), "heterodyne", 0.5, n=2 * 10**5))

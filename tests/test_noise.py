@@ -89,6 +89,20 @@ class TestNonFiniteInputs:
                 fn(*poisoned)
 
 
+class TestHugeMoments:
+    # past mean_n ~ 1.34e154 the float power mean_n**2 overflows, so the refusal
+    # must not be worded with it
+    @pytest.mark.parametrize(
+        "fn",
+        [noise_report, delta_rh, roulette_variance, direct_variance, heterodyne_variance],
+        ids=["noise_report", "delta_rh", "roulette_variance", "direct_variance",
+             "heterodyne_variance"],
+    )
+    def test_inconsistent_moments_are_refused(self, fn):
+        with pytest.raises(ValidationError, match="inconsistent moments"):
+            fn(1.4e154, 1.0, 0.5)
+
+
 class TestTinyEfficiency:
     # eta is accepted down to any positive float; a closed form that overflows
     # there is a numerical failure naming its figure, never inf or a traceback

@@ -637,6 +637,14 @@ class TestExactCdfs:
             np.testing.assert_array_equal(heterodyne_density_I(stats, far, eta), 0.0)
             np.testing.assert_array_equal(heterodyne_cdf_v(stats, far, eta), 1.0)
 
+    @pytest.mark.parametrize("eta", [5e-324, 5e-309, 0.5])
+    def test_heterodyne_at_minus_infinity(self, matrix_stats, eta):
+        # below the support at any eta, also where 1/eta overflows to inf
+        for stats in matrix_stats.values():
+            assert heterodyne_density_I(stats, -math.inf, eta) == 0.0
+            far = np.array([-math.inf, 1.0])
+            np.testing.assert_array_equal(heterodyne_density_I(stats, far, eta)[:1], 0.0)
+
     @pytest.mark.parametrize("eta", MC_ETAS)
     def test_direct_is_the_cumulative_pmf(self, matrix_stats, eta):
         for stats in matrix_stats.values():
