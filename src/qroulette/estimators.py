@@ -59,9 +59,7 @@ def richter_kernel(n: int, m: int, x: float, phi: float) -> complex:
 def intensity_estimator(x, eta: float = 1.0):
     """Unbiased field-intensity estimate from a quadrature outcome: 2 x^2 - 1/(2 eta)."""
     eta = check_eta(eta)
-    x = np.asarray(x, dtype=float)
-    out = 2.0 * x * x - 0.5 / eta
-    return float(out) if out.ndim == 0 else out
+    return _estimate("intensity_estimator", eta, lambda x: 2.0 * x * x - 0.5 / eta, x)
 
 
 def heterodyne_estimator(alpha_re: float, alpha_im: float, eta: float = 1.0):
@@ -71,7 +69,21 @@ def heterodyne_estimator(alpha_re: float, alpha_im: float, eta: float = 1.0):
     unbiasedness requires retaining the negative excursions.
     """
     eta = check_eta(eta)
-    re = np.asarray(alpha_re, dtype=float)
-    im = np.asarray(alpha_im, dtype=float)
-    out = re * re + im * im - 1.0 / eta
+    return _estimate(
+        "heterodyne_estimator", eta, lambda a, b: a * a + b * b - 1.0 / eta, alpha_re, alpha_im
+    )
+
+
+def _estimate(name: str, eta: float, closed_form, *points):
+    """closed_form of the points as float arrays, a float for scalars.  Where it is
+    not finite, a NaN point gives NaN and an infinite one +inf, the limit of its
+    square; finite points raise NumericalError, as the closed form overflowed."""
+    points = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(closed_form(*points))
+    off = ~np.isfinite(out)
+    if off.any():
+        if (off & np.isfinite(points).all(axis=0)).any():
+            raise NumericalError(f"{name} overflows at eta = {eta!r}")
+        out = np.where(off & ~np.isnan(points).any(axis=0), np.inf, out)
     return float(out) if out.ndim == 0 else out

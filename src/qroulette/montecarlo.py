@@ -2,9 +2,10 @@
 
 A run is four stages, each a function whose work is done once per run:
 
-- the law (`_run_law`), one per (state, scheme, eta), cached, built in the
-  calling process before any worker starts and the only thing the chunk
-  kernels take.  Efficiency eta enters only through its exact `pom` law: the
+- the law (`_run_law`), one per (state, scheme, eta), built in the calling
+  process before any worker starts and the only thing the chunk kernels take;
+  a process keeps up to LAW_CACHE_BYTES of their tables, least recently used
+  out first.  Efficiency eta enters only through its exact `pom` law: the
   inverse-CDF table of the roulette's |x| or of heterodyne's v = eta I + 1, or
   the guide table (`numerics.GuideTable`; Devroye, 1986, section III.2.4) of
   the thinned photon-number law.  It maps uniforms to outcomes in place,
@@ -19,9 +20,9 @@ A run is four stages, each a function whose work is done once per run:
   a pool: workers only decide where a chunk is drawn, so a run is bit for bit
   the same for any worker count.  A chunk is reduced where it is drawn to its
   count, mean, sum of squared deviations and bin counts (the end bins take the
-  outcomes beyond them).  The range of chunks a process draws is held until
-  its rows are read, so a run in one process holds every row, 3 + bins floats
-  per chunk: about 31 MB at 10^9 roulette or heterodyne draws;
+  outcomes beyond them).  A run in one process yields each row as it is drawn,
+  so it holds one row of 3 + bins floats whatever n_samples is; a pool process
+  returns the rows of its range of chunks together;
 - the fold (`_summarize`), merging rows as they arrive (Chan, Golub & LeVeque, 1979).
 
 A chunk holds one chunk-size array: its uniforms are mapped to outcomes in
@@ -34,9 +35,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import partial, wraps
 
 import numpy as np
 
@@ -75,6 +77,9 @@ BLOCK_SIZE = 1 << 14
 # the draws of one run: the chunk rows count them in float64, exactly up to 2**53
 MAX_SAMPLES = 1 << 53
 MAX_HISTOGRAM_BINS = 512
+# the table bytes of the run laws a process keeps: 9 times the 72 laws of the
+# validation matrix (7.0 MB), or 12 of the largest, Fock 4096 roulette (5.35 MB)
+LAW_CACHE_BYTES = 64 << 20
 # Generator.choice's tolerance on the sum of p
 _PMF_ATOL = math.sqrt(np.finfo(float).eps)
 _SCHEME_INDEX = {scheme: i for i, scheme in enumerate(SCHEMES)}
@@ -151,7 +156,29 @@ class _RunLaw:
         return np.divide(np.subtract(q, 1.0, u), self.eta, u)
 
 
-@lru_cache(maxsize=128)
+def _law_cache(build):
+    """build, cached as by functools.lru_cache but bounded by the bytes of the
+    tables held, not their count: a new law evicts the least recently used ones
+    until the laws held fit in LAW_CACHE_BYTES, and is kept itself however large."""
+    laws = OrderedDict()
+
+    def held() -> int:
+        return sum(law.table.nbytes for law in laws.values())
+
+    @wraps(build)
+    def cached(*key):
+        if key not in laws:
+            laws[key] = build(*key)
+            while held() > LAW_CACHE_BYTES and len(laws) > 1:
+                laws.popitem(last=False)
+        laws.move_to_end(key)
+        return laws[key]
+
+    cached.cache_clear, cached.cache_bytes = laws.clear, held
+    return cached
+
+
+@_law_cache
 def _run_law(spec: StateSpec, scheme: str, eta: float) -> _RunLaw:
     """The run law of (state, scheme, eta), its table built from the exact law;
     it serves both draws and bins."""
@@ -256,13 +283,17 @@ def _chunk_reduction(
 
 def _batch_reduction(
     law: _RunLaw, seed: int, n: int, edges: np.ndarray, first: int, stop: int
-) -> list[np.ndarray]:
-    """The rows of chunks first .. stop - 1 of a run of n draws, one chunk at a
-    time; every chunk holds CHUNK_SIZE draws but the last, which holds the rest."""
-    return [
-        _chunk_reduction(law, seed, i, min(CHUNK_SIZE, n - i * CHUNK_SIZE), edges)
-        for i in range(first, stop)
-    ]
+) -> Iterator[np.ndarray]:
+    """The rows of chunks first .. stop - 1 of a run of n draws, each yielded as
+    its chunk is drawn; every chunk holds CHUNK_SIZE draws but the last, which
+    holds the rest."""
+    for i in range(first, stop):
+        yield _chunk_reduction(law, seed, i, min(CHUNK_SIZE, n - i * CHUNK_SIZE), edges)
+
+
+def _batch_rows(*args) -> list[np.ndarray]:
+    """_batch_reduction's rows as one list: a pool process's task and its result."""
+    return list(_batch_reduction(*args))
 
 
 def ProcessPoolExecutor(max_workers: int):
@@ -280,20 +311,21 @@ def _pool_size(workers: int, n_chunks: int) -> int:
 
 
 def _rows(config: ExperimentConfig, edges: np.ndarray) -> Iterator[np.ndarray]:
-    """The run's chunk rows (count, mean, M2, bin counts...) in chunk order, from
-    one process or a pool; a range of chunks is held until its rows are read."""
+    """The run's chunk rows (count, mean, M2, bin counts...) in chunk order.  In
+    one process each row is yielded as its chunk is drawn, so a reader that keeps
+    none holds one row at a time; a pool process returns its range's rows at once."""
     law = _run_law(config.state, config.detector.scheme, config.detector.eta)
     n_chunks = -(-config.n_samples // CHUNK_SIZE)
     processes = _pool_size(config.workers, n_chunks)
-    reduce_batch = partial(_batch_reduction, law, config.seed, config.n_samples, edges)
+    run = (law, config.seed, config.n_samples, edges)
     if processes == 1:
-        yield from reduce_batch(0, n_chunks)
+        yield from _batch_reduction(*run, 0, n_chunks)
         return
     # one task per process, a range of consecutive chunks: each worker receives
     # the law once, and the rows come back in chunk order
     bounds = [n_chunks * i // processes for i in range(processes + 1)]
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        for part in pool.map(reduce_batch, bounds[:-1], bounds[1:]):
+        for part in pool.map(partial(_batch_rows, *run), bounds[:-1], bounds[1:]):
             yield from part
 
 

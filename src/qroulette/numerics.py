@@ -448,6 +448,11 @@ class GuideTable:
         """The nodes, a read-only view."""
         return self._nodes[1:-1]
 
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the table's own arrays."""
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+
     def rank(self, u) -> np.ndarray:
         """Count of nodes <= u, for each point of u but NaN."""
         u = np.asarray(u, dtype=float)

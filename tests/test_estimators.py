@@ -151,3 +151,70 @@ class TestHeterodyneEstimator:
     def test_eta_range(self):
         with pytest.raises(ValidationError):
             heterodyne_estimator(0.0, 0.0, 1.5)
+
+
+class TestEstimatorLimits:
+    """A closed form that overflows raises NumericalError naming the estimator and
+    eta; an infinite point keeps the limit of the squares, +inf; NaN in, NaN out;
+    and no RuntimeWarning escapes."""
+
+    @pytest.mark.parametrize(
+        "estimate, name",
+        [
+            (lambda: intensity_estimator(1e160), "intensity_estimator"),
+            (lambda: intensity_estimator(np.array([0.0, -1e160])), "intensity_estimator"),
+            (lambda: intensity_estimator(0.0, 5e-324), "intensity_estimator"),
+            (lambda: heterodyne_estimator(1e154, 1e154), "heterodyne_estimator"),
+            (lambda: heterodyne_estimator(0.0, 0.0, 5e-324), "heterodyne_estimator"),
+        ],
+        ids=["x=1e160", "x=[0,-1e160]", "eta=5e-324", "alpha=1e154(1+i)", "alpha=0,eta=5e-324"],
+    )
+    def test_overflow_is_a_numerical_error(self, estimate, name):
+        with pytest.raises(NumericalError, match=f"{name}.*eta"):
+            estimate()
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda eta: intensity_estimator(math.inf, eta),
+            lambda eta: intensity_estimator(-math.inf, eta),
+            lambda eta: heterodyne_estimator(math.inf, 0.0, eta),
+            lambda eta: heterodyne_estimator(-math.inf, math.inf, eta),
+            lambda eta: heterodyne_estimator(1.0, -math.inf, eta),
+        ],
+        ids=["x=inf", "x=-inf", "alpha=inf", "alpha=-inf+inf*i", "alpha=1-inf*i"],
+    )
+    @pytest.mark.parametrize("eta", [1.0, 0.5, 1e-300, 5e-324])
+    def test_infinite_points_give_the_limit(self, estimate, eta):
+        assert estimate(eta) == math.inf
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda eta: intensity_estimator(math.nan, eta),
+            lambda eta: heterodyne_estimator(math.nan, 0.0, eta),
+            lambda eta: heterodyne_estimator(math.inf, math.nan, eta),
+        ],
+        ids=["x=nan", "alpha=nan", "alpha=inf+nan*i"],
+    )
+    @pytest.mark.parametrize("eta", [1.0, 5e-324])
+    def test_nan_in_nan_out(self, estimate, eta):
+        assert math.isnan(estimate(eta))
+
+    def test_arrays_keep_each_points_limit(self):
+        x = np.array([0.0, math.inf, -math.inf, math.nan, 1.0])
+        out = intensity_estimator(x, 0.5)
+        assert out[:3].tolist() == [-1.0, math.inf, math.inf]
+        assert math.isnan(out[3]) and out[4] == 1.0
+        out = heterodyne_estimator(x, np.array([[0.0], [math.inf]]), 1.0)
+        assert out.shape == (2, 5)
+        assert out[0, [0, 1, 2, 4]].tolist() == [-1.0, math.inf, math.inf, 0.0]
+        assert out[1, [0, 1, 2, 4]].tolist() == [math.inf] * 4
+        assert np.isnan(out[:, 3]).all()
+
+    def test_finite_values_are_unchanged(self):
+        x = np.linspace(-1e150, 1e150, 101)
+        assert intensity_estimator(x, 0.25).tobytes() == (2.0 * x * x - 0.5 / 0.25).tobytes()
+        re, im = x, x[::-1]
+        expected = re * re + im * im - 1.0 / 0.25
+        assert heterodyne_estimator(re, im, 0.25).tobytes() == expected.tobytes()

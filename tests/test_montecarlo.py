@@ -155,6 +155,43 @@ class TestRunLaw:
         laws = len(MATRIX_STATES) * len(MC_ETAS) * len(pom.SCHEMES)
         assert len(table_builds) == laws == 72
 
+    def test_held_tables_stay_within_the_byte_budget(self, table_builds, monkeypatch):
+        # stubbed laws of a third of the budget and a byte each: two fit at once
+        budget = montecarlo.LAW_CACHE_BYTES
+
+        class LargeGuide(montecarlo.GuideTable):
+            nbytes = budget // 3 + 1
+
+        monkeypatch.setattr(montecarlo, "GuideTable", LargeGuide)
+        law = partial(montecarlo._run_law, StateSpec.coherent(1.0), "direct")
+        held = []
+        first = law(0.5)
+        held.append(montecarlo._run_law.cache_bytes())
+        law(0.25)
+        held.append(montecarlo._run_law.cache_bytes())
+        # a hit makes 0.5 the most recently used, so 0.125 evicts 0.25
+        assert law(0.5) is first
+        third = law(0.125)
+        held.append(montecarlo._run_law.cache_bytes())
+        assert table_builds == ["guide"] * 3
+        assert law(0.5) is first and law(0.125) is third
+        law(0.25)
+        held.append(montecarlo._run_law.cache_bytes())
+        assert table_builds == ["guide"] * 4
+        assert held == [budget // 3 + 1] + [2 * (budget // 3 + 1)] * 3
+
+    def test_a_law_past_the_budget_is_kept_alone(self, table_builds, monkeypatch):
+        class HugeGuide(montecarlo.GuideTable):
+            nbytes = montecarlo.LAW_CACHE_BYTES + 1
+
+        monkeypatch.setattr(montecarlo, "GuideTable", HugeGuide)
+        law = partial(montecarlo._run_law, StateSpec.coherent(1.0), "direct")
+        law(0.5)
+        second = law(0.25)
+        assert law(0.25) is second
+        assert montecarlo._run_law.cache_bytes() == montecarlo.LAW_CACHE_BYTES + 1
+        assert table_builds == ["guide"] * 2
+
     def test_laws_hash_with_their_table(self):
         table = build_inverse_cdf(lambda x: x, (0.0, 1.0))
         law = montecarlo._RunLaw("roulette", 0.5, table)
@@ -588,6 +625,29 @@ class TestReduction:
         summary = sample_direct(config(StateSpec.fock(3), "direct", 1.0, n=10**5))
         assert summary.bin_centers == (3.0,)
         assert summary.bin_counts == (10**5,)
+
+    def test_run_memory_is_flat_in_its_chunk_count(self, monkeypatch):
+        # a fixed 515-float row stands for each chunk, so nothing is drawn: held
+        # until the fold, the rows of 10^4 chunks would take 41 MB
+        def fixed_row(law, seed, chunk_index, size, edges):
+            row = np.zeros(515)
+            row[0] = row[3] = size
+            return row
+
+        monkeypatch.setattr(montecarlo, "_chunk_reduction", fixed_row)
+        peaks = []
+        for chunks in (10, 10_000):
+            n = chunks * montecarlo.CHUNK_SIZE - 5
+            cfg = config(StateSpec.squeezed(2.0, 0.5), "heterodyne", 0.5, n=n)
+            run_law(cfg)  # the law is built before the trace
+            tracemalloc.start()
+            try:
+                summary = run_sampling(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert summary.n_samples == cfg.n_samples
+        assert peaks[1] < peaks[0] + 64 * 1024, peaks
 
     def test_direct_run_memory_is_bounded(self):
         # a fresh interpreter, so that ru_maxrss counts this run alone
