@@ -77,8 +77,8 @@ BLOCK_SIZE = 1 << 14
 # the draws of one run: the chunk rows count them in float64, exactly up to 2**53
 MAX_SAMPLES = 1 << 53
 MAX_HISTOGRAM_BINS = 512
-# the table bytes of the run laws a process keeps: 9 times the 72 laws of the
-# validation matrix (7.0 MB), or 12 of the largest, Fock 4096 roulette (5.35 MB)
+# the table bytes of the run laws a process keeps: 15 times the 72 laws of the
+# validation matrix (4.46 MB), or 19 of the largest, Fock 4096 roulette (3.41 MB)
 LAW_CACHE_BYTES = 64 << 20
 # Generator.choice's tolerance on the sum of p
 _PMF_ATOL = math.sqrt(np.finfo(float).eps)
@@ -146,11 +146,13 @@ class _RunLaw:
     table: GuideTable
 
     def outcomes(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms to outcomes in place and return u: m/eta, (v - 1)/eta, or
-        2 |x|^2 - 1/(2 eta) in estimators.intensity_estimator's order, to the bit."""
+        """Map a flat u in [0, 1] to outcomes in place and return u: m/eta, (v - 1)/eta,
+        or 2 |x|^2 - 1/(2 eta) in estimators.intensity_estimator's order, to the bit.
+        The table's lookup takes u unclamped, as rank and sample would leave it: every
+        run law's table runs from a guard <= 0 to exactly 1.0, its cdf divided by its end."""
         if self.scheme == "direct":
-            return np.divide(self.table.rank(u), self.eta, out=u)
-        q = self.table.sample(u)
+            return np.divide(self.table._lookup(u), self.eta, out=u)
+        q = self.table._interp(u)
         if self.scheme == "roulette":
             return np.subtract(np.multiply(np.multiply(q, 2.0, u), q, u), 0.5 / self.eta, u)
         return np.divide(np.subtract(q, 1.0, u), self.eta, u)

@@ -391,22 +391,29 @@ def gauss_legendre_grid(lower: float, upper: float, panels: int, order: int = 12
 
 
 class GuideTable:
-    """np.searchsorted(cdf, u, "right") for a fixed finite nondecreasing cdf, by
-    a guide table (Chen & Asau, 1974; Devroye, 1986, section III.2.4).
+    """np.searchsorted(cdf, u, "right") for a fixed cdf, a nonempty 1-d finite
+    nondecreasing array, by a guide table (Chen & Asau, 1974; Devroye, 1986,
+    section III.2.4).
 
     [0, 1] is cut into K = 8 len(cdf) equal cells, each storing the count of
-    nodes in cells before it, or -1 - that count if a node lies inside it.  A
-    point is clamped to the nodes' range, which keeps its count; in a node-free
-    cell it has its count from that one gather, as about 89 % of uniform points
-    on the Monte Carlo tables do.  The rest start at the count before their
-    cell, which never passes the answer because cells are a nondecreasing
-    function of value, and step over the cell's first node if it is <= u; the
-    few with more nodes <= u ahead finish by binary search.  One node array, the
-    cdf between two sentinels, and the guide take about 72 bytes per node.
+    nodes in cells before it, or -1 - that count if a node lies inside it, as
+    int32: a cdf holds fewer than 2**31 nodes.  rank clamps a point to the nodes'
+    range, which keeps its count; in a node-free cell it has its count from that
+    one gather, as about 89 % of uniform points on the Monte Carlo tables do.
+    The rest start at the count before their cell, which never passes the answer
+    because cells are a nondecreasing function of value, and step over the
+    cell's first node if it is <= u; the few with more nodes <= u ahead finish by
+    binary search.  One node array, the cdf between two sentinels, and the guide
+    take about 40 bytes per node.
     """
 
     def __init__(self, cdf):
         cdf = np.asarray(cdf, dtype=float)
+        vector = cdf.ndim == 1 and 0 < cdf.size < 2**31
+        if not (vector and np.isfinite(cdf).all() and np.all(cdf[1:] >= cdf[:-1])):
+            raise ValidationError(
+                "GuideTable: cdf must be a nonempty 1-d finite nondecreasing array"
+            )
         self._cells = _GUIDE_CELLS_PER_NODE * len(cdf)
         # points clamped to [min(0, just below the first node), the last node];
         # cells span [0, 1], or [-r, r] for a cdf reaching past it, so indices fit intp
@@ -419,15 +426,14 @@ class GuideTable:
         node_cells = np.clip((cdf * self._scale).astype(np.intp), 0, self._cells)
         inside = np.bincount(node_cells, minlength=self._cells + 1)
         before = np.cumsum(inside) - inside
-        self._guide = np.where(inside > 0, ~before, before)
+        self._guide = np.where(inside > 0, ~before, before).astype(np.int32)
         self._guide.setflags(write=False)
 
-    def _lookup(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(count of nodes <= u, u clamped to the nodes' range) for a flat u."""
-        t = np.clip(u, self._lo, self._hi)
+    def _lookup(self, t: np.ndarray) -> np.ndarray:
+        """Count of nodes <= t as intp, for a flat t within [_lo, _hi] or NaN."""
         with np.errstate(invalid="ignore"):  # a NaN point's cell: any, clipped by the gather
             cell = (t * self._scale).astype(np.intp)
-        count = self._guide.take(cell, mode="clip")
+        count = self._guide.take(cell, mode="clip").astype(np.intp)
         # the points in cells that hold a node, from the count before their cell
         held = np.flatnonzero(count < 0)
         start, point, after = ~count[held], t[held], self._nodes[1:]
@@ -435,7 +441,7 @@ class GuideTable:
         late = np.flatnonzero(after[start] <= point)
         start[late] = np.searchsorted(self.cdf, point[late], "right")
         count[held] = start
-        return count, t
+        return count
 
     def __setstate__(self, state):
         # numpy pickles no read-only flag: a worker's copy is frozen again
@@ -456,7 +462,7 @@ class GuideTable:
     def rank(self, u) -> np.ndarray:
         """Count of nodes <= u, for each point of u but NaN."""
         u = np.asarray(u, dtype=float)
-        return self._lookup(u.reshape(-1))[0].reshape(u.shape)
+        return self._lookup(np.clip(u.reshape(-1), self._lo, self._hi)).reshape(u.shape)
 
 
 class DensityTable(GuideTable):
@@ -469,7 +475,7 @@ class DensityTable(GuideTable):
     Draws find their segment through the guide and interpolate with the
     segment slopes np.interp uses, so that sample(u) is bitwise
     np.interp(u, cdf, grid) at O(1) expected cost per draw.  grid and cdf are
-    read-only views of the table's own copies; it takes about 88 bytes per node.
+    read-only views of the table's own copies; it takes about 56 bytes per node.
     """
 
     def __init__(self, grid, cdf, domain: tuple[float, float]):
@@ -477,15 +483,13 @@ class DensityTable(GuideTable):
         cdf = np.asarray(cdf, dtype=float)
         if grid.ndim != 1 or grid.shape != cdf.shape or grid.size < 2:
             raise ValidationError("DensityTable: grid and cdf must be matching 1-d arrays")
-        if not (np.isfinite(grid).all() and np.isfinite(cdf).all()):
-            raise ValidationError("DensityTable: grid and cdf must be finite")
+        if not np.isfinite(grid).all():
+            raise ValidationError("DensityTable: grid must be finite")
         if not np.all(np.diff(grid) > 0.0):
             raise ValidationError("DensityTable: grid must be strictly increasing")
-        if np.any(np.diff(cdf) < 0.0):
-            raise ValidationError("DensityTable: cdf must be nondecreasing")
+        super().__init__(cdf)
         if abs(cdf[0]) > 1e-12 or abs(cdf[-1] - 1.0) > 1e-12:
             raise ValidationError("DensityTable: cdf must run from ~0 to ~1")
-        super().__init__(cdf)
         self.domain = domain
         # np.interp's slope d_grid / d_cdf of each segment; a steep segment,
         # whose quotient overflows or divides by zero, is nan
@@ -513,11 +517,10 @@ class DensityTable(GuideTable):
         """Segment j with cdf[j] <= u < cdf[j + 1]: np.searchsorted(cdf, u, "right") - 1."""
         return self.rank(u) - 1
 
-    def sample(self, u):
-        """Map uniform variates in [0, 1] through the inverse CDF, bitwise as
-        np.interp(u, cdf, grid) for every float u."""
-        u = np.asarray(u, dtype=float)
-        count, t = self._lookup(u.reshape(-1))
+    def _interp(self, t: np.ndarray) -> np.ndarray:
+        """np.interp(t, cdf, grid) bitwise, as a new array, for a flat t within
+        [_lo, _hi] or NaN."""
+        count = self._lookup(t)
         # (-slope) * (base - t) is slope * (t - base) to the bit, and -0.0 where
         # base >= t, at a node or an end: adding it leaves the node's value as np.interp does
         rise = self._nodes.take(count)
@@ -530,7 +533,13 @@ class DensityTable(GuideTable):
             odd = np.flatnonzero(np.isnan(out))
             at_node = t[odd] == self._nodes[count[odd]]
             out[odd] = np.where(at_node, self._left[count[odd]], t[odd] + np.inf)  # NaN stays
-        return out.reshape(u.shape)[()]
+        return out
+
+    def sample(self, u):
+        """Map uniform variates in [0, 1] through the inverse CDF, bitwise as
+        np.interp(u, cdf, grid) for every float u."""
+        u = np.asarray(u, dtype=float)
+        return self._interp(np.clip(u.reshape(-1), self._lo, self._hi)).reshape(u.shape)[()]
 
     def cdf_at(self, x):
         """Tabulated CDF evaluated by linear interpolation."""

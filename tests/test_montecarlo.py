@@ -711,6 +711,46 @@ class TestGuideLookupDraws:
             assert json.dumps(run_sampling(cfg).to_dict()) == summary, cfg
 
 
+def public_outcomes(law, u):
+    """law.outcomes(u) through its table's public rank and sample, which clamp
+    their points to the table's range."""
+    if law.scheme == "direct":
+        return law.table.rank(u) / law.eta
+    q = law.table.sample(u)
+    return intensity_estimator(q, law.eta) if law.scheme == "roulette" else (q - 1.0) / law.eta
+
+
+# the CI byte loop's bright laws, thousands of nodes each, beside the matrix
+BRIGHT_LAWS = [
+    (StateSpec.coherent(3000.0), "heterodyne", 0.5),
+    (StateSpec.coherent(2000.0), "roulette", 0.5),
+]
+
+
+class TestUnclampedMapping:
+    """A run law maps generator uniforms, which lie in [0, 1), through its
+    table without clamping them: every run law's table must span them."""
+
+    @staticmethod
+    def laws(scheme):
+        matrix = [(spec, scheme, eta) for _, spec in MATRIX_STATES for eta in MC_ETAS]
+        return matrix + [law for law in BRIGHT_LAWS if law[1] == scheme]
+
+    @pytest.mark.parametrize("scheme", pom.SCHEMES)
+    def test_every_run_law_table_spans_the_unit_interval(self, scheme):
+        for key in self.laws(scheme):
+            table = montecarlo._run_law(*key).table
+            assert table.cdf[-1] == 1.0 and table._lo <= 0.0, key
+
+    @pytest.mark.parametrize("scheme", pom.SCHEMES)
+    def test_run_law_outcomes_are_the_public_lookups_bitwise(self, scheme):
+        for key in self.laws(scheme):
+            law = montecarlo._run_law(*key)
+            u = np.concatenate(([0.0, 2.0**-53, np.nextafter(1.0, 0.0)], law.table.cdf))
+            expected = public_outcomes(law, u)
+            assert law.outcomes(u.copy()).tobytes() == expected.tobytes(), key
+
+
 def full_array_reduction(law, seed, chunk_index, size, edges):
     """One chunk mapped and reduced as whole arrays: the arithmetic that the
     block loops of _chunk_outcomes and _chunk_reduction split up."""

@@ -633,6 +633,30 @@ class TestInverseCdf:
         assert result.pvalue > 0.001, f"KS failed at n={n}: {result}"
 
 
+class TestGuideTableChecks:
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            [0.0, math.nan, 1.0],
+            [0.0, math.inf],
+            [],
+            np.linspace(0.0, 1.0, 4).reshape(2, 2),
+            [0.0, 0.7, 0.2, 1.0],
+        ],
+    )
+    def test_cdf_must_be_a_finite_nondecreasing_vector(self, cdf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                GuideTable(cdf)
+        assert str(info.value) == "GuideTable: cdf must be a nonempty 1-d finite nondecreasing array"
+
+    @pytest.mark.parametrize("cdf", [[0.5], [-3.0, -3.0, 2.0]])
+    def test_any_finite_nondecreasing_vector_is_taken(self, cdf):
+        u = np.array([-4.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+        np.testing.assert_array_equal(GuideTable(cdf).rank(u), np.searchsorted(cdf, u, "right"))
+
+
 class TestDensityTable:
     def test_invariants_enforced(self):
         grid = np.linspace(0.0, 1.0, 11)
@@ -711,6 +735,19 @@ class TestDensityTable:
         for held in (table, pickle.loads(pickle.dumps(table))):
             assert self.held_bytes(held) <= 88 * n + 64
             np.testing.assert_array_equal(held.grid, table.grid)
+
+    @pytest.mark.parametrize("n", [2, 11, 5000])
+    def test_guide_cells_are_int32_and_counts_intp(self, n):
+        # 8 four-byte guide cells and one node per node, and a table's values and
+        # slopes; counts come back as intp, ready to index with
+        cdf = np.linspace(0.0, 1.0, n)
+        guide, table = GuideTable(cdf), DensityTable(np.linspace(2.0, 3.0, n), cdf, (2.0, 3.0))
+        for held in (guide, pickle.loads(pickle.dumps(guide))):
+            assert self.held_bytes(held) <= 40 * n + 64
+            assert held.rank(cdf).dtype == np.intp
+        for held in (table, pickle.loads(pickle.dumps(table))):
+            assert self.held_bytes(held) <= 56 * n + 64
+            assert held.rank(cdf).dtype == held.locate(cdf).dtype == np.intp
 
     @pytest.mark.parametrize("cdf", [[0.0, 0.5, 3.0], [-5.0, 0.5, 1.0], [1e-11, 0.5, 1.0]])
     def test_cdf_runs_from_0_to_1(self, cdf):
